@@ -31,7 +31,6 @@ from .uap import (
     generate_targeted_uaps,
     project_perturbation,
     targeted_error_rate,
-    targeted_error_rates,
 )
 from .usb import USBConfig, USBDetector
 
@@ -62,7 +61,6 @@ __all__ = [
     "generate_targeted_uaps",
     "project_perturbation",
     "targeted_error_rate",
-    "targeted_error_rates",
     "USBConfig",
     "USBDetector",
 ]

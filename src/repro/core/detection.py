@@ -10,32 +10,32 @@ outer loop:
    "shortcut"), using the median-absolute-deviation (MAD) anomaly index from
    the Neural Cleanse paper.
 
-**Batched outer loop.**  By default :meth:`detect` runs all K candidate
-classes as *one* joint optimization: subclasses that implement
-:meth:`TriggerReverseEngineeringDetector.reverse_engineer_batch` (all three
-in-tree detectors do, via the shared
-:class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer` engine)
-stack the K ``(pattern, mask)`` parameters and amortize every model
-forward/backward across classes on a ``(K·B, C, H, W)`` mega-batch.  The
-Alg. 2 refinement loss is a sum of independent per-class terms, so given the
-same per-class starting points the refinement matches the sequential loop up
-to floating-point reduction order (NC/TABOR additionally draw their random
-inits in the same order, making the two modes near-identical end to end).
-USB's batched Alg. 1 stage, however, shares one shuffle per sweep across
-classes instead of consuming the RNG per class, so its UAP seeds — and hence
-per-class trigger norms — differ from the sequential path in their random
-stream, not just in rounding; flagged classes are expected to agree, with
-anomaly indices within a small tolerance (tracked by the Table 7 harness).
-``detect`` falls back to the sequential per-class loop when the subclass
-provides no batched path, when only one class is scanned, or when
-``batched=False`` is passed explicitly (e.g. for per-class wall-clock
-measurements or A/B validation of the two paths).
+**Joint outer loop.**  By default (``mode="batched"``) :meth:`detect` runs
+all K candidate classes as *one* joint optimization on the work-item pool of
+:mod:`repro.core.mega`, with the budget cascade off: every model
+forward/backward is amortized across classes on a ``(K·B, C, H, W)``
+mega-batch.  ``mode="mega"`` uses the same pool with the cascade on.  Each
+detector states its per-class starting points once, in
+:meth:`TriggerReverseEngineeringDetector._mega_inits`, and both joint modes
+take them from there.  The Alg. 2 refinement loss is a sum of independent
+per-class terms, so given the same starting points the refinement matches
+the sequential loop up to floating-point reduction order (NC/TABOR draw
+their random inits in the same order, making the modes near-identical end
+to end).  USB's joint Alg. 1 stage, however, shares one shuffle per sweep
+across classes instead of consuming the RNG per class, so its UAP seeds —
+and hence per-class trigger norms — differ from the sequential path in
+their random stream, not just in rounding; flagged classes are expected to
+agree, with anomaly indices within a small tolerance (tracked by the
+Table 7 harness).  ``detect`` falls back to the sequential per-class loop
+when the detector provides no starting points, when only one class is
+scanned, or when ``mode="sequential"`` is passed (per-class wall-clock
+measurements, or the reference for A/B validation).
 
 This module provides the data structures, the MAD outlier test, and the
-:class:`TriggerReverseEngineeringDetector` base class implementing both outer
+:class:`TriggerReverseEngineeringDetector` base class implementing the outer
 loops; concrete detectors implement
-:meth:`TriggerReverseEngineeringDetector.reverse_engineer` (and usually
-:meth:`TriggerReverseEngineeringDetector.reverse_engineer_batch`).
+:meth:`TriggerReverseEngineeringDetector.reverse_engineer` and
+:meth:`TriggerReverseEngineeringDetector._mega_inits`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .mega import (
 )
 from .trigger_optimizer import (
     BatchedTriggerMaskOptimizer,
-    TriggerOptimizationConfig,
+    TriggerOptimizationResult,
 )
 
 __all__ = [
@@ -74,19 +74,10 @@ __all__ = [
 ]
 
 #: Inversion execution modes accepted by :meth:`detect` (and the service's
-#: ``--inversion-mode`` flag): the sequential per-class loop, the class-batched
-#: engine, and the work-item-pool mega path with its budget cascade.
+#: ``--inversion-mode`` flag): the sequential per-class loop, the work-item
+#: pool with the cascade off (one joint run per scan), and the pool with its
+#: budget cascade.
 INVERSION_MODES = ("sequential", "batched", "mega")
-
-
-def _resolve_inversion_mode(mode: Optional[str], batched: bool) -> str:
-    """Fold the legacy ``batched`` flag and the new ``mode`` into one value."""
-    if mode is None:
-        return "batched" if batched else "sequential"
-    if mode not in INVERSION_MODES:
-        raise ValueError(f"Unknown inversion mode '{mode}'. "
-                         f"Available: {', '.join(INVERSION_MODES)}")
-    return mode
 
 #: A (source, target) scan cell.  ``source`` is ``None`` for the classic
 #: unconditional scan (trigger optimized over clean data from all classes);
@@ -153,6 +144,14 @@ class ReversedTrigger:
     def mask_l1(self) -> float:
         """L1 norm of the mask alone (Neural Cleanse's original metric)."""
         return float(np.abs(self.mask).sum())
+
+
+def _reversed(target: int, result: TriggerOptimizationResult,
+              **extra: Any) -> ReversedTrigger:
+    """A :class:`ReversedTrigger` for ``target`` from one optimizer result."""
+    return ReversedTrigger(target_class=int(target), pattern=result.pattern,
+                           mask=result.mask, success_rate=result.success_rate,
+                           iterations=result.iterations, **extra)
 
 
 @dataclass
@@ -380,44 +379,41 @@ class TriggerReverseEngineeringDetector:
         """Reconstruct a trigger sending clean data to ``target_class``."""
         raise NotImplementedError
 
-    def reverse_engineer_batch(self, model: Module, target_classes: Sequence[int]
-                               ) -> Optional[List[ReversedTrigger]]:
-        """Jointly reconstruct triggers for all ``target_classes`` at once.
-
-        Returns ``None`` when the detector has no batched implementation, in
-        which case :meth:`detect` falls back to the sequential per-class loop.
-        """
-        return None
-
-    def _optimize_triggers_batched(
-            self, model: Module, target_classes: Sequence[int],
-            inits: Sequence[Tuple[np.ndarray, np.ndarray]],
-            config: TriggerOptimizationConfig) -> List[ReversedTrigger]:
-        """Shared Alg. 2 mega-batch refinement used by the batched detectors."""
-        engine = BatchedTriggerMaskOptimizer(model, self.clean_data.images,
-                                             target_classes, config=config)
-        results = engine.optimize(inits)
-        return [
-            ReversedTrigger(target_class=target, pattern=result.pattern,
-                            mask=result.mask, success_rate=result.success_rate,
-                            iterations=result.iterations)
-            for target, result in zip(target_classes, results)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Mega path: work-item pool + budget cascade
-    # ------------------------------------------------------------------ #
     def _mega_inits(self, model: Module, target_classes: List[int]):
-        """Per-class starting points for the mega work-item pool.
+        """Per-class starting points for the joint (work-item pool) modes.
 
         Subclasses return ``(inits, config, prescreen_norms)`` — the
         per-class ``(pattern, mask)`` starts, the trigger-optimization
         config, and optional per-class seed norms for cascade prescreening
         (``None`` when the detector has no seed-size signal).  The base
-        implementation returns ``None``, meaning no mega path.
+        implementation returns ``None``, meaning no joint path.
         """
         return None
 
+    def reverse_engineer_batch(self, model: Module, target_classes: Sequence[int]
+                               ) -> Optional[List[ReversedTrigger]]:
+        """Jointly reconstruct triggers for all ``target_classes`` at once.
+
+        Runs the :meth:`_mega_inits` starting points through the work-item
+        pool with the cascade off
+        (:class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`).
+        Returns ``None`` when the detector provides no starting points, in
+        which case :meth:`detect` falls back to the sequential per-class loop.
+        """
+        class_list = list(target_classes)
+        prepared = self._mega_inits(model, class_list)
+        if prepared is None:
+            return None
+        inits, config, _ = prepared
+        results = BatchedTriggerMaskOptimizer(
+            model, self.clean_data.images, class_list, config=config
+        ).optimize(inits)
+        return [_reversed(target, result)
+                for target, result in zip(class_list, results)]
+
+    # ------------------------------------------------------------------ #
+    # Mega path: work-item pool + budget cascade
+    # ------------------------------------------------------------------ #
     def _mega_task(self, model: Module, target_classes: Sequence[int],
                    selection_group: Optional[str] = None
                    ) -> Optional[MegaTask]:
@@ -460,7 +456,7 @@ class TriggerReverseEngineeringDetector:
 
         Returns ``None`` when the detector provides no mega starting points
         (:meth:`_mega_inits`), in which case :meth:`detect` falls back to the
-        class-batched engine.
+        sequential per-class loop.
         """
         task = self._mega_task(model, target_classes)
         if task is None:
@@ -469,12 +465,8 @@ class TriggerReverseEngineeringDetector:
         [results] = run_mega_inversion(
             [task], cascade=self.mega_cascade, pool=self.mega_pool,
             cache=self.activation_cache, stats=self.last_mega_stats)
-        return [
-            ReversedTrigger(target_class=int(target), pattern=result.pattern,
-                            mask=result.mask, success_rate=result.success_rate,
-                            iterations=result.iterations)
-            for target, result in zip(task.target_classes, results)
-        ]
+        return [_reversed(target, result)
+                for target, result in zip(task.target_classes, results)]
 
     # ------------------------------------------------------------------ #
     # Scenario support: source-restricted clean data
@@ -513,17 +505,16 @@ class TriggerReverseEngineeringDetector:
     # ------------------------------------------------------------------ #
     def detect(self, model: Module,
                classes: Optional[Sequence[int]] = None,
-               batched: bool = True,
                pairs: Optional[Sequence[ScanPair]] = None,
-               mode: Optional[str] = None) -> DetectionResult:
+               mode: str = "batched") -> DetectionResult:
         """Run reverse engineering for every class and apply the outlier test.
 
         ``mode`` selects the inversion engine (:data:`INVERSION_MODES`):
-        ``"sequential"`` runs the per-class loop, ``"batched"`` the stacked
-        class-batched engine, ``"mega"`` the work-item pool with its budget
-        cascade.  When ``mode`` is omitted the legacy ``batched`` flag picks
-        between sequential and batched.  Modes degrade gracefully: a detector
-        without the requested fast path falls back to the next one down.
+        ``"sequential"`` runs the per-class loop, ``"batched"`` (the default)
+        one joint run on the work-item pool with the cascade off, ``"mega"``
+        the pool with its budget cascade.  Modes degrade gracefully: a
+        detector without the requested fast path falls back to the next one
+        down.
 
         ``pairs`` switches to the scenario-aware pair mode: each ``(source,
         target)`` cell is reverse-engineered with the clean data restricted
@@ -531,7 +522,9 @@ class TriggerReverseEngineeringDetector:
         runs over the pair norms, and the result carries per-pair anomaly
         indices and flagged pairs alongside the per-class aggregation.
         """
-        mode = _resolve_inversion_mode(mode, batched)
+        if mode not in INVERSION_MODES:
+            raise ValueError(f"Unknown inversion mode '{mode}'. "
+                             f"Available: {', '.join(INVERSION_MODES)}")
         model.eval()
         was_grad = [p.requires_grad for p in model.parameters()]
         model.requires_grad_(False)
@@ -620,12 +613,8 @@ class TriggerReverseEngineeringDetector:
                 for (source, targets), task_results in zip(task_groups,
                                                            results):
                     for target, result in zip(targets, task_results):
-                        by_pair[(source, target)] = ReversedTrigger(
-                            target_class=int(target), pattern=result.pattern,
-                            mask=result.mask,
-                            success_rate=result.success_rate,
-                            iterations=result.iterations,
-                            source_class=source)
+                        by_pair[(source, target)] = _reversed(
+                            target, result, source_class=source)
         if not by_pair:
             for source, targets in groups.items():
                 group_start = time.perf_counter()
@@ -844,15 +833,9 @@ def detect_mega_fleet(jobs: Sequence[Sequence[Any]],
             detector.last_mega_stats = dict(run_stats)
             if not pair_mode:
                 task_index, _, class_list = slots[0]
-                triggers = [
-                    ReversedTrigger(target_class=int(target),
-                                    pattern=result.pattern, mask=result.mask,
-                                    success_rate=result.success_rate,
-                                    seconds=per_cell,
-                                    iterations=result.iterations)
-                    for target, result in zip(class_list,
-                                              all_results[task_index])
-                ]
+                triggers = [_reversed(target, result, seconds=per_cell)
+                            for target, result in zip(class_list,
+                                                      all_results[task_index])]
                 detections.append(_classic_result(
                     detector.name, class_list, triggers,
                     detector.anomaly_threshold, job_seconds,
@@ -861,11 +844,8 @@ def detect_mega_fleet(jobs: Sequence[Sequence[Any]],
             by_pair: Dict[ScanPair, ReversedTrigger] = {}
             for task_index, source, targets in slots:
                 for target, result in zip(targets, all_results[task_index]):
-                    by_pair[(source, target)] = ReversedTrigger(
-                        target_class=int(target), pattern=result.pattern,
-                        mask=result.mask, success_rate=result.success_rate,
-                        seconds=per_cell, iterations=result.iterations,
-                        source_class=source)
+                    by_pair[(source, target)] = _reversed(
+                        target, result, seconds=per_cell, source_class=source)
             triggers = [by_pair[pair] for pair in cells]
             detections.append(_pair_result(
                 detector.name, cells, triggers, detector.anomaly_threshold,

@@ -1,10 +1,12 @@
-"""Cross-model mega-batched trigger inversion: work-item pool + cascade.
+"""Joint trigger inversion for K cells at once: work-item pool + cascade.
 
-The class-batched engine (:class:`~repro.core.trigger_optimizer.
-BatchedTriggerMaskOptimizer`) amortizes model forwards across the K candidate
-classes of *one* scan, but a multi-model scan still runs N such engines back
-to back, and every engine drains with its slowest class.  This module
-restructures inversion around a **work-item pool**:
+This is the one joint Alg. 2 engine.  ``detect(mode="batched")`` runs one
+scan's K candidate classes through it with the cascade off (via
+:class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`);
+``mode="mega"`` runs it with the budget cascade on, and
+:func:`~repro.core.detection.detect_mega_fleet` pools the cells of many
+scans and models into one run.  Inversion is organised around a
+**work-item pool**:
 
 * Every (model x class x pair) inversion cell becomes an independent
   :class:`_WorkItem` carrying its own ``(pattern, mask)`` parameters, Adam
@@ -12,7 +14,7 @@ restructures inversion around a **work-item pool**:
 * Items from one :class:`MegaTask` (same model / clean images / config) share
   a *lane*; each pool step advances every active item of a lane by one
   iteration, stacking items on the same batch offset into one dense
-  ``(k*B, C, H, W)`` forward — the exact math of the batched engine.
+  ``(k*B, C, H, W)`` forward whose loss is the sum of the per-cell losses.
 * The pool caps concurrently-active rows (``MegaPoolConfig.max_active_rows``)
   and **admits queued items in-flight** as early-stopped or exhausted items
   vacate slots (the ReaLHF in-flight batching pattern), so dense batches stay
@@ -34,8 +36,8 @@ Two further layers ride on the pool:
 
 Per-item trajectories reproduce the sequential optimizer exactly (same batch
 schedule, same loss, same elementwise Adam with per-item step counts), so
-parity with the sequential and class-batched paths holds up to
-floating-point reduction order.
+parity with the sequential oracle holds up to floating-point reduction
+order.
 """
 
 from __future__ import annotations
@@ -55,14 +57,11 @@ from ..nn.layers import Module
 from ..nn.tensor import Tensor, enable_grad, no_grad
 from ..obs.metrics import PROFILER
 from ..obs.trace import span as _span
-from ..utils.ssim import ssim_tensor, ssim_x_stats
+from ..utils.ssim import ssim, ssim_tensor, ssim_x_stats
 from .trigger_optimizer import (
-    BatchedTriggerMaskOptimizer,
     TriggerOptimizationConfig,
     TriggerOptimizationResult,
     _logit,
-    _per_class_diagnostic_losses,
-    _sigmoid,
     blend_images,
 )
 
@@ -193,8 +192,8 @@ def _forward_logits(model: Module, images: np.ndarray,
 class MegaCascadeConfig:
     """Knobs of the coarse-to-fine budget cascade."""
 
-    #: Disable to run every cell at its full iteration budget (exact parity
-    #: with the class-batched engine, at class-batched cost).
+    #: Disable to run every cell at its full iteration budget (what
+    #: ``detect(mode="batched")`` does).
     enabled: bool = True
     #: Fraction of the full iteration budget spent on the coarse sweep.
     coarse_fraction: float = 0.2
@@ -227,8 +226,8 @@ class MegaPoolConfig:
     #: Cap on concurrently-active mega-batch rows across all lanes; items
     #: beyond it queue and are admitted in-flight as slots free up.
     max_active_rows: int = 256
-    #: Target rows per model forward (the class-batched engine's LLC-sized
-    #: chunking, applied within each lane subgroup).
+    #: Target rows per model forward: lane subgroups run in LLC-sized class
+    #: chunks of about this many rows, accumulating gradients.
     max_chunk_rows: int = 64
 
     def __post_init__(self) -> None:
@@ -320,8 +319,8 @@ class _Lane:
         self.images = task.images
         self.active: List[_WorkItem] = []
         self.queued: "deque[_WorkItem]" = deque()
-        #: (start, size) -> tiled clean batch + SSIM stats, like the batched
-        #: engine's per-run cache (dies with the pool).
+        #: (start, size) -> tiled clean batch + SSIM stats (dies with the
+        #: pool).
         self.tiled_ssim: dict = {}
         #: start -> un-tiled SSIM stats, used when no shared cache is wired.
         self.base_ssim: dict = {}
@@ -333,8 +332,8 @@ class MegaInversionPool:
     Each :meth:`run` loop pass advances every lane by one iteration: active
     items are grouped by their batch offset (items admitted in-flight sit at
     earlier schedule positions than the founders), each subgroup is one
-    stacked chunked forward/backward identical to the class-batched engine,
-    and one elementwise Adam step with per-item bias correction follows.
+    stacked chunked forward/backward, and one elementwise Adam step with
+    per-item bias correction follows.
     Early-stopped and budget-exhausted items leave their lane, and queued
     items are admitted into the vacated row budget between lane steps.
     """
@@ -441,10 +440,11 @@ class MegaInversionPool:
                        items: List[_WorkItem]) -> None:
         """One fused optimization step for items sharing a batch offset.
 
-        Mirrors one iteration of ``BatchedTriggerMaskOptimizer._optimize``:
-        chunked forward/backward with gradient accumulation, incremental
-        early-stop tracking from the blended-batch logits, diagnostic losses
-        for finishing cells, then a stacked per-item Adam step.
+        The loss is the sum of the per-item sequential losses, so the
+        stacked gradient is the concatenation of per-item gradients: chunked
+        forward/backward with gradient accumulation, incremental early-stop
+        tracking from the blended-batch logits, diagnostic losses for
+        finishing cells, then a stacked per-item Adam step.
         """
         prof = PROFILER if PROFILER.enabled else None
         t_step = _perf_counter() if prof is not None else 0.0
@@ -491,8 +491,7 @@ class MegaInversionPool:
             if cfg.mask_l1_weight:
                 loss = loss + cfg.mask_l1_weight * mask.abs().sum()
             if cfg.mask_tv_weight:
-                loss = loss + cfg.mask_tv_weight * (
-                    BatchedTriggerMaskOptimizer._total_variation(mask))
+                loss = loss + cfg.mask_tv_weight * _total_variation(mask)
             if cfg.outside_pattern_weight:
                 outside = (pattern * (1.0 - mask)).abs().sum()
                 loss = loss + cfg.outside_pattern_weight * outside
@@ -594,6 +593,50 @@ class MegaInversionPool:
         return base
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp overflow saturates to 0/1
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _total_variation(mask: Tensor) -> Tensor:
+    """Anisotropic total variation summed over stacked ``(k, 1, H, W)`` masks."""
+    dh = (mask[:, :, 1:, :] - mask[:, :, :-1, :]).abs().sum()
+    dw = (mask[:, :, :, 1:] - mask[:, :, :, :-1]).abs().sum()
+    return dh + dw
+
+
+def _per_class_diagnostic_losses(cfg: TriggerOptimizationConfig,
+                                 logits: np.ndarray, labels: np.ndarray,
+                                 batch: np.ndarray, blended: np.ndarray,
+                                 patterns: np.ndarray,
+                                 masks: np.ndarray) -> np.ndarray:
+    """Diagnostic per-cell losses matching the sequential ``final_loss``.
+
+    The forward is laid out as k cell blocks of ``batch_len`` rows, so the
+    stacked loss decomposes into one sequential loss per cell.
+    """
+    k = len(patterns)
+    batch_len = len(batch)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    ce = -log_probs[np.arange(len(labels)), labels].reshape(k, batch_len)
+    losses = ce.mean(axis=1)
+    if cfg.ssim_weight:
+        blended_k = blended.reshape(k, batch_len, *batch.shape[1:])
+        for idx in range(k):
+            losses[idx] -= cfg.ssim_weight * ssim(batch, blended_k[idx])
+    if cfg.mask_l1_weight:
+        losses += cfg.mask_l1_weight * np.abs(masks).sum(axis=(1, 2, 3))
+    if cfg.mask_tv_weight:
+        dh = np.abs(np.diff(masks, axis=2)).sum(axis=(1, 2, 3))
+        dw = np.abs(np.diff(masks, axis=3)).sum(axis=(1, 2, 3))
+        losses += cfg.mask_tv_weight * (dh + dw)
+    if cfg.outside_pattern_weight:
+        outside = np.abs(patterns * (1.0 - masks)).sum(axis=(1, 2, 3))
+        losses += cfg.outside_pattern_weight * outside
+    return losses
+
+
 # ---------------------------------------------------------------------- #
 # Cascade driver
 # ---------------------------------------------------------------------- #
@@ -601,7 +644,7 @@ def _full_success_rates(model: Module, images: np.ndarray,
                         patterns: np.ndarray, masks: np.ndarray,
                         target_classes: np.ndarray,
                         eval_batch_size: int = 128) -> np.ndarray:
-    """Full-clean-set success rates (the batched engine's evaluation)."""
+    """Full-clean-set success rates: one forward per clean chunk for all k."""
     k = len(target_classes)
     chunk = max(1, eval_batch_size // k)
     hits = np.zeros(k, dtype=np.int64)
@@ -630,7 +673,9 @@ def run_mega_inversion(tasks: Sequence[MegaTask],
     ``selection_group``) then grants the full budget to cells whose coarse
     norm sits near the MAD decision boundary, the smallest-norm cell, and
     prescreen-flagged cells; phase 2 continues exactly those items in the
-    same pool.  Returns one result list per task, in task / class order.
+    same pool.  With the cascade off, phase 1 runs every cell at its full
+    budget (recorded as span ``mega.sweep`` / phase ``sweep``) and phase 2
+    is empty.  Returns one result list per task, in task / class order.
     """
     from .detection import mad_anomaly_indices  # runtime: avoids module cycle
 
@@ -648,9 +693,13 @@ def run_mega_inversion(tasks: Sequence[MegaTask],
         items = engine.submit(task, budget=coarse)
         plans.append({"task": task, "items": items,
                       "coarse": coarse, "total": total})
-    with _span("mega.coarse_sweep", tasks=len(tasks),
+    # Name the first sweep after what it is: a coarse pass only when some
+    # cell's coarse budget is below its full budget.
+    sweep = ("coarse_sweep" if any(plan["coarse"] < plan["total"]
+                                   for plan in plans) else "sweep")
+    with _span(f"mega.{sweep}", tasks=len(tasks),
                items=int(engine.stats["items"])):
-        with PROFILER.phase("coarse_sweep"):
+        with PROFILER.phase(sweep):
             engine.run()
 
     # ------------------------------------------------------------------ #

@@ -13,21 +13,17 @@ descent on a blended input ``x' = x (1 - mask) + pattern · mask``:
 :class:`TriggerMaskOptimizer` implements the shared optimization with all of
 these terms behind weights, so each detector (and each ablation benchmark) is
 a thin configuration of the same machinery.  Optimization uses Adam with the
-paper's ``lr = 0.1`` and ``betas = (0.5, 0.9)``.
+paper's ``lr = 0.1`` and ``betas = (0.5, 0.9)``.  It runs one class at a
+time and is the paper-reference oracle for Table 7 and the parity tests.
 
-:class:`BatchedTriggerMaskOptimizer` is the fast-path engine behind
-``detect()``: it stacks the ``(pattern, mask)`` parameters of K candidate
-classes and runs the same optimization as one ``(K·B, C, H, W)`` mega-batch,
-so every model forward/backward is amortized across classes.  Because the
-loss decomposes as a sum of per-class terms and Adam updates are elementwise,
-the per-class trajectories match K independent sequential runs up to
-floating-point reduction order.
+:class:`BatchedTriggerMaskOptimizer` (``detect()``'s default) runs the same
+optimization for K classes at once on the work-item pool of
+:mod:`repro.core.mega`, the one joint inversion engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +32,7 @@ from ..nn import functional as F
 from ..nn.layers import Module
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, enable_grad, no_grad
-from ..obs.metrics import PROFILER
-from ..utils.ssim import ssim, ssim_tensor, ssim_x_stats
+from ..utils.ssim import ssim_tensor
 
 __all__ = ["TriggerOptimizationConfig", "TriggerOptimizationResult",
            "TriggerMaskOptimizer", "BatchedTriggerMaskOptimizer",
@@ -82,8 +77,8 @@ class TriggerOptimizationConfig:
     mask_tv_weight: float = 0.0
     #: TABOR: weight of the penalty on pattern mass outside the mask.
     outside_pattern_weight: float = 0.0
-    #: Batched engine only: freeze a class early once its trigger success rate
-    #: reaches this threshold (``None`` disables early stop, keeping batched
+    #: Joint (pool) engine only: freeze a class early once its trigger success
+    #: rate reaches this threshold (``None`` disables early stop, keeping joint
     #: results aligned with the sequential per-class runs).  Success is
     #: tracked *incrementally* from the blended-batch logits every iteration
     #: already computes, so a converged class is frozen at its exact
@@ -250,54 +245,27 @@ class TriggerMaskOptimizer:
 
 
 class BatchedTriggerMaskOptimizer:
-    """Joint Alg. 2 optimization of K per-class triggers in one mega-batch.
+    """Joint Alg. 2 optimization of K per-class triggers (``mode="batched"``).
 
-    Instead of running ``detect()``'s K candidate classes as K sequential
-    optimizations over the *same* clean data, the K ``(pattern, mask)`` pairs
-    are stacked into ``(K, C, H, W)`` / ``(K, 1, H, W)`` parameters and every
-    iteration blends one shared clean batch against all K triggers, producing
-    a ``(K·B, C, H, W)`` input for the model.
-
-    The batched loss is the *sum* of the per-class sequential losses
-    (``K · mean-CE − ssim_w · K · mean-SSIM + Σ_k regularizers_k``).  Classes
-    are independent, so the stacked gradient is the concatenation of the
-    per-class gradients, and Adam — being elementwise — reproduces the K
-    independent sequential trajectories up to floating-point reduction order.
-
-    Because the loss is a sum over classes, each iteration is free to execute
-    it in **class chunks with gradient accumulation**: forward + backward per
-    chunk of ``max_chunk_rows`` mega-batch rows (cache-sized), gradients
-    accumulating into the shared stacked parameters, one Adam step at the end.
-    This keeps the per-op dispatch amortization of batching without pushing
-    activation working sets past the LLC, which on a single-core NumPy
-    substrate would otherwise erase the gains.
-
-    With ``config.early_stop_success`` set, per-class success is tracked
-    incrementally from the blended-batch logits every iteration already
-    computes: a class whose batch fully hits the target is frozen at that
-    iteration and removed from the mega-batch (its Adam state is sliced
-    away), shrinking later iterations.
+    A front end to the work-item pool of :mod:`repro.core.mega`: the K
+    classes become one :class:`~repro.core.mega.MegaTask` run with the budget
+    cascade off and a row cap of ``K × min(batch_size, N)``, so every class is
+    admitted at once and all K cells step in lockstep through one stacked
+    ``(K·B, C, H, W)`` mega-batch per iteration.  The loss is a sum of
+    per-class terms and Adam is elementwise, so each class follows its
+    sequential trajectory up to floating-point reduction order.  With
+    ``config.early_stop_success`` set, a class whose blended batch reaches
+    that success rate freezes at that iteration and leaves the mega-batch.
     """
-
-    #: Target rows per model forward; chunks of classes are sized to stay
-    #: within this (measured LLC sweet spot for the bench models).
-    max_chunk_rows: int = 64
 
     def __init__(self, model: Module, images: np.ndarray,
                  target_classes: Sequence[int],
                  config: Optional[TriggerOptimizationConfig] = None) -> None:
         self.model = model
         self.images = np.asarray(images, dtype=np.float32)
-        if self.images.ndim != 4:
-            raise ValueError("images must have shape (N, C, H, W).")
-        self.target_classes = np.asarray(list(target_classes), dtype=np.int64)
-        if self.target_classes.size == 0:
-            raise ValueError("target_classes must be non-empty.")
+        self.target_classes = list(target_classes)
         self.config = config or TriggerOptimizationConfig()
 
-    # ------------------------------------------------------------------ #
-    # Optimization
-    # ------------------------------------------------------------------ #
     def optimize(self, inits: Sequence[Tuple[np.ndarray, np.ndarray]]
                  ) -> List[TriggerOptimizationResult]:
         """Run the joint optimization from per-class ``(pattern, mask)`` starts.
@@ -305,255 +273,14 @@ class BatchedTriggerMaskOptimizer:
         Returns one :class:`TriggerOptimizationResult` per target class, in
         the order of ``self.target_classes``.
         """
-        with enable_grad():  # the refinement needs the tape even under no_grad
-            return self._optimize(inits)
+        from .mega import (  # runtime: avoids module cycle
+            MegaCascadeConfig, MegaPoolConfig, MegaTask, run_mega_inversion)
 
-    def _optimize(self, inits: Sequence[Tuple[np.ndarray, np.ndarray]]
-                  ) -> List[TriggerOptimizationResult]:
-        cfg = self.config
-        num_classes = len(self.target_classes)
-        if len(inits) != num_classes:
-            raise ValueError("Need one (pattern, mask) init per target class.")
-
-        raw_pattern = Tensor(np.stack([_logit(p) for p, _ in inits]),
-                             requires_grad=True)
-        raw_mask = Tensor(np.stack([_logit(m) for _, m in inits]),
-                          requires_grad=True)
-        optimizer = Adam([raw_pattern, raw_mask], lr=cfg.learning_rate,
-                         betas=cfg.betas)
-
-        # Per-class slots filled as classes finish (early stop or loop end).
-        final_pattern: List[Optional[np.ndarray]] = [None] * num_classes
-        final_mask: List[Optional[np.ndarray]] = [None] * num_classes
-        final_loss = np.zeros(num_classes, dtype=np.float64)
-        final_iters = np.full(num_classes, cfg.iterations, dtype=np.int64)
-        active = np.arange(num_classes)
-        # The batch schedule cycles through few distinct offsets, and the
-        # x-side of the SSIM term is trigger-independent: cache the tiled
-        # clean batches and their filter statistics across iterations.
-        ssim_cache: dict = {}
-
-        prof = PROFILER if PROFILER.enabled else None
-        for iteration in range(cfg.iterations):
-            t_iter = perf_counter() if prof is not None else 0.0
-            start = (iteration * cfg.batch_size) % len(self.images)
-            batch = self.images[start:start + cfg.batch_size]
-            if len(batch) == 0:
-                batch = self.images[:cfg.batch_size]
-            k = len(active)
-            batch_len = len(batch)
-            channels, height, width = batch.shape[1:]
-            x = Tensor(batch)
-
-            # Incremental early stop: the per-class success estimate falls
-            # out of the blended-batch logits every chunk computes anyway
-            # (one argmax), so convergence is observed at the iteration it
-            # happens instead of at the next periodic full-set evaluation.
-            stop_enabled = (cfg.early_stop_success is not None
-                            and iteration + 1 < cfg.iterations)
-            last_iteration = iteration + 1 == cfg.iterations
-            batch_hits = np.zeros(k, dtype=np.float64)
-
-            # Classes per chunk: as many as fit the row budget (>= 1).
-            group = max(1, min(k, self.max_chunk_rows // max(batch_len, 1)))
-            optimizer.zero_grad()
-            for chunk_start in range(0, k, group):
-                chunk = slice(chunk_start, min(chunk_start + group, k))
-                size = chunk.stop - chunk.start
-                pattern = raw_pattern[chunk].sigmoid()     # (g, C, H, W)
-                mask = raw_mask[chunk].sigmoid()           # (g, 1, H, W)
-                pattern_b = pattern.reshape(size, 1, channels, height, width)
-                mask_b = mask.reshape(size, 1, 1, height, width)
-                blended = x * (1.0 - mask_b) + pattern_b * mask_b
-                flat = blended.reshape(size * batch_len, channels, height, width)
-                logits = self.model(flat)
-
-                labels = np.repeat(self.target_classes[active[chunk]], batch_len)
-                # Sum of per-class mean CEs: every class block has
-                # batch_len rows.
-                loss = F.cross_entropy(logits, labels) * float(size)
-                if cfg.ssim_weight:
-                    key = (start, size)
-                    cached = ssim_cache.get(key)
-                    if cached is None:
-                        base_mu, base_mu_sq = ssim_x_stats(batch)
-                        cached = (np.tile(batch, (size, 1, 1, 1)),
-                                  np.tile(base_mu, (size, 1, 1, 1)),
-                                  np.tile(base_mu_sq, (size, 1, 1, 1)))
-                        ssim_cache[key] = cached
-                    x_rep_data, mu_x, mu_xx = cached
-                    loss = loss - cfg.ssim_weight * (
-                        ssim_tensor(Tensor(x_rep_data), flat,
-                                    x_stats=(mu_x, mu_xx)) * float(size))
-                if cfg.mask_l1_weight:
-                    loss = loss + cfg.mask_l1_weight * mask.abs().sum()
-                if cfg.mask_tv_weight:
-                    loss = loss + cfg.mask_tv_weight * self._total_variation(mask)
-                if cfg.outside_pattern_weight:
-                    outside = (pattern * (1.0 - mask)).abs().sum()
-                    loss = loss + cfg.outside_pattern_weight * outside
-
-                preds = logits.data.argmax(axis=1).reshape(size, batch_len)
-                batch_hits[chunk] = (
-                    preds == self.target_classes[active[chunk]][:, None]
-                ).mean(axis=1)
-                # The per-class loss is diagnostic only: compute it just for
-                # classes finishing at this iteration (budget end, or frozen
-                # by the incremental early stop).
-                finishing = np.full(size, last_iteration, dtype=bool)
-                if stop_enabled:
-                    finishing |= batch_hits[chunk] >= cfg.early_stop_success
-                if finishing.any():
-                    losses = _per_class_diagnostic_losses(
-                        cfg, logits.data, labels, batch, flat.data,
-                        pattern.data, mask.data)
-                    final_loss[active[chunk][finishing]] = losses[finishing]
-
-                # Gradients accumulate across chunks (one zero_grad per
-                # iteration); the total is the full mega-batch gradient.
-                loss.backward()
-            optimizer.step()
-            if prof is not None:
-                prof.add_phase("batched.iteration", perf_counter() - t_iter)
-                prof.add_count("batched_class_steps", k)
-
-            # Per-class early stop: freeze classes whose blended batch was
-            # fully converged going into this step and shrink the mega-batch
-            # (and the Adam state) to the survivors.
-            if stop_enabled:
-                done = batch_hits >= cfg.early_stop_success
-                if np.any(done):
-                    pattern_np = _sigmoid(raw_pattern.data)
-                    mask_np = _sigmoid(raw_mask.data)
-                    for local_idx in np.nonzero(done)[0]:
-                        slot = active[local_idx]
-                        final_pattern[slot] = pattern_np[local_idx].copy()
-                        final_mask[slot] = mask_np[local_idx].copy()
-                        final_iters[slot] = iteration + 1
-                    keep = np.nonzero(~done)[0]
-                    if keep.size == 0:
-                        active = active[:0]
-                        break
-                    active = active[keep]
-                    raw_pattern = Tensor(raw_pattern.data[keep].copy(),
-                                         requires_grad=True)
-                    raw_mask = Tensor(raw_mask.data[keep].copy(),
-                                      requires_grad=True)
-                    optimizer = self._slice_optimizer(
-                        optimizer, keep, [raw_pattern, raw_mask])
-
-        if len(active):
-            pattern_np = _sigmoid(raw_pattern.data)
-            mask_np = _sigmoid(raw_mask.data)
-            for local_idx, slot in enumerate(active):
-                final_pattern[slot] = pattern_np[local_idx]
-                final_mask[slot] = mask_np[local_idx]
-
-        if prof is not None:
-            prof.add_count("batched_iterations", int(final_iters.sum()))
-
-        patterns = np.stack(final_pattern)
-        masks = np.stack(final_mask)
-        rates = self.success_rates(patterns, masks, self.target_classes)
-        return [
-            TriggerOptimizationResult(
-                pattern=patterns[idx].astype(np.float32),
-                mask=masks[idx].astype(np.float32),
-                success_rate=float(rates[idx]),
-                final_loss=float(final_loss[idx]),
-                iterations=int(final_iters[idx]))
-            for idx in range(num_classes)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Inference-mode success check (batched across classes)
-    # ------------------------------------------------------------------ #
-    def success_rates(self, patterns: np.ndarray, masks: np.ndarray,
-                      target_classes: np.ndarray,
-                      eval_batch_size: int = 128) -> np.ndarray:
-        """Per-class trigger success rates with one forward per clean chunk."""
-        k = len(target_classes)
-        chunk = max(1, eval_batch_size // k)
-        hits = np.zeros(k, dtype=np.int64)
-        targets = np.asarray(target_classes, dtype=np.int64)
-        with no_grad():
-            for start in range(0, len(self.images), chunk):
-                batch = self.images[start:start + chunk]
-                blended = blend_images(batch[None], patterns[:, None],
-                                       masks[:, None])
-                flat = blended.reshape((-1,) + batch.shape[1:])
-                preds = self.model(Tensor(flat)).data.argmax(axis=1)
-                preds = preds.reshape(k, len(batch))
-                hits += (preds == targets[:, None]).sum(axis=1)
-        return hits / len(self.images)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _total_variation(mask: Tensor) -> Tensor:
-        """Anisotropic total variation summed over the stacked masks."""
-        dh = (mask[:, :, 1:, :] - mask[:, :, :-1, :]).abs().sum()
-        dw = (mask[:, :, :, 1:] - mask[:, :, :, :-1]).abs().sum()
-        return dh + dw
-
-    def _per_class_losses(self, logits: np.ndarray, labels: np.ndarray,
-                          batch: np.ndarray, blended: np.ndarray,
-                          patterns: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Diagnostic per-class losses matching the sequential ``final_loss``."""
-        return _per_class_diagnostic_losses(self.config, logits, labels, batch,
-                                            blended, patterns, masks)
-
-    @staticmethod
-    def _slice_optimizer(optimizer: Adam, keep: np.ndarray,
-                         params: List[Tensor]) -> Adam:
-        """Rebuild the Adam state for the surviving classes only.
-
-        Both stacked parameters carry the class axis first, so slicing the
-        first-moment/second-moment buffers row-wise preserves each remaining
-        class's exact optimizer trajectory.
-        """
-        sliced = Adam(params, lr=optimizer.lr, betas=optimizer.betas,
-                      eps=optimizer.eps, weight_decay=optimizer.weight_decay)
-        sliced._step_count = optimizer._step_count
-        sliced._m = [None if m is None else m[keep].copy() for m in optimizer._m]
-        sliced._v = [None if v is None else v[keep].copy() for v in optimizer._v]
-        return sliced
-
-
-def _per_class_diagnostic_losses(cfg: TriggerOptimizationConfig,
-                                 logits: np.ndarray, labels: np.ndarray,
-                                 batch: np.ndarray, blended: np.ndarray,
-                                 patterns: np.ndarray,
-                                 masks: np.ndarray) -> np.ndarray:
-    """Diagnostic per-class losses matching the sequential ``final_loss``.
-
-    Shared by the class-batched engine and the mega-batch work-item pool:
-    both lay out their forward as K class blocks of ``batch_len`` rows, so
-    the per-class loss decomposition is identical.
-    """
-    k = len(patterns)
-    batch_len = len(batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ce = -log_probs[np.arange(len(labels)), labels].reshape(k, batch_len)
-    losses = ce.mean(axis=1)
-    if cfg.ssim_weight:
-        blended_k = blended.reshape(k, batch_len, *batch.shape[1:])
-        for idx in range(k):
-            losses[idx] -= cfg.ssim_weight * ssim(batch, blended_k[idx])
-    if cfg.mask_l1_weight:
-        losses += cfg.mask_l1_weight * np.abs(masks).sum(axis=(1, 2, 3))
-    if cfg.mask_tv_weight:
-        dh = np.abs(np.diff(masks, axis=2)).sum(axis=(1, 2, 3))
-        dw = np.abs(np.diff(masks, axis=3)).sum(axis=(1, 2, 3))
-        losses += cfg.mask_tv_weight * (dh + dw)
-    if cfg.outside_pattern_weight:
-        outside = np.abs(patterns * (1.0 - masks)).sum(axis=(1, 2, 3))
-        losses += cfg.outside_pattern_weight * outside
-    return losses
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # exp overflow saturates to 0/1
-        return 1.0 / (1.0 + np.exp(-x))
+        task = MegaTask(self.model, self.images, self.target_classes, inits,
+                        self.config)
+        rows = len(task.target_classes) * min(self.config.batch_size,
+                                              len(task.images))
+        [results] = run_mega_inversion(
+            [task], cascade=MegaCascadeConfig(enabled=False),
+            pool=MegaPoolConfig(max_active_rows=rows))
+        return results

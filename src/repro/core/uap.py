@@ -28,8 +28,8 @@ from ..nn.tensor import Tensor, no_grad
 from .deepfool import targeted_deepfool_step
 
 __all__ = ["TargetedUAPConfig", "UAPResult", "project_perturbation",
-           "targeted_error_rate", "targeted_error_rates",
-           "generate_targeted_uap", "generate_targeted_uaps"]
+           "targeted_error_rate", "generate_targeted_uap",
+           "generate_targeted_uaps"]
 
 
 @dataclass
@@ -106,33 +106,6 @@ def targeted_error_rate(model: Module, images: np.ndarray, perturbation: np.ndar
     return hits / len(images)
 
 
-def targeted_error_rates(model: Module, images: np.ndarray,
-                         perturbations: np.ndarray,
-                         target_classes: Sequence[int], clip_min: float = 0.0,
-                         clip_max: float = 1.0,
-                         batch_size: int = 128) -> np.ndarray:
-    """Per-class targeted error rates for K stacked perturbations.
-
-    ``perturbations`` has shape ``(K, C, H, W)``; each clean chunk is expanded
-    against all K perturbations and classified in a single model forward.
-    """
-    targets = np.asarray(list(target_classes), dtype=np.int64)
-    k = len(targets)
-    if len(images) == 0 or k == 0:
-        return np.zeros(k, dtype=np.float64)
-    chunk = max(1, batch_size // k)
-    hits = np.zeros(k, dtype=np.int64)
-    with no_grad():
-        for start in range(0, len(images), chunk):
-            batch = images[start:start + chunk]
-            perturbed = np.clip(batch[None] + perturbations[:, None],
-                                clip_min, clip_max).astype(np.float32)
-            flat = perturbed.reshape((-1,) + batch.shape[1:])
-            preds = model(Tensor(flat)).data.argmax(axis=1).reshape(k, len(batch))
-            hits += (preds == targets[:, None]).sum(axis=1)
-    return hits / len(images)
-
-
 def generate_targeted_uap(model: Module, images: np.ndarray, target_class: int,
                           config: Optional[TargetedUAPConfig] = None,
                           rng: Optional[np.random.Generator] = None) -> UAPResult:
@@ -187,26 +160,25 @@ def generate_targeted_uaps(model: Module, images: np.ndarray,
                            target_classes: Sequence[int],
                            config: Optional[TargetedUAPConfig] = None,
                            rng: Optional[np.random.Generator] = None,
-                           clean_logits: Optional[np.ndarray] = None,
-                           final_eval: bool = True
+                           clean_logits: Optional[np.ndarray] = None
                            ) -> Dict[int, UAPResult]:
-    """Alg. 1 for K candidate classes jointly (the batched ``detect()`` path).
+    """Alg. 1 for K candidate classes jointly (the joint ``detect()`` modes).
 
     Every sweep mini-batch is expanded against the K running perturbations
     into one ``(K·B, C, H, W)`` mega-batch, so the model forward (prediction
     check) and the targeted-DeepFool forward/backward are amortized across
     classes.  Classes whose in-sweep error estimate reaches θ drop out of the
-    mega-batch after their pass (per-class early stop); the authoritative
-    per-class error rates are evaluated once at the end.
+    mega-batch after their pass (per-class early stop).  Each result's
+    ``error_rate`` is that in-sweep estimate of ``Err(X + v)`` from the
+    class's last pass, measured one mini-batch at a time on the evolving
+    ``v``; unlike :func:`generate_targeted_uap`, no full-set evaluation of
+    the final perturbations follows (the UAPs only seed Alg. 2).
 
     ``clean_logits`` (shape ``(N, num_classes)``, the model's logits over
     ``images`` in their original order — e.g. from the shared clean-activation
     cache) lets the very first mini-batch, where every running perturbation is
     still zero, reuse the cached clean predictions instead of a ``K·B``-row
-    forward.  ``final_eval=False`` skips the authoritative
-    :func:`targeted_error_rates` pass and reports the cheaper in-sweep error
-    estimates instead (the mega path does this: the UAPs only seed Alg. 2 and
-    feed the prescreen norms, so estimate-grade error rates suffice).
+    forward.
     """
     config = config or TargetedUAPConfig()
     rng = rng or np.random.default_rng()
@@ -288,15 +260,10 @@ def generate_targeted_uaps(model: Module, images: np.ndarray,
         keep = estimates < config.desired_error_rate
         active_classes = active_classes[keep]
 
-    if final_eval:
-        errors = targeted_error_rates(model, images, v, targets,
-                                      config.clip_min, config.clip_max)
-    else:
-        errors = estimates_final
     return {
         int(targets[idx]): UAPResult(target_class=int(targets[idx]),
                                      perturbation=v[idx],
-                                     error_rate=float(errors[idx]),
+                                     error_rate=float(estimates_final[idx]),
                                      passes=int(passes[idx]))
         for idx in range(num_classes)
     }

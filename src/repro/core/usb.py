@@ -14,23 +14,22 @@ anomalously small trigger for its true target class because the UAP — and the
 optimization seeded by it — latches onto the backdoor shortcut instead of a
 class's natural features.
 
-**Batched scan.**  ``detect()`` runs both stages for all K candidate classes
-jointly by default: Alg. 1 sweeps the K running perturbations against each
-clean mini-batch as one mega-batch
-(:func:`~repro.core.uap.generate_targeted_uaps`), and Alg. 2 refines the K
-seeded ``(pattern, mask)`` pairs in one stacked optimization
-(:class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`).  Classes
-whose UAP reaches θ, or (with ``early_stop_success`` configured) whose trigger
-already flips the clean set, drop out of the mega-batch early.  The detector
-falls back to the sequential per-class loop when ``detect(batched=False)`` is
-passed, when a single class is scanned, or when callers invoke
-:meth:`reverse_engineer` directly.
+**Joint scan.**  ``detect()`` runs both stages for all K candidate classes
+jointly by default.  Alg. 1 sweeps the K running perturbations against each
+clean mini-batch as one mega-batch (:func:`~repro.core.uap.
+generate_targeted_uaps`, called from ``_mega_inits``).  Alg. 2 then refines
+the K seeded ``(pattern, mask)`` pairs on the work-item pool of
+:mod:`repro.core.mega`.  Classes whose UAP reaches θ, or (with
+``early_stop_success`` configured) whose trigger already flips the clean set,
+drop out of the mega-batch early.  The detector falls back to the sequential
+per-class loop when ``detect(mode="sequential")`` is passed, when a single
+class is scanned, or when callers invoke :meth:`reverse_engineer` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -127,38 +126,15 @@ class USBDetector(TriggerReverseEngineeringDetector):
                                mask=result.mask, success_rate=result.success_rate,
                                iterations=result.iterations)
 
-    def reverse_engineer_batch(self, model: Module,
-                               target_classes: Sequence[int]
-                               ) -> List[ReversedTrigger]:
-        """Joint Alg. 1 + Alg. 2 over all candidate classes (fast path)."""
-        class_list = list(target_classes)
-        if self.config.random_init:
-            inits = [TriggerMaskOptimizer.random_init(
-                self.clean_data.image_shape, self._rng) for _ in class_list]
-        else:
-            missing = [t for t in class_list if t not in self._seeded_uaps]
-            uap_results = dict(self._seeded_uaps)
-            if missing:
-                with _span("usb.uap_sweep", classes=len(missing)):
-                    with PROFILER.phase("uap_sweep"):
-                        uap_results.update(generate_targeted_uaps(
-                            model, self.clean_data.images, missing,
-                            config=self.config.uap, rng=self._rng))
-            for target in class_list:
-                self.last_uaps[target] = uap_results[target]
-            inits = [TriggerMaskOptimizer.init_from_uap(
-                uap_results[t].perturbation) for t in class_list]
-        return self._optimize_triggers_batched(model, class_list, inits,
-                                               self.config.optimization)
-
     def _mega_inits(self, model: Module, target_classes: List[int]):
-        """Alg. 1 seeds for the mega pool, with UAP norms as prescreen.
+        """Alg. 1 seeds for the joint modes, with UAP norms as prescreen.
 
-        The Alg. 1 stage reuses the shared clean-activation cache for the
-        first-sweep prediction pass and skips the authoritative final error
-        evaluation (the UAPs only seed Alg. 2 here); per-class UAP L1 norms
-        feed the cascade's prescreen so a seed that already latched onto a
-        shortcut is guaranteed the full refinement budget.
+        The joint Alg. 1 sweep takes its first mini-batch's predictions from
+        the clean logits (from the shared clean-activation cache when one is
+        wired) and reports in-sweep error estimates (the UAPs only seed
+        Alg. 2 here).  In ``mode="mega"`` the per-class UAP L1 norms feed the
+        cascade's prescreen, so a seed that already latched onto a shortcut
+        is guaranteed the full refinement budget.
         """
         class_list = list(target_classes)
         if self.config.random_init:
@@ -179,8 +155,7 @@ class USBDetector(TriggerReverseEngineeringDetector):
                         clean_logits = _forward_logits(model, images)
                     uap_results.update(generate_targeted_uaps(
                         model, images, missing, config=self.config.uap,
-                        rng=self._rng, clean_logits=clean_logits,
-                        final_eval=False))
+                        rng=self._rng, clean_logits=clean_logits))
         for target in class_list:
             self.last_uaps[target] = uap_results[target]
         inits = [TriggerMaskOptimizer.init_from_uap(

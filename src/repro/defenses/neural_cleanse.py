@@ -11,7 +11,7 @@ initialization addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -56,19 +56,8 @@ class NeuralCleanseDetector(TriggerReverseEngineeringDetector):
                                mask=result.mask, success_rate=result.success_rate,
                                iterations=result.iterations)
 
-    def reverse_engineer_batch(self, model: Module,
-                               target_classes: Sequence[int]
-                               ) -> List[ReversedTrigger]:
-        """All candidate classes as one stacked optimization (fast path)."""
-        class_list = list(target_classes)
-        inits = [TriggerMaskOptimizer.random_init(self.clean_data.image_shape,
-                                                  self._rng)
-                 for _ in class_list]
-        return self._optimize_triggers_batched(model, class_list, inits,
-                                               self.config.optimization)
-
     def _mega_inits(self, model: Module, target_classes: List[int]):
-        """Random starts for the mega pool (same RNG order as the batch path)."""
+        """Random starts for the joint modes (sequential RNG order)."""
         inits = [TriggerMaskOptimizer.random_init(self.clean_data.image_shape,
                                                   self._rng)
                  for _ in target_classes]

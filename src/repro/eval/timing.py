@@ -45,8 +45,6 @@ class ClassTiming:
 
     detector: str
     per_class_seconds: Dict[int, float] = field(default_factory=dict)
-    #: Whether the measurement came from a joint (multi-class) scan.
-    batched: bool = False
     #: Inversion engine that produced the timing (``INVERSION_MODES``).
     mode: str = "sequential"
     #: Joint-scan wall clock; ``None`` for sequential measurements.
@@ -54,12 +52,17 @@ class ClassTiming:
     #: Classes the joint scan covered (keys of ``per_class_seconds``
     #: otherwise).
     classes_timed: Tuple[int, ...] = ()
-    #: Per-phase wall clock of a joint scan (``uap_sweep``, ``coarse_sweep``,
-    #: ``finalist_resume``, ``batched.iteration``...), recorded by the
-    #: :data:`repro.obs.metrics.PROFILER`.  Unlike a per-class split, the
+    #: Per-phase wall clock of a joint scan (``uap_sweep``, ``sweep``,
+    #: ``coarse_sweep``, ``finalist_resume``, ``mega.fused_step``...),
+    #: recorded by the :data:`repro.obs.metrics.PROFILER`.  Unlike a per-class split, the
     #: phase split *is* measurable for joint engines — phases run back to
     #: back inside the tensor program.  Empty for sequential measurements.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def batched(self) -> bool:
+        """Whether the measurement came from a joint (multi-class) scan."""
+        return self.mode != "sequential"
 
     @property
     def total_seconds(self) -> float:
@@ -131,8 +134,7 @@ def measure_detection_times(model: Module,
                             detectors: Dict[str, TriggerReverseEngineeringDetector],
                             classes: Optional[Sequence[int]] = None,
                             case_name: str = "timing",
-                            batched: bool = False,
-                            mode: Optional[str] = None) -> TimingReport:
+                            mode: str = "sequential") -> TimingReport:
     """Time trigger reverse engineering of every detector on ``model``.
 
     Args:
@@ -140,8 +142,6 @@ def measure_detection_times(model: Module,
         detectors: Name -> detector mapping; one timing entry per detector.
         classes: Candidate classes (default: every class of the clean pool).
         case_name: Label stamped on the report.
-        batched: Legacy toggle for ``mode="batched"``; ignored when ``mode``
-            is given.
         mode: ``"sequential"`` (per-class loop, genuine per-class times),
             ``"batched"`` (one stacked scan per detector), or ``"mega"``
             (the pooled engine with the budget cascade).  Joint modes record
@@ -150,10 +150,8 @@ def measure_detection_times(model: Module,
             requested joint engine falls back down the chain
             (mega -> batched -> sequential), mirroring ``detect()``.
     """
-    resolved = mode if mode is not None else ("batched" if batched
-                                              else "sequential")
-    if resolved not in INVERSION_MODES:
-        raise ValueError(f"Unknown timing mode '{resolved}'. "
+    if mode not in INVERSION_MODES:
+        raise ValueError(f"Unknown timing mode '{mode}'. "
                          f"Available: {', '.join(INVERSION_MODES)}")
     model.eval()
     was_grad = [p.requires_grad for p in model.parameters()]
@@ -167,7 +165,7 @@ def measure_detection_times(model: Module,
             used_mode = "sequential"
             total: Optional[float] = None
             phases: Dict[str, float] = {}
-            if resolved != "sequential" and len(class_list) > 1:
+            if mode != "sequential" and len(class_list) > 1:
                 # Joint engines report per-phase wall clock (coarse sweep vs
                 # finalist resume vs UAP seeding) through the profiler — the
                 # one split that *is* measurable when classes interleave.
@@ -177,7 +175,7 @@ def measure_detection_times(model: Module,
                 try:
                     start = time.perf_counter()
                     triggers = None
-                    if resolved == "mega":
+                    if mode == "mega":
                         triggers = detector.reverse_engineer_mega(model,
                                                                   class_list)
                         if triggers is not None:
@@ -204,8 +202,7 @@ def measure_detection_times(model: Module,
                     detector.reverse_engineer(model, target)
                     per_class[target] = time.perf_counter() - start
             timings.append(ClassTiming(
-                detector=name, per_class_seconds=per_class,
-                batched=used_mode != "sequential", mode=used_mode,
+                detector=name, per_class_seconds=per_class, mode=used_mode,
                 total=total, classes_timed=tuple(class_list),
                 phase_seconds=phases))
         return TimingReport(case_name=case_name, timings=timings)

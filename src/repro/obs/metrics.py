@@ -9,7 +9,7 @@ identically for the live daemon (``metrics.prom`` each cycle) and the
 offline ``python -m repro metrics`` subcommand.
 
 :data:`PROFILER` is the near-zero-cost-when-disabled hook used by
-``MegaInversionPool`` and ``BatchedTriggerMaskOptimizer``: hot loops hoist
+``MegaInversionPool`` (the joint inversion engine): hot loops hoist
 ``prof = PROFILER if PROFILER.enabled else None`` and pay a single ``None``
 check per iteration when profiling is off.
 """

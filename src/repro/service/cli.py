@@ -133,9 +133,10 @@ def _add_scan_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--inversion-mode", choices=INVERSION_MODES,
                         default="batched",
                         help="Trigger-inversion engine: 'sequential' "
-                             "(per-class loop), 'batched' (stacked per-model "
-                             "fast path, default), or 'mega' (cross-model "
-                             "work-item pool with the budget cascade).")
+                             "(per-class loop), 'batched' (all classes of a "
+                             "scan in one work-item pool run, cascade off; "
+                             "default), or 'mega' (cross-model work-item "
+                             "pool with the budget cascade).")
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -402,10 +402,10 @@ class TestBatchedDetect:
             optimization=TriggerOptimizationConfig(iterations=8, ssim_weight=0.0))
         sequential = NeuralCleanseDetector(
             clean, config, rng=np.random.default_rng(11)).detect(
-                model, classes=[0, 1, 2], batched=False)
+                model, classes=[0, 1, 2], mode="sequential")
         batched = NeuralCleanseDetector(
             clean, config, rng=np.random.default_rng(11)).detect(
-                model, classes=[0, 1, 2], batched=True)
+                model, classes=[0, 1, 2], mode="batched")
         assert sequential.metadata["batched"] == 0.0
         assert batched.metadata["batched"] == 1.0
         assert batched.flagged_classes == sequential.flagged_classes
@@ -460,9 +460,9 @@ class TestBatchedDetect:
             optimization=TriggerOptimizationConfig(iterations=3)),
             rng=np.random.default_rng(0))}
         report = measure_detection_times(model, detectors, classes=[0, 1],
-                                         case_name="t", batched=True)
+                                         case_name="t", mode="batched")
         timing = report.timings[0]
-        assert timing.batched
+        assert timing.batched and timing.mode == "batched"
         # Joint scans interleave classes: only the total is a real
         # measurement, so no per-class figures are fabricated.
         assert timing.per_class_seconds == {}

@@ -109,6 +109,21 @@ class TestCrossProcessStitching:
         # Inline execution still profiles phases into the telemetry block.
         assert record.telemetry.get("phases")
 
+    def test_batched_scan_records_no_cascade_phases(self, tmp_path):
+        # The default batched mode runs the pool with the cascade off, so
+        # its telemetry must name a plain sweep, not a cascade that never ran.
+        _save_tiny(tmp_path / "m.npz", seed=44)
+        sink = str(tmp_path / "spans.jsonl")
+        record = ScanScheduler(workers=0, telemetry=True, span_sink=sink
+                               ).scan_one(_tiny_request(tmp_path / "m.npz"))
+        phases = set(record.telemetry["phases"])
+        assert "sweep" in phases
+        assert not phases & {"coarse_sweep", "finalist_resume"}
+        names = {s["name"] for s in read_spans(
+            sink, trace_id=record.telemetry["trace_id"])}
+        assert "mega.sweep" in names
+        assert not names & {"mega.coarse_sweep", "mega.finalist_resume"}
+
     def test_cache_hit_is_annotated_and_spawns_no_worker_span(self, tmp_path):
         _save_tiny(tmp_path / "m.npz", seed=43)
         store = ShardedResultStore(str(tmp_path / "store"))
