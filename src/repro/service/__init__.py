@@ -95,7 +95,6 @@ from .scheduler import (
     ScanScheduler,
     ServiceMetrics,
     execute_resolved,
-    execute_scan,
     resolve_request,
 )
 from .store import ResultStore, ShardedResultStore, open_store, stream_records
@@ -136,7 +135,6 @@ __all__ = [
     "JobTimeoutError",
     "QueuedJob",
     "execute_resolved",
-    "execute_scan",
     "resolve_request",
     "ResultStore",
     "ShardedResultStore",

@@ -44,7 +44,6 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlparse
@@ -57,7 +56,7 @@ from .fleet import fleet_snapshot
 from .records import ScanRequest
 from .repair import RepairRequest, run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
-from .scheduler import JobQueue, ScanScheduler
+from .scheduler import JobQueue, ScanScheduler, _utc_now
 from .store import SPANS_NAME, open_store, sidecar_path
 
 __all__ = ["ApiJob", "ApiServer", "DEFAULT_TENANT"]
@@ -69,10 +68,6 @@ DEFAULT_TENANT = "default"
 
 #: HTTP-request latency buckets: handlers answer in ms, scans in seconds.
 _HTTP_LATENCY_BUCKETS = (0.005, 0.025, 0.1, 0.5, 1.0, 2.5, 10.0, 60.0)
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @dataclass

@@ -85,14 +85,15 @@ from ..obs.render import (format_trace_summaries, render_trace,
 from ..obs.trace import read_spans
 from ..utils.logging import set_log_level
 from .backends import BACKEND_NAMES
-from .daemon import DaemonConfig, WatchDaemon, default_stats_path
+from .daemon import DaemonConfig, WatchDaemon
 from .fleet import fleet_snapshot, run_worker
 from .locks import atomic_write
 from .records import KNOWN_DETECTORS, RepairRecord, ScanRecord, ScanRequest
 from .repair import RepairRequest, run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
 from .scheduler import ScanScheduler
-from .store import SPANS_NAME, open_store, sidecar_path, stream_records
+from .store import (SPANS_NAME, STATS_NAME, open_store, sidecar_path,
+                    stream_records)
 
 #: Repair strategies the CLI offers (mirrors repro.mitigation.STRATEGIES
 #: without importing the mitigation package at CLI-import time).
@@ -592,7 +593,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 def _load_stats(args: argparse.Namespace) -> Optional[dict]:
     """Read the daemon stats endpoint for ``report``, if one exists."""
-    stats_path = args.stats or default_stats_path(args.store)
+    stats_path = args.stats or sidecar_path(args.store, STATS_NAME)
     if not os.path.exists(stats_path):
         return None
     with open(stats_path, "r", encoding="utf-8") as handle:

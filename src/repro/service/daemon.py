@@ -2,19 +2,21 @@
 
 ``python -m repro watch <dir>`` turns the scanning service into a service
 proper: the daemon polls a drop directory for new or changed ``.npz``
-checkpoints, enqueues one scan per (checkpoint, detector) on the shared
-prioritized :class:`~repro.service.scheduler.JobQueue`, and drains the queue
-with per-job wall-clock timeouts and bounded retries.  Verdicts land in the
-(usually sharded) result store — so any number of daemons and ad-hoc
-``python -m repro scan`` invocations can share one store — and a JSON stats
-endpoint file (scans served, cache-hit ratio, p50/p95 scan latency, failure
-and retry counts) is rewritten atomically after every loop iteration for
-``python -m repro report`` and external monitors to consume.
+checkpoints, enqueues one scan per (checkpoint, detector) on a prioritized
+:class:`~repro.service.scheduler.JobQueue`, and drains the queue through the
+scheduler's batch driver — the same resolve → cache plan → backend → store
+path ``python -m repro scan`` takes.  Verdicts land in the (usually sharded)
+result store — so any number of daemons and ad-hoc ``python -m repro scan``
+invocations can share one store — and a JSON stats endpoint file (scans
+served, cache-hit ratio, p50/p95 scan latency, failure and retry counts) is
+rewritten atomically after every loop iteration for ``python -m repro
+report`` and external monitors to consume.
 
-Unlike the pool path of :meth:`ScanScheduler.run_jobs`, the daemon executes
-each scan in a dedicated child process it can *kill*: a hung scan is
-terminated at its deadline, counted, and retried up to the configured budget,
-and the loop keeps serving the rest of the queue.
+Unlike the pool path of :meth:`ScanScheduler.run_jobs`, the daemon's
+scheduler executes each job in a dedicated child process it can *kill*
+(:class:`ChildBackend`): a hung scan is terminated at its deadline, retried
+at once in a fresh child up to the configured budget, and counted as a
+failure past it, while the loop keeps serving the rest of the queue.
 
 A checkpoint is only enqueued once its (mtime, size) signature has stayed
 stable for ``settle_polls`` consecutive polls, so half-copied files are never
@@ -25,53 +27,32 @@ its fingerprint, so the store treats it as a new model).
 from __future__ import annotations
 
 import fnmatch
+import functools
 import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace as dataclass_replace
-from datetime import datetime, timezone
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import build_service_registry
 from ..obs.trace import TRACER, new_trace_id
 from ..utils.logging import get_logger
-from .backends import ExecutionBackend, create_backend
+from .backends import InlineBackend
 from .locks import atomic_write
 from .planning import ServiceMetrics
-from .records import RepairRecord, ScanRecord, ScanRequest, record_from_dict
-from .repair import RepairRequest, execute_repair, resolve_repair
-from .scheduler import (
-    JobQueue,
-    JobTimeoutError,
-    QueuedJob,
-    ScanScheduler,
-    execute_resolved,
-    resolve_request,
-)
+from .records import ScanRequest
+from .repair import RepairRequest, run_repairs
+from .scheduler import JobQueue, JobTimeoutError, ScanScheduler, _utc_now
 from .store import METRICS_NAME, SPANS_NAME, STATS_NAME, open_store, sidecar_path
 
 __all__ = ["CheckpointWatcher", "ChildBackend", "DaemonConfig", "WatchDaemon",
-           "ScanJob", "RepairJob", "default_stats_path", "run_scan_in_child"]
+           "ScanJob", "RepairJob", "run_scan_in_child"]
 
 _LOG = get_logger("repro.service.daemon")
 
 #: Version tag written into the stats payload so consumers can evolve.
 STATS_FORMAT = 1
-
-
-def default_stats_path(store_path: str) -> str:
-    """Where the daemon publishes stats for a given store path.
-
-    Sharded stores keep ``stats.json`` inside the store directory; a legacy
-    single-file store gets a ``<store>.stats.json`` sibling.
-    """
-    text = os.fspath(store_path)
-    if os.path.isfile(text):  # legacy file, however it is named
-        return text + ".stats.json"
-    if os.path.isdir(text) or os.path.splitext(text)[1] == "":
-        return os.path.join(text, STATS_NAME)
-    return text + ".stats.json"
 
 
 #: File-name patterns the watcher skips by default: the repair pipeline's
@@ -181,16 +162,14 @@ class DaemonConfig:
         poll_interval: Seconds between directory polls.
         job_timeout: Wall-clock budget per scan; the child process running a
             scan is killed at the deadline.  ``None`` disables the limit.
-        max_retries: Bounded retry budget per job after a failure or timeout.
+        max_retries: Bounded retry budget per job after a failure or
+            timeout; each retry runs at once in a fresh child.
         settle_polls: See :class:`CheckpointWatcher`.
         patterns: File-name patterns treated as checkpoints.
-        stats_path: Stats endpoint file (default: derived from the store via
-            :func:`default_stats_path`).
+        stats_path: Stats endpoint file (default: ``stats.json`` beside the
+            store, see :func:`~repro.service.store.sidecar_path`).
         request_options: Extra :class:`~repro.service.records.ScanRequest`
             fields applied to every job (scan budgets, classes, scenario...).
-        scan_fn: Module-level callable mapping a resolved scan to a
-            :class:`~repro.service.records.ScanRecord`; overridable for
-            tests (must pickle, since it crosses a process boundary).
         auto_repair: When True, every checkpoint a scan flags as backdoored
             is queued for a detect -> repair -> verify job (behind the
             remaining scans), with the repaired checkpoint written next to
@@ -198,9 +177,6 @@ class DaemonConfig:
             persisted to the store.
         repair_options: Extra :class:`~repro.service.repair.RepairRequest`
             fields for auto-repair jobs (strategy, budgets, guardrail...).
-        repair_fn: Module-level callable mapping a resolved repair to a
-            :class:`~repro.service.records.RepairRecord`; overridable for
-            tests.
         telemetry: Record trace spans (``spans.jsonl`` beside the store) and
             export ``metrics.prom`` each cycle.  ``None`` follows the
             ``REPRO_TELEMETRY`` environment switch.
@@ -221,19 +197,16 @@ class DaemonConfig:
     patterns: Sequence[str] = ("*.npz",)
     stats_path: Optional[str] = None
     request_options: Dict[str, Any] = field(default_factory=dict)
-    scan_fn: Callable[..., ScanRecord] = execute_resolved
     auto_repair: bool = False
     repair_options: Dict[str, Any] = field(default_factory=dict)
-    repair_fn: Callable[..., RepairRecord] = execute_repair
     telemetry: Optional[bool] = None
     backend: Optional[str] = None
 
 
-def _child_entry(conn, scan_fn, resolved) -> None:
-    """Child-process entry: run one scan, ship the record (or error) back."""
+def _child_entry(conn, fn, payload) -> None:
+    """Child-process entry: run one job, ship the result (or error) back."""
     try:
-        record = scan_fn(resolved)
-        conn.send(("ok", record.to_dict()))
+        conn.send(("ok", fn(payload)))
     # Process boundary: every failure (incl. KeyboardInterrupt/SystemExit)
     # is serialized onto the pipe so the parent can log/retry it — nothing
     # is swallowed, it is forwarded.
@@ -243,18 +216,20 @@ def _child_entry(conn, scan_fn, resolved) -> None:
         conn.close()
 
 
-def run_scan_in_child(scan_fn: Callable[..., ScanRecord], resolved,
-                      timeout: Optional[float]) -> ScanRecord:
-    """Execute ``scan_fn(resolved)`` in a killable child process.
+def run_scan_in_child(fn: Callable[[Any], Any], payload: Any,
+                      timeout: Optional[float]) -> Any:
+    """Execute ``fn(payload)`` in a killable child process.
 
     Args:
-        scan_fn: Module-level scan callable (pickled to the child).
-        resolved: Its single argument (a ``ResolvedScan`` in production).
+        fn: Module-level job callable (a scan, mega-group or repair worker
+            in production).
+        payload: Its single argument.
         timeout: Seconds before the child is terminated; ``None`` waits
             forever.
 
     Returns:
-        The child's :class:`~repro.service.records.ScanRecord`.
+        The child's result, which must pickle (records and record lists
+        do, trace spans included).
 
     Raises:
         JobTimeoutError: the deadline passed (the child is killed first).
@@ -262,7 +237,7 @@ def run_scan_in_child(scan_fn: Callable[..., ScanRecord], resolved,
     """
     parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
     process = multiprocessing.Process(target=_child_entry,
-                                      args=(child_conn, scan_fn, resolved))
+                                      args=(child_conn, fn, payload))
     process.start()
     child_conn.close()
     try:
@@ -270,30 +245,30 @@ def run_scan_in_child(scan_fn: Callable[..., ScanRecord], resolved,
             process.terminate()
             process.join()
             raise JobTimeoutError(
-                f"scan exceeded {timeout:.1f}s and was killed.")
+                f"job exceeded {timeout:.1f}s and was killed.")
         try:
-            status, payload = parent_conn.recv()
+            status, result = parent_conn.recv()
         except EOFError:
-            raise RuntimeError("scan worker died without reporting a result "
+            raise RuntimeError("job worker died without reporting a result "
                                f"(exit code {process.exitcode}).") from None
         if status != "ok":
-            raise RuntimeError(f"scan worker failed: {payload}")
-        return record_from_dict(payload)
+            raise RuntimeError(f"job worker failed: {result}")
+        return result
     finally:
         parent_conn.close()
         process.join()
 
 
-class ChildBackend(ExecutionBackend):
-    """Killable-child execution: one dedicated process per job.
+class ChildBackend(InlineBackend):
+    """Killable-child execution: one dedicated process per job attempt.
 
-    The daemon's historical execution model, packaged behind the
-    :class:`~repro.service.backends.ExecutionBackend` contract: each payload
+    The daemon's execution model behind the
+    :class:`~repro.service.backends.ExecutionBackend` contract: each attempt
     runs in a child process that is *terminated* at its deadline, so a hung
-    detector cannot wedge the loop the way it wedges a pool worker.  The
-    ``retries`` budget is ignored — the daemon retries through its own
-    prioritized queue so a flaky job goes to the back rather than blocking
-    the batch.
+    detector cannot wedge the loop the way it wedges a pool worker.  Retries
+    go through :class:`~repro.service.backends.InlineBackend`'s queue loop:
+    a failed or killed attempt is re-run at once in a fresh child, up to the
+    ``retries`` budget.
     """
 
     name = "child"
@@ -302,45 +277,45 @@ class ChildBackend(ExecutionBackend):
             timeout: Optional[float] = None, retries: int = 0,
             metrics: Optional[ServiceMetrics] = None) -> List[Any]:
         """Run each payload in its own killable child (see the base contract)."""
-        return [run_scan_in_child(fn, payload, timeout)
-                for payload in payloads]
+        return super().run(functools.partial(run_scan_in_child, fn,
+                                              timeout=timeout),
+                           payloads, retries=retries, metrics=metrics)
 
 
 class WatchDaemon:
     """The ``python -m repro watch`` loop: poll, enqueue, scan, publish stats.
 
     Args:
-        config: See :class:`DaemonConfig`.
-        scheduler: Optional pre-built scheduler (the daemon builds one around
-            ``config.store_path`` when omitted); its
+        config: See :class:`DaemonConfig`.  The daemon builds its
+            :class:`~repro.service.scheduler.ScanScheduler` around
+            ``config.store_path`` — a :class:`ChildBackend` (or the
+            configured backend), the job timeout, ``max_retries`` as the
+            retry budget, and the store's span sidecar; that scheduler's
             :class:`~repro.service.scheduler.ServiceMetrics` is what the
             stats endpoint publishes.
     """
 
-    def __init__(self, config: DaemonConfig,
-                 scheduler: Optional[ScanScheduler] = None) -> None:
+    def __init__(self, config: DaemonConfig) -> None:
         self.config = config
-        if scheduler is None:
-            store = open_store(config.store_path)
-            scheduler = ScanScheduler(store=store,
-                                      job_timeout=config.job_timeout,
-                                      job_retries=config.max_retries,
-                                      telemetry=config.telemetry)
-        self.scheduler = scheduler
-        self.backend = (ChildBackend() if config.backend in (None, "child")
-                        else create_backend(config.backend,
-                                            store_path=config.store_path))
-        self.telemetry = self.scheduler.telemetry
         self.spans_path = sidecar_path(config.store_path, SPANS_NAME)
         self.metrics_path = sidecar_path(config.store_path, METRICS_NAME)
+        backend = (ChildBackend() if config.backend in (None, "child")
+                   else config.backend)
+        self.scheduler = ScanScheduler(store=open_store(config.store_path),
+                                       job_timeout=config.job_timeout,
+                                       job_retries=config.max_retries,
+                                       telemetry=config.telemetry,
+                                       span_sink=self.spans_path,
+                                       backend=backend)
+        self.telemetry = self.scheduler.telemetry
         if self.telemetry:
             TRACER.enable()
         self.watcher = CheckpointWatcher(config.watch_dir,
                                          patterns=config.patterns,
                                          settle_polls=config.settle_polls)
         self.queue = JobQueue()
-        self.stats_path = config.stats_path or default_stats_path(
-            config.store_path)
+        self.stats_path = config.stats_path or sidecar_path(
+            config.store_path, STATS_NAME)
         #: Checkpoints ever reported ready by the watcher.
         self.checkpoints_seen = 0
         #: Completed loop iterations (polls).
@@ -359,126 +334,73 @@ class WatchDaemon:
                             priority=priority)
             _LOG.info("queued %s [%s]", checkpoint, detector)
 
-    def _request_for(self, job: ScanJob) -> ScanRequest:
+    def _request_for(self, job: Union[ScanJob, RepairJob]) -> ScanRequest:
         """Build the :class:`ScanRequest` a queued job resolves to."""
         return ScanRequest(checkpoint=job.checkpoint, detector=job.detector,
                            **self.config.request_options)
 
     def _repair_request_for(self, job: RepairJob) -> RepairRequest:
         """Build the :class:`RepairRequest` an auto-repair job resolves to."""
-        return RepairRequest(
-            scan=ScanRequest(checkpoint=job.checkpoint, detector=job.detector,
-                             **self.config.request_options),
-            **self.config.repair_options)
+        return RepairRequest(scan=self._request_for(job),
+                             **self.config.repair_options)
 
     def _enqueue_repair(self, job: ScanJob) -> None:
         """Queue an auto-repair for a flagged checkpoint, behind the scans."""
-        priority = len(self.config.detectors) + list(
-            self.config.detectors).index(job.detector) \
-            if job.detector in self.config.detectors \
-            else len(self.config.detectors)
+        detectors = list(self.config.detectors)
+        priority = len(detectors) + (detectors.index(job.detector)
+                                     if job.detector in detectors else 0)
         self.queue.push(RepairJob(checkpoint=job.checkpoint,
                                   detector=job.detector), priority=priority)
         _LOG.info("queued auto-repair for %s [%s]", job.checkpoint,
                   job.detector)
 
-    def _process(self, queued: QueuedJob) -> None:
-        """Run one queued job: cache-check, execute in a child, retry on failure.
+    def _process(self, job: Union[ScanJob, RepairJob]) -> None:
+        """Run one queued job through the scheduler's batch driver.
 
-        Scan jobs that come back BACKDOORED enqueue an auto-repair job
-        (when ``auto_repair`` is on) behind the remaining scans.
+        The driver does the cache lookup, the child-process execution with
+        its retries, the store append and the metrics; this method only
+        builds the request under a ``daemon.job`` root span.  Scan jobs that
+        come back BACKDOORED enqueue an auto-repair job (when
+        ``auto_repair`` is on) behind the remaining scans.
         """
-        job = queued.payload
         is_repair = isinstance(job, RepairJob)
-        metrics = self.scheduler.metrics
-        store = self.scheduler.store
-        # Each job is one trace: the parent's root span plus whatever the
-        # child process records under the stamped (trace_id, parent_span_id)
-        # — its spans ride home on the record dict through the pipe.
+        # Each job is one trace: the scheduler's request root and whatever
+        # the child process records hang under this daemon.job span.
         root = (TRACER.begin("daemon.job", trace_id=new_trace_id(),
                              checkpoint=job.checkpoint, detector=job.detector,
                              kind="repair" if is_repair else "scan")
                 if self.telemetry else None)
         try:
-            try:
-                with TRACER.context_of(root):
-                    if is_repair:
-                        resolved = resolve_repair(self._repair_request_for(job))
-                    else:
-                        resolved = resolve_request(self._request_for(job))
-            except (OSError, ValueError, KeyError) as error:
-                # Unreadable checkpoint, bad metadata, unknown model/dataset
-                # (CheckpointMismatchError is a ValueError) — the file is
-                # bad, not the daemon; skip it and keep watching.
-                _LOG.warning("%s [%s]: cannot resolve (%s)", job.checkpoint,
-                             job.detector, error)
-                metrics.failures += 1
-                return
-            if root is not None:
-                resolved = dataclass_replace(resolved, trace_id=root.trace_id,
-                                             parent_span_id=root.span_id)
-            cached = store.lookup(resolved.key) if store is not None else None
-            if cached is not None:
-                if root is not None:
-                    root.attrs["cache_hit"] = True
-                metrics.record_hit()
-                _LOG.info("%s [%s]: cache hit", job.checkpoint, job.detector)
-                if not is_repair and self.config.auto_repair and \
-                        cached.is_backdoored:
-                    self._enqueue_repair(job)
-                return
-            start = time.monotonic()
-            worker_fn = (self.config.repair_fn if is_repair
-                         else self.config.scan_fn)
-            try:
-                record = self.backend.run(worker_fn, [resolved],
-                                          timeout=self.config.job_timeout)[0]
-            # Child jobs can die in arbitrary ways (timeout, OOM kill, any
-            # detector error); the daemon's liveness contract is to log,
-            # retry within budget, and keep watching.
-            except Exception as error:  # repro-lint: disable=exception-hygiene
-                if queued.attempts < self.config.max_retries:
-                    metrics.retries += 1
-                    _LOG.warning("%s [%s]: %s — retrying (%d/%d)",
-                                 job.checkpoint, job.detector, error,
-                                 queued.attempts + 1, self.config.max_retries)
-                    self.queue.requeue(queued)
+            with TRACER.context_of(root):
+                if is_repair:
+                    record = run_repairs(self.scheduler,
+                                         [self._repair_request_for(job)])[0]
                 else:
-                    metrics.failures += 1
-                    _LOG.error("%s [%s]: giving up after %d attempt(s): %s",
-                               job.checkpoint, job.detector,
-                               queued.attempts + 1, error)
-                return
-            child_spans = record.pop_spans()
-            if self.telemetry:
-                TRACER.add(child_spans)
-                cache_stats = ((record.telemetry or {}).get("pool") or {}
-                               ).get("cache") or {}
-                if cache_stats:
-                    # The child's cache is process-private, so its counters
-                    # are already per-job deltas.
-                    metrics.record_activation_cache(
-                        cache_stats.get("hits", 0),
-                        cache_stats.get("misses", 0))
-            metrics.record_miss(time.monotonic() - start)
-            if store is not None:
-                store.add(record)
-            if is_repair:
-                self.repairs_completed += 1
-                _LOG.info("%s [%s] repair -> %s (%.1fs)", job.checkpoint,
-                          job.detector,
-                          "success" if record.success else "NOT repaired",
-                          record.seconds)
-                return
-            _LOG.info("%s [%s] -> %s (%.1fs)", job.checkpoint, job.detector,
-                      "BACKDOORED" if record.is_backdoored else "clean",
-                      record.seconds)
-            if self.config.auto_repair and record.is_backdoored:
-                self._enqueue_repair(job)
+                    record = self.scheduler.scan_one(self._request_for(job))
+        # The liveness boundary: a bad file, a timeout or any detector error
+        # was already counted by the driver; log it and keep watching.
+        except Exception as error:  # repro-lint: disable=exception-hygiene
+            _LOG.error("%s [%s]: giving up: %s", job.checkpoint,
+                       job.detector, error, exc_info=True)
+            return
         finally:
             if root is not None:
                 TRACER.finish(root)
                 TRACER.flush(self.spans_path)
+        if record.cache_hit:
+            _LOG.info("%s [%s]: cache hit", job.checkpoint, job.detector)
+        elif is_repair:
+            self.repairs_completed += 1
+            _LOG.info("%s [%s] repair -> %s (%.1fs)", job.checkpoint,
+                      job.detector,
+                      "success" if record.success else "NOT repaired",
+                      record.seconds)
+        else:
+            _LOG.info("%s [%s] -> %s (%.1fs)", job.checkpoint, job.detector,
+                      "BACKDOORED" if record.is_backdoored else "clean",
+                      record.seconds)
+        if not is_repair and self.config.auto_repair and record.is_backdoored:
+            self._enqueue_repair(job)
 
     # ------------------------------------------------------------------ #
     # Loop
@@ -493,7 +415,7 @@ class WatchDaemon:
             self._enqueue(checkpoint)
         processed = 0
         while self.queue:
-            self._process(self.queue.pop())
+            self._process(self.queue.pop().payload)
             processed += 1
         self.iterations += 1
         self.write_stats()
@@ -534,7 +456,7 @@ class WatchDaemon:
         # readers of the endpoint file).
         payload["metrics"] = snapshot
         payload.update({
-            "backend": self.backend.name,
+            "backend": self.scheduler.backend.name,
             "queue_depth": len(self.queue),
             "checkpoints_seen": self.checkpoints_seen,
             "repairs_completed": self.repairs_completed,
@@ -542,8 +464,7 @@ class WatchDaemon:
             "iterations": self.iterations,
             "watch_dir": os.path.abspath(self.config.watch_dir),
             "store_path": os.path.abspath(self.config.store_path),
-            "updated_at": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
+            "updated_at": _utc_now(),
         })
         from .fleet import fleet_snapshot
         fleet = fleet_snapshot(self.config.store_path)

@@ -31,9 +31,9 @@ invariants ``tests/test_fleet.py`` drives with hypothesis.
 
 :class:`FleetBackend` adapts the queue to the
 :class:`~repro.service.backends.ExecutionBackend` contract: payloads are
-encoded per registered :class:`JobKind` (scan / repair / probe), results
-decode back into records with their trace spans intact, so fleet scans
-stitch into the submitter's trace exactly as pool workers do.
+encoded per registered :class:`JobKind` (scan / mega group / repair /
+probe), results decode back into records with their trace spans intact, so
+fleet scans stitch into the submitter's trace exactly as pool workers do.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from ..utils.logging import get_logger
 from .backends import ExecutionBackend
 from .planning import JobTimeoutError, ServiceMetrics
 from .records import ScanRequest, record_from_dict
-from .repair import ResolvedRepair, execute_repair, resolve_repair
-from .scheduler import ResolvedScan, execute_resolved
+from .repair import RepairRequest, ResolvedRepair, execute_repair
+from .scheduler import ResolvedScan, execute_mega_group, execute_resolved
 from .store import _append_line, sidecar_path
 from .locks import FileLock
 
@@ -171,14 +171,17 @@ def _decode_resolved_scan(payload: Dict[str, Any]) -> ResolvedScan:
 
 
 def _encode_resolved_repair(item: ResolvedRepair) -> Dict[str, Any]:
-    """JSON payload for a resolved repair job.
+    """JSON payload for a resolved repair job, resolution included.
 
-    Only the request and transport context cross the wire; the worker
-    re-resolves digests and the output path from the request, which is
-    deterministic, so submitter and worker always agree on the cache key.
+    The nested scan resolution, repair digest, cache key and output path
+    all cross the wire, so the worker never re-reads or re-hashes the
+    checkpoint and runs under exactly the key the submitter planned.
     """
     return {
         "request": item.request.to_dict(),
+        "scan": _encode_resolved_scan(item.scan),
+        "config_digest": item.config_digest,
+        "key": item.key,
         "output": item.output,
         "trace_id": item.trace_id,
         "parent_span_id": item.parent_span_id,
@@ -186,13 +189,13 @@ def _encode_resolved_repair(item: ResolvedRepair) -> Dict[str, Any]:
 
 
 def _decode_resolved_repair(payload: Dict[str, Any]) -> ResolvedRepair:
-    """Rebuild a :class:`ResolvedRepair` by re-resolving its request."""
-    from dataclasses import replace as dataclass_replace
-    from .repair import RepairRequest
-    request = RepairRequest.from_dict(dict(payload["request"]))
-    resolved = resolve_repair(request)
-    return dataclass_replace(
-        resolved, output=payload.get("output") or resolved.output,
+    """Rebuild a :class:`ResolvedRepair` from its wire payload."""
+    return ResolvedRepair(
+        request=RepairRequest.from_dict(dict(payload["request"])),
+        scan=_decode_resolved_scan(payload["scan"]),
+        config_digest=payload["config_digest"],
+        key=payload["key"],
+        output=payload["output"],
         trace_id=payload.get("trace_id", ""),
         parent_span_id=payload.get("parent_span_id", ""))
 
@@ -218,6 +221,15 @@ register_kind(JobKind(
     encode=_encode_resolved_scan, decode=_decode_resolved_scan,
     encode_result=lambda record: record.to_dict(),
     decode_result=lambda payload: record_from_dict(dict(payload))))
+register_kind(JobKind(
+    name="mega", fn=execute_mega_group,
+    encode=lambda group: {"group": [_encode_resolved_scan(item)
+                                    for item in group]},
+    decode=lambda payload: [_decode_resolved_scan(item)
+                            for item in payload["group"]],
+    encode_result=lambda records: [record.to_dict() for record in records],
+    decode_result=lambda payloads: [record_from_dict(dict(payload))
+                                    for payload in payloads]))
 register_kind(JobKind(
     name="repair", fn=execute_repair,
     encode=_encode_resolved_repair, decode=_decode_resolved_repair,

@@ -13,9 +13,8 @@ implementation of:
 * :class:`JobTimeoutError` — the shared wall-clock/lease failure type;
 * :class:`ServiceMetrics` — cumulative service counters plus the bounded
   sorted latency window behind the p50/p95 snapshots;
-* :class:`CachePlanner` — the resolve-side cache plan: store lookups,
-  in-batch duplicate collapsing, and hit/miss accounting, shared by scan
-  batches and repair batches.
+* :class:`CachePlanner` — the resolve-side cache plan: store lookups and
+  in-batch duplicate collapsing, shared by scan batches and repair batches.
 
 The split matters for the fleet: a remote worker process must agree with
 the submitter about retry budgets and failure semantics without importing
@@ -164,7 +163,8 @@ class ServiceMetrics:
     cache_hits: int = 0
     #: Requests that required a fresh detector run.
     cache_misses: int = 0
-    #: Jobs that exhausted their retry budget.
+    #: Jobs that exhausted their retry budget, plus requests that failed
+    #: to resolve (unreadable checkpoint, missing metadata).
     failures: int = 0
     #: Retry attempts performed (not counting first attempts).
     retries: int = 0
@@ -197,12 +197,11 @@ class ServiceMetrics:
         self.scans_served += 1
         self.cache_hits += 1
 
-    def record_miss(self, seconds: Optional[float] = None) -> None:
-        """Count one freshly computed request (and its latency, if known)."""
+    def record_miss(self, seconds: float) -> None:
+        """Count one freshly computed request and its latency."""
         self.scans_served += 1
         self.cache_misses += 1
-        if seconds is not None:
-            self.record_latency(seconds)
+        self.record_latency(seconds)
 
     def record_activation_cache(self, hits: int, misses: int) -> None:
         """Accumulate clean-activation cache traffic from one mega batch."""
@@ -260,14 +259,14 @@ class CachePlanner:
 
     One planner instance serves one batch.  :meth:`plan` walks the resolved
     items in order and sorts each into *served from the store*, *duplicate
-    of an earlier in-batch miss*, or *pending computation*, updating the
-    shared :class:`ServiceMetrics` as it goes — exactly the bookkeeping the
-    scan and repair drivers used to duplicate inline.
+    of an earlier in-batch miss*, or *pending computation*.  Only store
+    hits are counted here; misses and duplicates count once the batch
+    driver has their computed records in hand.
 
     Args:
         store: Optional result store (``lookup(key)``-capable); without one
             every item is a miss.
-        metrics: The batch driver's cumulative counters.
+        metrics: The batch driver's cumulative counters (store hits).
         record_type: When given, a stored record only counts as a hit if it
             is an instance of this type — repair lookups must never serve a
             scan record that happens to share a key namespace.
@@ -307,10 +306,10 @@ class CachePlanner:
             roots: Per-item root spans (``None`` entries when tracing is
                 off); a hit sets ``cache_hit`` on its root.
             serve: ``serve(cached_record, item)`` produces the cache-hit
-                copy placed in the results (see the drivers'
-                ``_served_copy`` helpers).
+                copy placed in the results (the batch driver passes
+                ``ScanScheduler._served_copy``).
             span_name: Name of the per-item lookup span (``None`` records
-                no lookup span — the repair driver's historical shape).
+                no lookup span — the repair batches' historical shape).
 
         Returns:
             ``(results, pending)`` — ``results`` has one slot per item
@@ -337,13 +336,11 @@ class CachePlanner:
                 self.metrics.record_hit()
                 continue
             if item.key in pending_keys:
-                # Duplicate inside this batch: computed once below and served
-                # as a hit, so it counts as one.
+                # Duplicate inside this batch: computed once and served as a
+                # hit by the driver once that record comes back.
                 if root is not None:
                     root.attrs["cache_hit"] = True
-                self.metrics.record_hit()
                 continue
-            self.metrics.record_miss()
             pending_keys.add(item.key)
             pending.append((index, item))
         return results, pending

@@ -1,8 +1,8 @@
 """Cacheable detect -> repair -> verify jobs for the scanning service.
 
 ``python -m repro repair <ckpt>`` turns the mitigation pipeline
-(:mod:`repro.mitigation`) into service traffic with the same shape as
-scans:
+(:mod:`repro.mitigation`) into service traffic that runs through the same
+batch driver as scans (:func:`run_repairs`):
 
 1. a :class:`RepairRequest` (a :class:`~repro.service.records.ScanRequest`
    plus the repair knobs) is *resolved* in the parent — checkpoint
@@ -10,9 +10,8 @@ scans:
    digest — yielding a cache key distinct from every scan key;
 2. hits are served from the shared result store as
    :class:`~repro.service.records.RepairRecord` entries;
-3. misses run :func:`execute_repair` (module-level, picklable) serially or
-   across the scheduler's worker pool via :func:`run_repairs` — the repair
-   worker re-runs the detector to recover *full* reversed triggers (the
+3. misses run :func:`execute_repair` (module-level, picklable) on the
+   scheduler's execution backend — the repair worker re-runs the detector to recover *full* reversed triggers (the
    store's compact scan summaries carry norms only), repairs, verifies, and
    writes the repaired checkpoint atomically
    (:func:`repro.service.locks.atomic_write`), so a crash mid-save never
@@ -20,9 +19,10 @@ scans:
 4. fresh records land in the store, making the next identical request a
    hit.
 
-The repair worker replays the exact RNG sequence of the scan worker
-(:func:`~repro.service.scheduler.execute_resolved`), so its internal
-detection pass reproduces the scan verdict for the same request budgets.
+The repair worker shares the scan worker's setup helper and so replays
+the exact RNG sequence of :func:`~repro.service.scheduler.execute_resolved`:
+its internal detection pass reproduces the scan verdict for the same
+request budgets.
 """
 
 from __future__ import annotations
@@ -31,31 +31,27 @@ import dataclasses
 import io
 import os
 import time
-from dataclasses import (dataclass, field as dataclass_field,
-                         replace as dataclass_replace)
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..attacks.base import SCENARIO_ALL_TO_ONE, scan_pairs_for
 from ..data import DATASET_SPECS, load_dataset
 from ..data.dataset import Dataset
 from ..nn.layers import Module
-from ..nn.serialization import METADATA_KEY, load_checkpoint
+from ..nn.serialization import METADATA_KEY
 from ..obs.metrics import PROFILER
-from ..obs.trace import TRACER, new_trace_id, span as _span, write_spans
+from ..obs.trace import TRACER, span as _span
 from ..utils.logging import get_logger
 from .fingerprint import digest_config, fingerprint_model, scan_key
 from .locks import atomic_write
-from .planning import CachePlanner
 from .records import RepairRecord, ScanRequest
 from .scheduler import (
     ResolvedScan,
     ScanScheduler,
-    _build_scan_model,
-    _clean_sample,
-    build_request_detector,
+    _prepare_scan,
+    _utc_now,
+    _worker_trace,
     resolve_request,
 )
 
@@ -63,10 +59,6 @@ __all__ = ["RepairRequest", "ResolvedRepair", "resolve_repair",
            "execute_repair", "run_repairs", "atomic_save_model"]
 
 _LOG = get_logger("repro.service.repair")
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @dataclass(frozen=True)
@@ -236,9 +228,9 @@ def execute_repair(resolved: ResolvedRepair) -> RepairRecord:
 
     Worker-side half of a repair request (module-level so it pickles under
     every multiprocessing start method).  The detection pass replays the
-    scan worker's RNG sequence, so its verdict matches a plain scan of the
-    same request; the repaired checkpoint is written atomically and only
-    when a repair was applied and survived the guardrail.
+    scan worker's setup and RNG sequence, so its verdict matches a plain
+    scan of the same request; the repaired checkpoint is written atomically
+    and only when a repair was applied and survived the guardrail.
 
     Telemetry crosses the process boundary by value exactly as in
     :func:`~repro.service.scheduler.execute_resolved`: a forked worker
@@ -250,65 +242,43 @@ def execute_repair(resolved: ResolvedRepair) -> RepairRecord:
 
     request = resolved.request
     scan_request = request.scan
-    TRACER.check_fork()
-    PROFILER.check_fork()
-    adopted = bool(resolved.trace_id) and not TRACER.enabled
-    if adopted:
-        TRACER.enable()
-        PROFILER.enable()
-    profiling = PROFILER.enabled
-    if profiling:
-        PROFILER.reset()
-    try:
-        with TRACER.context(resolved.trace_id, resolved.parent_span_id):
-            with _span("worker.repair", detector=scan_request.detector,
-                       strategy=request.strategy):
-                rng = np.random.default_rng(scan_request.seed)
-                state, metadata = load_checkpoint(scan_request.checkpoint)
-                model = _build_scan_model(resolved.scan, state)
-                clean = _clean_sample(resolved.scan, rng)
-                detector = build_request_detector(scan_request, clean, rng)
-                classes = (list(scan_request.classes)
-                           if scan_request.classes is not None else None)
-                pairs = None
-                if scan_request.scenario != SCENARIO_ALL_TO_ONE:
-                    candidates = (classes if classes is not None
-                                  else list(range(clean.num_classes)))
-                    pairs = scan_pairs_for(scan_request.scenario, candidates,
-                                           source_classes=scan_request.source_classes)
-                start = time.perf_counter()
-                with _span("repair.scan", detector=scan_request.detector):
-                    detection = detector.detect(model, classes=classes,
-                                                pairs=pairs)
-                eval_data = _eval_sample(resolved.scan)
-                with _span("repair.apply", strategy=request.strategy,
-                           rescan=bool(request.rescan)):
-                    report = repair_model(
-                        model, detection, clean, plan=request.plan(),
-                        detector=detector if request.rescan else None,
-                        eval_data=eval_data, rng=rng)
-                seconds = time.perf_counter() - start
+    with _worker_trace(resolved.trace_id, resolved.parent_span_id) as adopted:
+        with _span("worker.repair", detector=scan_request.detector,
+                   strategy=request.strategy):
+            setup = _prepare_scan(resolved.scan)
+            start = time.perf_counter()
+            with _span("repair.scan", detector=scan_request.detector):
+                detection = setup.detector.detect(
+                    setup.model, classes=setup.classes, pairs=setup.pairs)
+            eval_data = _eval_sample(resolved.scan)
+            with _span("repair.apply", strategy=request.strategy,
+                       rescan=bool(request.rescan)):
+                report = repair_model(
+                    setup.model, detection, setup.clean, plan=request.plan(),
+                    detector=setup.detector if request.rescan else None,
+                    eval_data=eval_data, rng=setup.rng)
+            seconds = time.perf_counter() - start
 
-                repaired_checkpoint: Optional[str] = None
-                repaired_fingerprint: Optional[str] = None
-                if report.repaired and not report.rolled_back:
-                    repair_meta = dict(metadata)
-                    repair_meta.update({
-                        "repaired_from": scan_request.checkpoint,
-                        "repair_strategy": request.strategy,
-                        "repair_key": resolved.key,
-                        "repair_detector": scan_request.detector.lower(),
-                    })
-                    with _span("repair.save", output=resolved.output):
-                        atomic_save_model(model, resolved.output,
-                                          metadata=repair_meta)
-                    repaired_checkpoint = resolved.output
-                    repaired_fingerprint = fingerprint_model(model)
-                    _LOG.info("%s: repaired checkpoint written to %s",
-                              scan_request.checkpoint, resolved.output)
+            repaired_checkpoint: Optional[str] = None
+            repaired_fingerprint: Optional[str] = None
+            if report.repaired and not report.rolled_back:
+                repair_meta = dict(setup.metadata)
+                repair_meta.update({
+                    "repaired_from": scan_request.checkpoint,
+                    "repair_strategy": request.strategy,
+                    "repair_key": resolved.key,
+                    "repair_detector": scan_request.detector.lower(),
+                })
+                with _span("repair.save", output=resolved.output):
+                    atomic_save_model(setup.model, resolved.output,
+                                      metadata=repair_meta)
+                repaired_checkpoint = resolved.output
+                repaired_fingerprint = fingerprint_model(setup.model)
+                _LOG.info("%s: repaired checkpoint written to %s",
+                          scan_request.checkpoint, resolved.output)
 
         telemetry: Dict[str, Any] = {}
-        if profiling:
+        if PROFILER.enabled:
             telemetry = dict(PROFILER.snapshot())
             if resolved.trace_id:
                 telemetry["trace_id"] = resolved.trace_id
@@ -318,11 +288,6 @@ def execute_repair(resolved: ResolvedRepair) -> RepairRecord:
         if adopted:
             record.spans = TRACER.drain()
         return record
-    finally:
-        if adopted:
-            TRACER.reset()
-            PROFILER.disable()
-            PROFILER.reset()
 
 
 def _repair_record(resolved: ResolvedRepair, detection, report,
@@ -356,93 +321,30 @@ def _repair_record(resolved: ResolvedRepair, detection, report,
     )
 
 
-def _served_repair_copy(record: RepairRecord,
-                        item: ResolvedRepair) -> RepairRecord:
-    """A cache-hit copy of ``record`` relabelled for the current request."""
-    copy = RepairRecord.from_dict(record.to_dict())
-    copy.cache_hit = True
-    copy.checkpoint = item.request.scan.checkpoint
-    copy.model = item.scan.model
-    copy.dataset = item.scan.dataset
-    return copy
-
-
 def run_repairs(scheduler: ScanScheduler,
                 requests: Sequence[RepairRequest]) -> List[RepairRecord]:
     """Repair a batch of checkpoints, store-cached and scheduler-dispatched.
 
-    Mirrors :meth:`repro.service.ScanScheduler.scan`: every request is
-    resolved in the parent, store hits (and in-batch duplicates) are served
-    without worker dispatch, and the remaining misses fan out across the
-    scheduler's pool (inline when ``workers <= 1`` — verdict-identical to
-    the pool path).  Fresh records are appended to the scheduler's store.
+    Runs through the same batch driver as
+    :meth:`repro.service.ScanScheduler.scan`: every request is resolved in
+    the parent under a ``repair.request`` root span, store hits (and
+    in-batch duplicates) are served without worker dispatch, and the
+    remaining misses run :func:`execute_repair` on the scheduler's backend
+    (inline when ``workers <= 1`` — verdict-identical to the pool path).
+    Fresh records are appended to the scheduler's store.
 
     Args:
-        scheduler: Supplies the store, the worker pool, and the metrics.
+        scheduler: Supplies the store, the backend, and the metrics.
         requests: Repair jobs; records come back in request order.
 
     Returns:
         One :class:`~repro.service.records.RepairRecord` per request.
     """
-    tracing = False
-    if scheduler.telemetry:
-        TRACER.check_fork()
-        PROFILER.check_fork()
-        TRACER.enable()
-        PROFILER.enable()
-        tracing = True
-
-    # Like ``ScanScheduler.scan``, roots join an already-active trace (the
-    # HTTP API's per-request span) instead of opening fresh ones.
-    ambient_trace, ambient_parent = TRACER.current() if tracing else ("", "")
-    checkpoint_cache: Dict[str, tuple] = {}
-    resolved: List[ResolvedRepair] = []
-    roots = []
-    for request in requests:
-        root = (TRACER.begin("repair.request",
-                             trace_id=ambient_trace or new_trace_id(),
-                             parent_id=ambient_parent,
-                             detector=request.scan.detector,
-                             checkpoint=request.scan.checkpoint,
-                             strategy=request.strategy)
-                if tracing else None)
-        with TRACER.context_of(root):
-            item = resolve_repair(request, checkpoint_cache=checkpoint_cache)
-        if root is not None:
-            item = dataclass_replace(item, trace_id=root.trace_id,
-                                     parent_span_id=root.span_id)
-        roots.append(root)
-        resolved.append(item)
-    del checkpoint_cache
-
-    planner = CachePlanner(scheduler.store, scheduler.metrics,
-                           record_type=RepairRecord)
-    results, pending = planner.plan(resolved, roots, _served_repair_copy)
-
-    if pending:
-        _LOG.info("Repairing %d/%d request(s) (%d served from cache) via "
-                  "the %s backend.", len(pending), len(resolved),
-                  sum(r is not None for r in results),
-                  scheduler.backend.name)
-        fresh = scheduler.run_jobs(execute_repair,
-                                   [item for _, item in pending])
-        for (index, _), record in zip(pending, fresh):
-            worker_spans = record.pop_spans()
-            if tracing:
-                TRACER.add(worker_spans)
-            results[index] = record
-            scheduler.metrics.record_latency(float(record.seconds))
-            if scheduler.store is not None:
-                scheduler.store.add(record)
-
-    by_key = {record.key: record for record in results if record is not None}
-    for index, item in enumerate(resolved):
-        if results[index] is None:
-            results[index] = _served_repair_copy(by_key[item.key], item)
-    if tracing:
-        for root in roots:
-            TRACER.finish(root)
-        spans = TRACER.drain()
-        if scheduler.span_sink:
-            write_spans(scheduler.span_sink, spans)
-    return [record for record in results if record is not None]
+    return scheduler._run_batch(
+        requests, "repair.request",
+        lambda request: {"detector": request.scan.detector,
+                         "checkpoint": request.scan.checkpoint,
+                         "strategy": request.strategy},
+        resolve_repair,
+        lambda items: scheduler.run_jobs(execute_repair, items),
+        record_type=RepairRecord)

@@ -1,23 +1,28 @@
-"""Parallel scan scheduling over a process pool, with a cached fast path.
+"""Parallel scan scheduling over an execution backend, with a cached fast path.
 
 The :class:`ScanScheduler` takes batches of
 :class:`~repro.service.records.ScanRequest` and returns one
-:class:`~repro.service.records.ScanRecord` per request, in order:
+:class:`~repro.service.records.ScanRecord` per request, in order.  Scan
+batches and repair batches (:func:`repro.service.repair.run_repairs`) share
+one batch driver:
 
-1. every request is *resolved* in the parent — the checkpoint is read, its
-   state dict fingerprinted, and the detector config digested into the cache
-   key — so cache hits never reach a worker;
-2. duplicate keys inside one batch collapse to a single computation;
-3. the remaining misses run through a ``ProcessPoolExecutor`` (or inline
-   when ``workers <= 1``, the serial fallback the test suite uses), each
-   worker loading the checkpoint from disk and running the detector's
-   batched ``detect()`` path;
-4. fresh records are appended to the attached result store, making the next
-   identical request a hit.
+1. every request is *resolved* in the parent under its own root span — the
+   checkpoint is read, its state dict fingerprinted, and the detector config
+   digested into the cache key — so cache hits never reach a worker;
+2. store hits are served and duplicate keys inside one batch collapse to a
+   single computation (:class:`~repro.service.planning.CachePlanner`);
+3. the remaining misses run through the scheduler's execution backend, one
+   job per scan — except that every ``inversion_mode="mega"`` miss of the
+   batch travels as *one* job (:func:`execute_mega_group`);
+4. worker spans are stitched into the request traces, fresh records are
+   appended to the attached result store (making the next identical
+   request a hit), and in-batch duplicates are served from them.
 
-Worker entry points (:func:`execute_scan`, and whatever job function callers
-hand to :meth:`ScanScheduler.run_jobs`) are module-level so they pickle under
-every multiprocessing start method.
+Worker entry points (:func:`execute_resolved`, :func:`execute_mega_group`,
+and whatever job function callers hand to :meth:`ScanScheduler.run_jobs`)
+are module-level so they pickle under every multiprocessing start method.
+They share one trace-adoption context manager and one setup helper, so every
+worker replays the same RNG sequence for the same request.
 
 **Layering.**  This module owns *planning*: request resolution, cache keys,
 store lookups, and batch bookkeeping.  Where the planned work actually runs
@@ -40,10 +45,11 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import (dataclass, field as dataclass_field,
                          replace as dataclass_replace)
 from datetime import datetime, timezone
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, TypeVar, Union)
 
 import numpy as np
@@ -69,14 +75,14 @@ from ..obs.metrics import PROFILER
 from ..obs.trace import (TRACER, new_trace_id, span as _span,
                          telemetry_enabled, write_spans)
 from ..utils.logging import get_logger
-from .backends import ExecutionBackend, InlineBackend, PoolBackend, create_backend
+from .backends import ExecutionBackend, create_backend
 from .fingerprint import digest_config, fingerprint_state_dict, scan_key
 from .planning import (CachePlanner, JobQueue, JobTimeoutError, LATENCY_WINDOW,
                        QueuedJob, ServiceMetrics)
 from .records import ScanRecord, ScanRequest
 from .store import ResultStore
 
-__all__ = ["ResolvedScan", "ScanScheduler", "resolve_request", "execute_scan",
+__all__ = ["ResolvedScan", "ScanScheduler", "resolve_request",
            "execute_resolved", "execute_mega_group", "build_request_detector",
            "JobQueue", "QueuedJob", "JobTimeoutError", "ServiceMetrics",
            "activation_cache_bytes"]
@@ -218,35 +224,87 @@ def resolve_request(request: ScanRequest,
 
 
 # ---------------------------------------------------------------------- #
-# Worker entry point
+# Worker side: shared setup and trace adoption, then the entry points
 # ---------------------------------------------------------------------- #
-def _build_scan_model(resolved: ResolvedScan, state) -> Module:
+@dataclass
+class _ScanSetup:
+    """What a worker builds from a resolved scan before detection runs."""
+
+    rng: np.random.Generator
+    metadata: Dict[str, Any]
+    model: Module
+    clean: Dataset
+    detector: Any
+    classes: Optional[List[int]]
+    pairs: Optional[List[Tuple[Optional[int], int]]]
+
+
+def _prepare_scan(resolved: ResolvedScan) -> _ScanSetup:
+    """Build a scan's detector inputs in the one order every worker replays.
+
+    RNG (from the request seed) → checkpoint → model → clean sample →
+    detector → classes/pairs.  Scan, mega-group and repair workers all run
+    this sequence, so their detection passes reproduce the same verdict for
+    the same request.
+    """
+    request = resolved.request
     spec = DATASET_SPECS[resolved.dataset]
+    rng = np.random.default_rng(request.seed)
+    state, metadata = load_checkpoint(request.checkpoint)
     model = build_model(resolved.model, num_classes=spec.num_classes,
                         in_channels=spec.channels,
                         image_size=resolved.image_size,
                         rng=np.random.default_rng(0),
                         **resolved.model_kwargs)
-    validate_state_dict(model, state, source=resolved.request.checkpoint)
+    validate_state_dict(model, state, source=request.checkpoint)
     model.load_state_dict(state)
-    return model
-
-
-def _clean_sample(resolved: ResolvedScan, rng: np.random.Generator) -> Dataset:
-    request = resolved.request
-    spec = DATASET_SPECS[resolved.dataset]
     per_class = max(1, -(-request.clean_budget // spec.num_classes))
     _, test_set = load_dataset(
         resolved.dataset, samples_per_class=request.samples_per_class,
         test_per_class=max(per_class, 2), seed=request.seed,
         image_size=resolved.image_size)
-    return stratified_sample(test_set, request.clean_budget, rng)
+    clean = stratified_sample(test_set, request.clean_budget, rng)
+    detector = build_request_detector(request, clean, rng)
+    classes = list(request.classes) if request.classes is not None else None
+    pairs = None
+    if request.scenario != SCENARIO_ALL_TO_ONE:
+        candidates = (classes if classes is not None
+                      else list(range(clean.num_classes)))
+        pairs = scan_pairs_for(request.scenario, candidates,
+                               source_classes=request.source_classes)
+    return _ScanSetup(rng, metadata, model, clean, detector, classes, pairs)
 
 
-def _clean_key(resolved: ResolvedScan) -> str:
-    request = resolved.request
-    return (f"{resolved.dataset}:{resolved.image_size}:"
-            f"s{request.seed}:b{request.clean_budget}")
+@contextmanager
+def _worker_trace(trace_id: str, parent_span_id: str) -> Iterator[bool]:
+    """Telemetry around one worker job; yields whether a trace was adopted.
+
+    Telemetry crosses the process boundary by value: a forked worker first
+    resets the tracer/profiler state inherited from the parent
+    (:meth:`~repro.obs.trace.Tracer.check_fork`), then *adopts* the stamped
+    trace, and the caller drains its spans onto the returned record
+    (``record.spans``) where the parent stitches them into the request's
+    tree.  When the tracer is already live (inline execution in the
+    parent), spans go straight to the parent buffer and nothing is adopted.
+    The profiler is reset either way, so ``PROFILER.snapshot()`` covers
+    exactly this job.
+    """
+    TRACER.check_fork()
+    PROFILER.check_fork()
+    adopted = bool(trace_id) and not TRACER.enabled
+    if adopted:
+        TRACER.enable()
+        PROFILER.enable()
+    if PROFILER.enabled:
+        PROFILER.reset()
+    try:
+        with TRACER.context(trace_id, parent_span_id):
+            yield adopted
+    finally:
+        if adopted:
+            TRACER.reset()
+            PROFILER.disable()
+            PROFILER.reset()
 
 
 def _scan_telemetry(resolved: ResolvedScan, detection,
@@ -263,82 +321,46 @@ def _scan_telemetry(resolved: ResolvedScan, detection,
     return telemetry
 
 
+def _scan_record(resolved: ResolvedScan, detection) -> ScanRecord:
+    return ScanRecord.from_detection(
+        key=resolved.key, fingerprint=resolved.fingerprint,
+        config_digest=resolved.config_digest,
+        checkpoint=resolved.request.checkpoint, model=resolved.model,
+        dataset=resolved.dataset, detection=detection,
+        created_at=_utc_now(), worker_pid=os.getpid())
+
+
 def execute_resolved(resolved: ResolvedScan) -> ScanRecord:
     """Run one already-resolved scan: the worker-side half of a request.
 
-    Runs inside pool workers (and inline for the serial fallback); must stay
-    module-level and depend only on the picklable ``resolved`` payload.  The
-    checkpoint is loaded exactly once here — the fingerprint and cache key
-    were computed during resolution, so no re-hashing happens in the worker.
+    Runs inside pool workers, fleet workers and daemon children (and inline
+    for the serial fallback); must stay module-level and depend only on the
+    picklable ``resolved`` payload.  The checkpoint is loaded exactly once
+    here — the fingerprint and cache key were computed during resolution,
+    so no re-hashing happens in the worker.
 
-    Telemetry crosses the process boundary by value: a forked worker first
-    resets the tracer/profiler state inherited from the parent
-    (:meth:`~repro.obs.trace.Tracer.check_fork`), then *adopts* the trace
-    stamped on ``resolved`` — its spans and per-phase profile ride back on
-    the returned record (``record.spans`` / ``record.telemetry``) where the
-    parent stitches them into the request's tree.  When the tracer is
-    already live (the serial in-parent fallback), spans go straight to the
-    parent buffer and nothing rides on the record.
+    Telemetry crosses the process boundary by value: the worker adopts the
+    trace stamped on ``resolved``, and its spans and per-phase profile ride
+    back on the returned record (``record.spans`` / ``record.telemetry``)
+    where the parent stitches them into the request's tree.
     """
     request = resolved.request
-    TRACER.check_fork()
-    PROFILER.check_fork()
-    adopted = bool(resolved.trace_id) and not TRACER.enabled
-    if adopted:
-        TRACER.enable()
-        PROFILER.enable()
-    profiling = PROFILER.enabled
-    if profiling:
-        PROFILER.reset()
-    try:
-        with TRACER.context(resolved.trace_id, resolved.parent_span_id):
-            with _span("worker.scan", detector=request.detector,
-                       checkpoint=request.checkpoint):
-                rng = np.random.default_rng(request.seed)
-                state, _ = load_checkpoint(request.checkpoint)
-                model = _build_scan_model(resolved, state)
-                clean = _clean_sample(resolved, rng)
-                detector = build_request_detector(request, clean, rng)
-                if request.inversion_mode == "mega":
-                    # Daemon children and pool workers run mega scans in a
-                    # fresh process; give them a real activation cache so
-                    # their telemetry reports actual hit/miss traffic.
-                    detector.activation_cache = CleanActivationCache(
-                        max_bytes=activation_cache_bytes())
-                    detector.model_key = resolved.fingerprint
-                    detector.clean_key = _clean_key(resolved)
-                classes = (list(request.classes)
-                           if request.classes is not None else None)
-                pairs = None
-                if request.scenario != SCENARIO_ALL_TO_ONE:
-                    candidate_classes = (classes if classes is not None
-                                         else list(range(clean.num_classes)))
-                    pairs = scan_pairs_for(request.scenario, candidate_classes,
-                                           source_classes=request.source_classes)
-                start = time.perf_counter()
-                detection = detector.detect(model, classes=classes, pairs=pairs,
-                                            mode=request.inversion_mode)
-                detection.seconds_total = time.perf_counter() - start
-        telemetry = (_scan_telemetry(resolved, detection, detector)
-                     if profiling else {})
-        record = ScanRecord.from_detection(
-            key=resolved.key, fingerprint=resolved.fingerprint,
-            config_digest=resolved.config_digest, checkpoint=request.checkpoint,
-            model=resolved.model, dataset=resolved.dataset, detection=detection,
-            created_at=_utc_now(), worker_pid=os.getpid(), telemetry=telemetry)
+    with _worker_trace(resolved.trace_id, resolved.parent_span_id) as adopted:
+        with _span("worker.scan", detector=request.detector,
+                   checkpoint=request.checkpoint):
+            setup = _prepare_scan(resolved)
+            start = time.perf_counter()
+            detection = setup.detector.detect(
+                setup.model, classes=setup.classes, pairs=setup.pairs,
+                mode=request.inversion_mode)
+            detection.seconds_total = time.perf_counter() - start
+        record = _scan_record(resolved, detection)
+        if PROFILER.enabled:
+            record.telemetry = _scan_telemetry(resolved, detection,
+                                               setup.detector)
         if adopted:
             record.spans = TRACER.drain()
         return record
-    finally:
-        if adopted:
-            TRACER.reset()
-            PROFILER.disable()
-            PROFILER.reset()
-
-
-def execute_scan(request: ScanRequest) -> ScanRecord:
-    """One-shot convenience entry: resolve ``request`` and scan it."""
-    return execute_resolved(resolve_request(request))
 
 
 def activation_cache_bytes() -> int:
@@ -353,18 +375,7 @@ def activation_cache_bytes() -> int:
     return max(1, megabytes) * 1024 * 1024
 
 
-def _mega_record(resolved: ResolvedScan, detection) -> ScanRecord:
-    return ScanRecord.from_detection(
-        key=resolved.key, fingerprint=resolved.fingerprint,
-        config_digest=resolved.config_digest,
-        checkpoint=resolved.request.checkpoint, model=resolved.model,
-        dataset=resolved.dataset, detection=detection,
-        created_at=_utc_now(), worker_pid=os.getpid())
-
-
-def execute_mega_group(group: Sequence[ResolvedScan],
-                       cache: Optional[CleanActivationCache] = None
-                       ) -> List[ScanRecord]:
+def execute_mega_group(group: Sequence[ResolvedScan]) -> List[ScanRecord]:
     """Run a batch of ``inversion_mode="mega"`` scans as one mega-batch.
 
     Every scan in ``group`` — classic (all-to-one) *and* pair-mode — folds
@@ -373,90 +384,55 @@ def execute_mega_group(group: Sequence[ResolvedScan],
     grid becomes one cross-model tensor program instead of five sequential
     scans, and pair sweeps from different models interleave their forwards
     in the same pool (each job keeps its own MAD selection group, so
-    verdicts match the per-model path exactly).
+    verdicts match the per-model path exactly).  The scheduler sends the
+    whole group to its backend as *one* job, so it runs on a fleet worker
+    or in a daemon child under that job's timeout and retry budget.
 
     Per-request setup replays :func:`execute_resolved` exactly — fresh RNG
     from the request seed, same checkpoint load, same clean sample — so a
     mega record differs from a worker record only by its inversion engine.
+    The group's detectors share one fresh clean-activation cache.
 
     Telemetry follows the same adopt-by-value protocol as
-    :func:`execute_resolved`, keyed off the first stamped ``trace_id`` in
-    the group.  The fused sweep is one computation shared by every request,
-    so its spans and pool stats attach to the *first* fleet request's trace
-    and record — per-request records still carry their own iteration counts,
-    and summing pool stats across the group would double-count.
+    :func:`execute_resolved`, under the first request's trace.  The fused
+    sweep is one computation shared by every request, so its spans, pool
+    stats and activation-cache counts attach to the *first* record only —
+    per-request records still carry their own iteration counts, and
+    summing pool stats across the group would double-count.
     """
-    group_list = list(group)
-    if not group_list:
+    items = list(group)
+    if not items:
         return []
-    TRACER.check_fork()
-    PROFILER.check_fork()
-    lead = next((item for item in group_list if item.trace_id), None)
-    adopted = lead is not None and not TRACER.enabled
-    if adopted:
-        TRACER.enable()
-        PROFILER.enable()
-    profiling = PROFILER.enabled
-    if profiling:
-        PROFILER.reset()
-    if cache is None:
+    lead = items[0]
+    with _worker_trace(lead.trace_id, lead.parent_span_id) as adopted:
         cache = CleanActivationCache(max_bytes=activation_cache_bytes())
-    cache_before = (cache.hits, cache.misses)
-    records: List[Optional[ScanRecord]] = [None] * len(group_list)
-    fleet: List[Tuple[int, ResolvedScan]] = []
-    fleet_jobs: List[Tuple[Any, Module, Optional[List[int]]]] = []
-    try:
-        for position, resolved in enumerate(group_list):
-            request = resolved.request
-            rng = np.random.default_rng(request.seed)
-            state, _ = load_checkpoint(request.checkpoint)
-            model = _build_scan_model(resolved, state)
-            clean = _clean_sample(resolved, rng)
-            detector = build_request_detector(request, clean, rng)
-            detector.activation_cache = cache
-            detector.model_key = resolved.fingerprint
-            detector.clean_key = _clean_key(resolved)
-            classes = (list(request.classes)
-                       if request.classes is not None else None)
-            pairs = None
-            if request.scenario != SCENARIO_ALL_TO_ONE:
-                candidate_classes = (classes if classes is not None
-                                     else list(range(clean.num_classes)))
-                pairs = scan_pairs_for(request.scenario, candidate_classes,
-                                       source_classes=request.source_classes)
-            fleet.append((position, resolved))
-            fleet_jobs.append((detector, model, classes, pairs))
-        if fleet_jobs:
-            lead_fleet = fleet[0][1]
-            with TRACER.context(lead_fleet.trace_id,
-                                lead_fleet.parent_span_id):
-                with _span("mega.fleet", models=len(fleet_jobs)):
-                    detections = detect_mega_fleet(fleet_jobs, cache=cache)
-            for slot, ((position, resolved), detection) in enumerate(
-                    zip(fleet, detections)):
-                record = _mega_record(resolved, detection)
-                if profiling:
-                    record.telemetry = _scan_telemetry(resolved, detection,
-                                                       fleet_jobs[slot][0])
-                    if slot > 0:
-                        # Shared-run stats live on the first record only.
-                        record.telemetry.pop("pool", None)
-                        record.telemetry.pop("phases", None)
-                        record.telemetry.pop("counts", None)
-                records[position] = record
-        kept = [record for record in records if record is not None]
-        if profiling and kept:
-            cache_delta = {"hits": cache.hits - cache_before[0],
-                           "misses": cache.misses - cache_before[1]}
-            kept[0].telemetry.setdefault("pool", {})["cache"] = cache_delta
-        if adopted and kept:
-            kept[0].spans = TRACER.drain()
-        return kept
-    finally:
+        setups = [_prepare_scan(item) for item in items]
+        for item, setup in zip(items, setups):
+            setup.detector.activation_cache = cache
+            setup.detector.model_key = item.fingerprint
+            setup.detector.clean_key = (
+                f"{item.dataset}:{item.image_size}:"
+                f"s{item.request.seed}:b{item.request.clean_budget}")
+        with _span("mega.fleet", models=len(setups)):
+            detections = detect_mega_fleet(
+                [(setup.detector, setup.model, setup.classes, setup.pairs)
+                 for setup in setups], cache=cache)
+        records = [_scan_record(item, detection)
+                   for item, detection in zip(items, detections)]
+        if PROFILER.enabled:
+            for slot, (item, setup, detection, record) in enumerate(
+                    zip(items, setups, detections, records)):
+                record.telemetry = _scan_telemetry(item, detection,
+                                                   setup.detector)
+                if slot > 0:
+                    # Shared-run stats live on the first record only.
+                    for key in ("pool", "phases", "counts"):
+                        record.telemetry.pop(key, None)
+            records[0].telemetry.setdefault("pool", {})["cache"] = {
+                "hits": cache.hits, "misses": cache.misses}
         if adopted:
-            TRACER.reset()
-            PROFILER.disable()
-            PROFILER.reset()
+            records[0].spans = TRACER.drain()
+        return records
 
 
 # ---------------------------------------------------------------------- #
@@ -509,10 +485,6 @@ class ScanScheduler:
         self.backend = self._resolve_backend(backend)
         #: Cumulative counters over the scheduler's life (never reset).
         self.metrics = ServiceMetrics()
-        #: Lazily-created activation cache shared by every mega batch this
-        #: scheduler runs in-parent, so repeated scans of the same weights
-        #: hit across batches (and the hit ratio is worth exporting).
-        self._activation_cache: Optional[CleanActivationCache] = None
 
     def _resolve_backend(self, backend: Union[ExecutionBackend, str, None]
                          ) -> ExecutionBackend:
@@ -534,13 +506,6 @@ class ScanScheduler:
     def cache_misses(self) -> int:
         """Requests that required a fresh computation so far."""
         return self.metrics.cache_misses
-
-    def _mega_cache(self) -> CleanActivationCache:
-        """The scheduler-lifetime clean-activation cache for mega batches."""
-        if self._activation_cache is None:
-            self._activation_cache = CleanActivationCache(
-                max_bytes=activation_cache_bytes())
-        return self._activation_cache
 
     # ------------------------------------------------------------------ #
     # Generic dispatch through the execution backend
@@ -580,19 +545,21 @@ class ScanScheduler:
     # Cached scanning
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _served_copy(record: ScanRecord, item: ResolvedScan) -> ScanRecord:
+    def _served_copy(record: Any, item: Any) -> Any:
         """A cache-hit copy of ``record``, relabelled for the current request.
 
         The verdict is addressed by weights, not by file, so a hit may have
         been computed from a different checkpoint path with identical
         weights — the copy reports the path/model/dataset the caller asked
-        about.
+        about.  Serves scan and repair records alike (a resolved repair
+        carries its scan resolution as ``item.scan``).
         """
-        copy = ScanRecord.from_dict(record.to_dict())
+        scan = getattr(item, "scan", item)
+        copy = type(record).from_dict(record.to_dict())
         copy.cache_hit = True
-        copy.checkpoint = item.request.checkpoint
-        copy.model = item.model
-        copy.dataset = item.dataset
+        copy.checkpoint = scan.request.checkpoint
+        copy.model = scan.model
+        copy.dataset = scan.dataset
         return copy
 
     def scan(self, requests: Sequence[ScanRequest]) -> List[ScanRecord]:
@@ -606,95 +573,142 @@ class ScanScheduler:
             order — cache hits flagged via ``cache_hit``, fresh records
             appended to the attached store.
         """
-        tracing = False
-        if self.telemetry:
+        return self._run_batch(
+            requests, "scan.request",
+            lambda request: {"detector": request.detector,
+                             "checkpoint": request.checkpoint},
+            resolve_request, self._execute_scans,
+            lookup_span="scan.cache_lookup")
+
+    def _execute_scans(self, items: List[ResolvedScan]) -> List[ScanRecord]:
+        """Dispatch pending scans: one job each, every mega-mode miss as one.
+
+        Mega-mode requests batch across models and checkpoints, so a batch's
+        mega misses travel to the backend as a single
+        :func:`execute_mega_group` job.
+        """
+        records: List[Optional[ScanRecord]] = [None] * len(items)
+        mega = [index for index, item in enumerate(items)
+                if item.request.inversion_mode == "mega"]
+        rest = [index for index, item in enumerate(items)
+                if item.request.inversion_mode != "mega"]
+        if mega:
+            _LOG.info("Pooling %d mega-mode scan(s) into one mega-batch.",
+                      len(mega))
+            [group] = self.run_jobs(execute_mega_group,
+                                    [[items[index] for index in mega]])
+            for index, record in zip(mega, group):
+                records[index] = record
+        if rest:
+            fresh = self.run_jobs(execute_resolved,
+                                  [items[index] for index in rest])
+            for index, record in zip(rest, fresh):
+                records[index] = record
+        return records
+
+    def _run_batch(self, requests: Sequence[Any], root_name: str,
+                   root_attrs: Callable[[Any], Dict[str, Any]],
+                   resolve: Callable[..., Any],
+                   execute: Callable[[List[Any]], List[Any]],
+                   lookup_span: Optional[str] = None,
+                   record_type: Optional[type] = None) -> List[Any]:
+        """The one batch driver behind :meth:`scan` and ``run_repairs``.
+
+        Each request is resolved under its own ``root_name`` span.  When a
+        caller already holds a trace context (the HTTP API and the watch
+        daemon root one span per job; the triage router runs stages under
+        it), the roots join that trace instead of opening fresh ones.  The
+        :class:`CachePlanner` then serves store hits; ``execute`` runs the
+        misses through the backend; worker spans are stitched, metrics
+        updated, fresh records appended to the store, and in-batch
+        duplicates served from them.  Roots are finished — with an
+        ``error`` attribute when the batch raised — and spans written in a
+        ``finally``, so a failed request still leaves a complete trace.
+
+        A miss counts as served only once its record comes back, and a
+        request whose resolution raises counts as one failure (backends
+        count their own jobs that exhaust the retry budget).
+        """
+        tracing = self.telemetry
+        if tracing:
             TRACER.check_fork()
             PROFILER.check_fork()
             TRACER.enable()
             PROFILER.enable()
-            tracing = True
-
-        # Each request gets its own trace rooted at a ``scan.request`` span;
-        # resolution (and its fingerprint span) runs inside that context so
-        # parent-side work parents correctly before dispatch.  When a caller
-        # already holds a trace context (the HTTP API roots one span per
-        # request, the triage router runs stages under it), the roots join
-        # that trace instead of opening fresh ones — the whole escalation
-        # plan renders as one stitched tree.
-        ambient_trace, ambient_parent = TRACER.current() if tracing else ("", "")
-        checkpoint_cache: Dict[str, tuple] = {}
-        resolved: List[ResolvedScan] = []
-        roots = []
-        for request in requests:
-            root = (TRACER.begin("scan.request",
-                                 trace_id=ambient_trace or new_trace_id(),
-                                 parent_id=ambient_parent,
-                                 detector=request.detector,
-                                 checkpoint=request.checkpoint)
-                    if tracing else None)
-            with TRACER.context_of(root):
-                item = resolve_request(request,
+        ambient_trace, ambient_parent = (TRACER.current() if tracing
+                                         else ("", ""))
+        roots: List[Any] = []
+        try:
+            checkpoint_cache: Dict[str, tuple] = {}
+            resolved = []
+            for request in requests:
+                root = (TRACER.begin(root_name,
+                                     trace_id=ambient_trace or new_trace_id(),
+                                     parent_id=ambient_parent,
+                                     **root_attrs(request))
+                        if tracing else None)
+                roots.append(root)
+                try:
+                    with TRACER.context_of(root):
+                        item = resolve(request,
                                        checkpoint_cache=checkpoint_cache)
-            if root is not None:
-                item = dataclass_replace(item, trace_id=root.trace_id,
-                                         parent_span_id=root.span_id)
-            roots.append(root)
-            resolved.append(item)
-        del checkpoint_cache  # free the cached state dicts before dispatch
+                except Exception:
+                    self.metrics.failures += 1
+                    raise
+                if root is not None:
+                    item = dataclass_replace(item, trace_id=root.trace_id,
+                                             parent_span_id=root.span_id)
+                resolved.append(item)
+            del checkpoint_cache  # free the cached state dicts before dispatch
 
-        planner = CachePlanner(self.store, self.metrics)
-        results, pending = planner.plan(resolved, roots, self._served_copy,
-                                        span_name="scan.cache_lookup")
+            planner = CachePlanner(self.store, self.metrics,
+                                   record_type=record_type)
+            results, pending = planner.plan(resolved, roots,
+                                            self._served_copy,
+                                            span_name=lookup_span)
+            if pending:
+                _LOG.info("Computing %d/%d request(s) (%d served from cache) "
+                          "via the %s backend.", len(pending), len(resolved),
+                          sum(r is not None for r in results),
+                          self.backend.name)
+                fresh = execute([item for _, item in pending])
+                for (index, _), record in zip(pending, fresh):
+                    # Stitch spans recorded in another process; inline
+                    # spans are already in this process's buffer.
+                    worker_spans = record.pop_spans()
+                    if tracing:
+                        TRACER.add(worker_spans)
+                    cache = ((record.telemetry or {}).get("pool") or {}
+                             ).get("cache")
+                    if cache:
+                        self.metrics.record_activation_cache(
+                            cache.get("hits", 0), cache.get("misses", 0))
+                    self.metrics.record_miss(record.seconds)
+                    if self.store is not None:
+                        self.store.add(record)
+                    results[index] = record
 
-        if pending:
-            _LOG.info("Scanning %d/%d request(s) (%d served from cache) "
-                      "via the %s backend.", len(pending), len(resolved),
-                      sum(r is not None for r in results), self.backend.name)
-            # Mega-mode requests batch across models/checkpoints, so they run
-            # as one in-parent pool instead of fanning out to workers.
-            mega = [(index, item) for index, item in pending
-                    if item.request.inversion_mode == "mega"]
-            rest = [(index, item) for index, item in pending
-                    if item.request.inversion_mode != "mega"]
-            computed: List[Tuple[int, ScanRecord]] = []
-            if mega:
-                _LOG.info("Pooling %d mega-mode scan(s) into one mega-batch.",
-                          len(mega))
-                cache = self._mega_cache()
-                before = (cache.hits, cache.misses)
-                mega_records = execute_mega_group([item for _, item in mega],
-                                                  cache=cache)
-                self.metrics.record_activation_cache(
-                    cache.hits - before[0], cache.misses - before[1])
-                computed.extend(zip((index for index, _ in mega),
-                                    mega_records))
-            if rest:
-                fresh = self.run_jobs(execute_resolved,
-                                      [item for _, item in rest])
-                computed.extend(zip((index for index, _ in rest), fresh))
-            for index, record in computed:
-                # Stitch worker-recorded spans (pool path) into this
-                # process's buffer; serial-path spans are already here.
-                worker_spans = record.pop_spans()
-                if tracing:
-                    TRACER.add(worker_spans)
-                results[index] = record
-                self.metrics.record_latency(float(record.seconds))
-                if self.store is not None:
-                    self.store.add(record)
-
-        # Fan computed records out to duplicate requests within the batch.
-        by_key = {record.key: record for record in results if record is not None}
-        for index, item in enumerate(resolved):
-            if results[index] is None:
-                results[index] = self._served_copy(by_key[item.key], item)
-        if tracing:
+            # Fan computed records out to duplicate requests within the batch.
+            by_key = {record.key: record for record in results
+                      if record is not None}
+            for index, item in enumerate(resolved):
+                if results[index] is None:
+                    results[index] = self._served_copy(by_key[item.key],
+                                                       item)
+                    self.metrics.record_hit()
+            return results
+        except Exception as error:
             for root in roots:
-                TRACER.finish(root)
-            spans = TRACER.drain()
-            if self.span_sink:
-                write_spans(self.span_sink, spans)
-        return [record for record in results if record is not None]
+                if root is not None:
+                    root.attrs["error"] = f"{type(error).__name__}: {error}"
+            raise
+        finally:
+            if tracing:
+                for root in roots:
+                    TRACER.finish(root)
+                spans = TRACER.drain()
+                if self.span_sink:
+                    write_spans(self.span_sink, spans)
 
     def scan_one(self, request: ScanRequest) -> ScanRecord:
         """Convenience wrapper for single-request callers (the CLI)."""

@@ -189,6 +189,35 @@ class TestLifecycle:
         assert payload["status"] == "failed"
 
 
+    def test_failed_job_leaves_a_complete_trace(self, tmp_path):
+        # Resolution fails (the checkpoint names no model/dataset), yet the
+        # scan.request root is finished and written: no orphaned spans.
+        api = ApiServer(str(tmp_path / "store"), port=0).start()
+        try:
+            base = f"http://127.0.0.1:{api.port}"
+            bare = str(tmp_path / "bare.npz")
+            save_model(build_model("basic_cnn", num_classes=10, in_channels=3,
+                                   image_size=12,
+                                   rng=np.random.default_rng(5)), bare)
+            _, job = _request(base, "POST", "/v1/scans",
+                              {"checkpoint": bare, **TINY})
+            status = _poll_done(base, job["job_id"])
+            assert status["status"] == "failed"
+            code, payload = _request(base, "GET",
+                                     f"/v1/traces/{job['trace_id']}")
+        finally:
+            api.close()
+        assert code == 200
+        spans = payload["spans"]
+        roots = [s for s in spans if not s["parent_id"]]
+        assert [r["name"] for r in roots] == ["api.job"]
+        ids = {s["span_id"] for s in spans}
+        assert all(s["parent_id"] in ids for s in spans if s["parent_id"])
+        request_root = next(s for s in spans if s["name"] == "scan.request")
+        assert "metadata" in request_root["attrs"]["error"]
+        assert "scan.fingerprint" in {s["name"] for s in spans}
+
+
 # --------------------------------------------------------------------- #
 # Error contracts
 # --------------------------------------------------------------------- #

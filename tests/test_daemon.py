@@ -29,7 +29,7 @@ from repro.service import (
     execute_resolved,
 )
 from repro.service.cli import main as cli_main
-from repro.service.daemon import default_stats_path, run_scan_in_child
+from repro.service.daemon import ChildBackend, run_scan_in_child
 from repro.service.scheduler import LATENCY_WINDOW
 
 
@@ -105,6 +105,14 @@ def _save_tiny(path, seed=0):
 
 _TINY_OPTIONS = dict(classes=(0, 1, 2), clean_budget=10, samples_per_class=3,
                      iterations=2, uap_passes=1, seed=0)
+
+
+def _swap_workers(monkeypatch, scan=None, repair=None):
+    """Replace the worker functions the scheduler's batch driver dispatches."""
+    if scan is not None:
+        monkeypatch.setattr("repro.service.scheduler.execute_resolved", scan)
+    if repair is not None:
+        monkeypatch.setattr("repro.service.repair.execute_repair", repair)
 
 
 def _daemon(tmp_path, **overrides):
@@ -237,6 +245,16 @@ class TestRunScanInChild:
         with pytest.raises(RuntimeError, match="boom"):
             run_scan_in_child(_boom_scan, None, timeout=5.0)
 
+    def test_child_backend_retries_in_a_fresh_child(self, tmp_path):
+        # Retries run through the inline queue loop, each attempt in a new
+        # child; any picklable result comes back, not only records.
+        metrics = ServiceMetrics()
+        results = ChildBackend().run(_fail_once_then_double,
+                                     [(str(tmp_path / "marker"), 21)],
+                                     timeout=30.0, retries=1, metrics=metrics)
+        assert results == [42]
+        assert metrics.retries == 1 and metrics.failures == 0
+
 
 # ---------------------------------------------------------------------- #
 # Daemon loop
@@ -274,10 +292,10 @@ class TestWatchDaemon:
         assert stats["cache_hit_ratio"] == 1.0
         assert len(ShardedResultStore(str(tmp_path / "store"))) == 1
 
-    def test_retry_then_success(self, tmp_path):
+    def test_retry_then_success(self, tmp_path, monkeypatch):
         marker = str(tmp_path / "marker")
-        daemon = _daemon(tmp_path, job_timeout=120.0,
-                         scan_fn=functools.partial(_flaky_scan, marker))
+        _swap_workers(monkeypatch, scan=functools.partial(_flaky_scan, marker))
+        daemon = _daemon(tmp_path, job_timeout=120.0)
         _save_tiny(tmp_path / "drop" / "model.npz", seed=1)
         daemon.run(max_iterations=2)
         stats = daemon.stats()
@@ -286,8 +304,10 @@ class TestWatchDaemon:
         assert stats["scans_served"] == 1
         assert len(ShardedResultStore(str(tmp_path / "store"))) == 1
 
-    def test_bounded_retries_then_failure_keeps_daemon_alive(self, tmp_path):
-        daemon = _daemon(tmp_path, max_retries=1, scan_fn=_boom_scan)
+    def test_bounded_retries_then_failure_keeps_daemon_alive(self, tmp_path,
+                                                             monkeypatch):
+        _swap_workers(monkeypatch, scan=_boom_scan)
+        daemon = _daemon(tmp_path, max_retries=1)
         _save_tiny(tmp_path / "drop" / "bad.npz", seed=1)
         _save_tiny(tmp_path / "drop" / "zz_other.npz", seed=2)
         daemon.run(max_iterations=2)
@@ -299,14 +319,26 @@ class TestWatchDaemon:
         assert stats["queue_depth"] == 0
         assert len(ShardedResultStore(str(tmp_path / "store"))) == 0
 
-    def test_timeout_counts_as_failure(self, tmp_path):
-        daemon = _daemon(tmp_path, job_timeout=0.2, max_retries=0,
-                         scan_fn=_hang_scan)
+    def test_timeout_counts_as_failure(self, tmp_path, monkeypatch):
+        _swap_workers(monkeypatch, scan=_hang_scan)
+        daemon = _daemon(tmp_path, job_timeout=0.2, max_retries=0)
         _save_tiny(tmp_path / "drop" / "slow.npz", seed=1)
         start = time.monotonic()
         daemon.run(max_iterations=2)
         assert time.monotonic() - start < 10.0
         assert daemon.stats()["failures"] == 1
+
+    def test_mega_request_options_store_a_record(self, tmp_path):
+        # Mega-mode jobs travel as one mega-group job through the child.
+        options = dict(_TINY_OPTIONS, inversion_mode="mega")
+        daemon = _daemon(tmp_path, job_timeout=120.0, request_options=options)
+        _save_tiny(tmp_path / "drop" / "model.npz", seed=1)
+        daemon.run(max_iterations=2)
+        records = ShardedResultStore(str(tmp_path / "store")).records()
+        assert len(records) == 1
+        assert records[0].detection["metadata"]["mega"] == 1.0
+        assert records[0].worker_pid != os.getpid()
+        assert daemon.stats()["failures"] == 0
 
     def test_unresolvable_checkpoint_is_a_failure_not_a_crash(self, tmp_path):
         daemon = _daemon(tmp_path)
@@ -315,21 +347,23 @@ class TestWatchDaemon:
         assert daemon.stats()["failures"] == 1
 
     def test_default_stats_path(self, tmp_path):
-        assert default_stats_path(str(tmp_path / "storedir")) == str(
-            tmp_path / "storedir" / "stats.json")
-        assert default_stats_path(str(tmp_path / "s.jsonl")) == str(
-            tmp_path / "s.jsonl.stats.json")
+        # Stats follow the store's sidecar placement rules.
+        assert _daemon(tmp_path).stats_path == str(
+            tmp_path / "store" / "stats.json")
+        assert _daemon(tmp_path, store_path=str(tmp_path / "s.jsonl")
+                       ).stats_path == str(tmp_path / "s.jsonl.stats.json")
 
 
 class TestAutoRepair:
-    def _auto_daemon(self, tmp_path):
+    def _auto_daemon(self, tmp_path, monkeypatch):
+        _swap_workers(monkeypatch, scan=_fake_backdoored_scan,
+                      repair=_fake_repair)
         return _daemon(tmp_path, auto_repair=True,
-                       scan_fn=_fake_backdoored_scan, repair_fn=_fake_repair,
                        repair_options={"strategy": "unlearn",
                                        "rescan": False})
 
-    def test_flagged_checkpoint_is_auto_repaired(self, tmp_path):
-        daemon = self._auto_daemon(tmp_path)
+    def test_flagged_checkpoint_is_auto_repaired(self, tmp_path, monkeypatch):
+        daemon = self._auto_daemon(tmp_path, monkeypatch)
         _save_tiny(tmp_path / "drop" / "model.npz", seed=1)
         daemon.run(max_iterations=2)
 
@@ -347,10 +381,10 @@ class TestAutoRepair:
         assert stats["scans_served"] == 2  # the scan + the repair job
         assert stats["failures"] == 0
 
-    def test_auto_repair_cache_hit_on_rerun(self, tmp_path):
+    def test_auto_repair_cache_hit_on_rerun(self, tmp_path, monkeypatch):
         _save_tiny(tmp_path / "drop" / "model.npz", seed=1)
-        self._auto_daemon(tmp_path).run(max_iterations=2)
-        rerun = self._auto_daemon(tmp_path)
+        self._auto_daemon(tmp_path, monkeypatch).run(max_iterations=2)
+        rerun = self._auto_daemon(tmp_path, monkeypatch)
         rerun.run(max_iterations=2)
         stats = rerun.stats()
         # scan hit re-enqueues the repair, which is itself a hit

@@ -18,6 +18,8 @@ Three layers, matching the guarantees :mod:`repro.service.fleet` documents:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import shutil
 import signal
@@ -27,6 +29,7 @@ import tempfile
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -48,9 +51,47 @@ from repro.service.fleet import (
     probe_job,
     run_worker,
 )
+from repro.models import build_model
+from repro.nn.serialization import save_model
+from repro.service import ScanRequest, ScanScheduler, open_store
 from repro.service.planning import JobTimeoutError, ServiceMetrics
+from repro.service.repair import RepairRequest, execute_repair, resolve_repair
+from repro.service.scheduler import execute_mega_group, execute_resolved
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Tiny scan budgets for the real-scan fleet tests.
+TINY = dict(classes=(0, 1, 2), clean_budget=10, samples_per_class=3,
+            iterations=2, uap_passes=1)
+
+
+def _save_tiny(path, seed=0):
+    model = build_model("basic_cnn", num_classes=10, in_channels=3,
+                        image_size=12, rng=np.random.default_rng(seed))
+    save_model(model, str(path), metadata={"model": "basic_cnn",
+                                           "dataset": "cifar10",
+                                           "image_size": 12})
+    return str(path)
+
+
+def _verdict(record):
+    """A record's backend-independent payload (JSON-normalized, untimed)."""
+    detection = {k: v for k, v in record.detection.items()
+                 if k != "seconds_total"}
+    return (record.key, record.is_backdoored, tuple(record.flagged_classes),
+            json.dumps(detection, sort_keys=True))
+
+
+def _spawn_worker(store, *extra):
+    """Start one real ``python -m repro worker`` subprocess on ``store``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"),
+         env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", store, *extra],
+        env=env, cwd=REPO_ROOT,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 LEASE = 10.0
 
@@ -378,27 +419,58 @@ class TestFleetBackend:
         assert snapshot["jobs_done"] == 0
 
     def test_registered_kinds_cover_scheduler_and_repair(self):
-        from repro.service.repair import execute_repair
-        from repro.service.scheduler import execute_resolved
         assert kind_for(execute_resolved).name == "scan"
+        assert kind_for(execute_mega_group).name == "mega"
         assert kind_for(execute_repair).name == "repair"
         assert kind_for(probe_job).name == "probe"
+
+    def test_repair_payload_carries_its_resolution(self, tmp_path):
+        # The worker must not re-read the checkpoint: the wire payload alone
+        # rebuilds the submitter's resolution, key and output path.
+        ckpt = _save_tiny(tmp_path / "m.npz")
+        item = dataclasses.replace(
+            resolve_repair(RepairRequest(scan=ScanRequest(checkpoint=ckpt,
+                                                          **TINY),
+                                         strategy="prune")),
+            trace_id="a" * 16, parent_span_id="b" * 12)
+        kind = kind_for(execute_repair)
+        wire = json.loads(json.dumps(kind.encode(item)))
+        os.remove(ckpt)
+        assert kind.decode(wire) == item
+
+
+class TestFleetMegaPlacement:
+    """A mega group is one fleet job: it runs on a worker, not the submitter."""
+
+    def test_mega_group_runs_on_the_worker(self, tmp_path):
+        requests = [ScanRequest(checkpoint=_save_tiny(tmp_path / f"m{seed}.npz",
+                                                      seed=seed),
+                                inversion_mode="mega", **TINY)
+                    for seed in (0, 1)]
+        inline = ScanScheduler(backend="inline", telemetry=False).scan(requests)
+        store = str(tmp_path / "store")
+        worker = _spawn_worker(store, "--poll-interval", "0.05",
+                               "--max-jobs", "1")
+        try:
+            fleet = ScanScheduler(store=open_store(store),
+                                  backend="fleet").scan(requests)
+            assert worker.wait(timeout=120) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait(timeout=10)
+        assert [record.worker_pid for record in fleet] == [worker.pid] * 2
+        assert [_verdict(record) for record in fleet] == \
+            [_verdict(record) for record in inline]
+        assert fleet_snapshot(store)["jobs_done"] == 1
 
 
 class TestKillWorkerMidScan:
     """A SIGKILLed worker's lease expires, requeues, and a survivor finishes."""
 
     def _spawn_worker(self, store):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(REPO_ROOT, "src"),
-             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", store,
-             "--lease-seconds", "0.6", "--poll-interval", "0.05",
-             "--max-jobs", "1"],
-            env=env, cwd=REPO_ROOT,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return _spawn_worker(store, "--lease-seconds", "0.6",
+                             "--poll-interval", "0.05", "--max-jobs", "1")
 
     def _wait_for(self, check, timeout, message):
         deadline = time.monotonic() + timeout

@@ -258,6 +258,21 @@ class TestObservabilityCLI:
         assert samples["repro_scan_latency_seconds_count"][0][1] == 1.0
         assert "repro_activation_cache_hit_ratio" in samples
 
+    def test_failed_scan_still_writes_its_trace(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_model(build_model("basic_cnn", num_classes=10, in_channels=3,
+                               image_size=12, rng=np.random.default_rng(64)),
+                   "bare.npz")  # no metadata: resolution fails
+        assert cli_main(["scan", "bare.npz", "--store", "scans.jsonl"]) == 1
+        assert "metadata" in capsys.readouterr().err
+        spans = read_spans(sidecar_path("scans.jsonl", SPANS_NAME))
+        roots = [s for s in spans if not s["parent_id"]]
+        assert [s["name"] for s in roots] == ["scan.request"]
+        assert "metadata" in roots[0]["attrs"]["error"]
+        assert all(s["parent_id"] == roots[0]["span_id"]
+                   for s in spans if s["parent_id"])
+
     def test_trace_unknown_id_fails_cleanly(self, tmp_path, capsys,
                                             monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -329,6 +329,34 @@ class TestScheduler:
             ScanScheduler(workers=0).scan_one(_tiny_request(bare))
 
 
+    def test_failed_miss_is_a_failure_not_a_served_scan(self, tmp_path):
+        # Narrow weights under metadata naming the default architecture:
+        # resolution succeeds, the worker raises CheckpointMismatchError.
+        model = build_model("basic_cnn", num_classes=10, in_channels=3,
+                            image_size=12, rng=np.random.default_rng(42),
+                            conv_channels=(4, 8), hidden_dim=16)
+        ckpt = tmp_path / "mismatch.npz"
+        save_model(model, str(ckpt),
+                   metadata={"model": "basic_cnn", "dataset": "cifar10",
+                             "image_size": 12})
+        scheduler = ScanScheduler(workers=0, telemetry=False)
+        with pytest.raises(CheckpointMismatchError):
+            scheduler.scan_one(_tiny_request(ckpt))
+        snapshot = scheduler.metrics.snapshot()
+        assert (snapshot["scans_served"], snapshot["cache_misses"],
+                snapshot["failures"]) == (0, 0, 1)
+
+    def test_unresolvable_request_counts_one_failure(self, tmp_path):
+        bare = tmp_path / "bare.npz"
+        _save_tiny(bare, seed=16, metadata=False)
+        scheduler = ScanScheduler(workers=0, telemetry=False)
+        with pytest.raises(ValueError, match="metadata"):
+            scheduler.scan_one(_tiny_request(bare))
+        snapshot = scheduler.metrics.snapshot()
+        assert (snapshot["scans_served"], snapshot["cache_misses"],
+                snapshot["failures"]) == (0, 0, 1)
+
+
 # ---------------------------------------------------------------------- #
 # Fleet dispatch through the scheduler
 # ---------------------------------------------------------------------- #

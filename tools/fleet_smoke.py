@@ -7,7 +7,10 @@ Four phases, each against its own temp store:
    detectors through ``--backend inline``, then through a three-worker fleet
    (real ``python -m repro worker`` subprocesses), and asserts the fleet
    verdicts are identical to the serial ones and that every submitted fleet
-   job ended ``done`` (none lost, none failed).
+   job ended ``done`` (none lost, none failed).  A second pass repeats the
+   grid with ``inversion_mode="mega"``: its one mega-group job must match the
+   inline mega verdicts and every record must carry a fleet worker's pid,
+   not the submitter's.
 2. **Kill a worker mid-job.**  SIGKILLs a worker while it holds a lease on a
    sleeping probe job and asserts the lease expires, the job is requeued
    within its retry budget, and a freshly started worker completes it.
@@ -24,6 +27,7 @@ Run by ``make fleet-smoke`` (and CI).  Exits non-zero on any failure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -109,35 +113,53 @@ def _verdict_view(record) -> dict:
 
 
 def _phase_parity(tmp: str, checkpoints) -> int:
-    """Phase 1: three-worker fleet verdicts == inline verdicts, no lost jobs."""
+    """Phase 1: three-worker fleet verdicts == inline verdicts, no lost jobs.
+
+    Runs the grid twice — default mode, then ``inversion_mode="mega"``,
+    whose misses travel as one mega-group job that a worker must execute.
+    """
     requests = [ScanRequest(checkpoint=ckpt, detector=detector, **TINY)
                 for ckpt in checkpoints for detector in ("usb", "nc")]
+    mega_requests = [dataclasses.replace(request, inversion_mode="mega")
+                     for request in requests]
 
     inline_store = os.path.join(tmp, "store_inline")
     inline = ScanScheduler(store=open_store(inline_store), backend="inline")
     baseline = inline.scan(requests)
+    mega_baseline = inline.scan(mega_requests)
 
     fleet_store = os.path.join(tmp, "store_fleet")
     workers = [_spawn_worker(fleet_store, "--idle-timeout", "30")
                for _ in range(3)]
     try:
-        fleet = ScanScheduler(store=open_store(fleet_store),
-                              backend="fleet").scan(requests)
+        scheduler = ScanScheduler(store=open_store(fleet_store),
+                                  backend="fleet")
+        fleet = scheduler.scan(requests)
+        mega = scheduler.scan(mega_requests)
     finally:
         _reap(workers)
 
-    for position, (serial, pooled) in enumerate(zip(baseline, fleet)):
+    for position, (serial, pooled) in enumerate(
+            zip(baseline + mega_baseline, fleet + mega)):
         if _verdict_view(serial) != _verdict_view(pooled):
             return _fail(f"request {position}: fleet verdict diverged: "
                          f"{_verdict_view(serial)} != {_verdict_view(pooled)}")
+    worker_pids = {worker.pid for worker in workers}
+    misplaced = [record.worker_pid for record in mega
+                 if record.worker_pid not in worker_pids]
+    if misplaced:
+        return _fail(f"mega records ran outside the fleet: pids {misplaced} "
+                     f"(workers {sorted(worker_pids)}, submitter "
+                     f"{os.getpid()})")
     snapshot = fleet_snapshot(fleet_store)
-    if snapshot["jobs_done"] != len(requests):
+    if snapshot["jobs_done"] != len(requests) + 1:
         return _fail(f"lost jobs: {snapshot['jobs_done']} done of "
-                     f"{len(requests)} submitted ({snapshot})")
+                     f"{len(requests) + 1} submitted ({snapshot})")
     if snapshot["jobs_failed"] or snapshot["jobs_queued"]:
         return _fail(f"fleet left failed/queued jobs behind: {snapshot}")
-    print(f"  parity : {len(requests)} scans, fleet == inline verdicts, "
-          f"{snapshot['jobs_done']} done / 0 lost")
+    print(f"  parity : {len(requests)} scans + {len(mega)} mega scans in one "
+          f"group job, fleet == inline verdicts, {snapshot['jobs_done']} "
+          "done / 0 lost, mega ran on a worker")
     return 0
 
 
