@@ -15,16 +15,17 @@ The service layer turns the in-process detectors into throughput:
 * :mod:`repro.service.planning` — the backend-independent planning core:
   the prioritized :class:`JobQueue`, :class:`ServiceMetrics`, and the
   shared cache-lookup planner every execution path reuses;
-* :mod:`repro.service.backends` — :class:`ExecutionBackend` and its
-  ``inline`` / ``pool`` implementations (pick via :func:`create_backend`);
+* :mod:`repro.service.backends` — :class:`ExecutionBackend`, serial
+  ``inline`` and ``pool``, which runs each job attempt in a forked child
+  it kills at the deadline (pick via :func:`create_backend`);
 * :mod:`repro.service.fleet` — the lease-based distributed worker fleet:
   a store-adjacent shared job queue (:class:`FleetQueue`), the
   ``python -m repro worker`` process (:class:`FleetWorker`), and the
   ``fleet`` execution backend (:class:`FleetBackend`);
 * :mod:`repro.service.scheduler` — :class:`ScanScheduler`, which resolves
   cache keys in the parent and hands misses to its execution backend
-  (process pool by default) with per-job timeouts and bounded retries,
-  accumulating :class:`ServiceMetrics`;
+  (``pool`` when ``workers > 1``) with per-job timeouts and bounded
+  retries, accumulating :class:`ServiceMetrics`;
 * :mod:`repro.service.repair` — cacheable detect -> repair -> verify jobs
   (:class:`RepairRequest` / :func:`run_repairs`) wrapping
   :mod:`repro.mitigation`, with atomically written repaired checkpoints and
@@ -53,7 +54,7 @@ from .backends import (
     PoolBackend,
     create_backend,
 )
-from .daemon import ChildBackend, CheckpointWatcher, DaemonConfig, WatchDaemon
+from .daemon import CheckpointWatcher, DaemonConfig, WatchDaemon
 from .fleet import (
     FleetBackend,
     FleetQueue,
@@ -104,7 +105,6 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "PoolBackend",
-    "ChildBackend",
     "FleetBackend",
     "FleetQueue",
     "FleetWorker",

@@ -11,7 +11,7 @@ over the existing scheduler + store stack:
   (``fastest|cheapest|thorough``) to run the
   :mod:`~repro.service.routing` triage plan instead of a single detector.
 * ``GET /v1/jobs/<id>`` — job status (``queued/running/done/failed``)
-  with attempt/retry bookkeeping and the job's trace id.
+  with the job's trace id and, once failed, its error.
 * ``GET /v1/jobs/<id>/result`` — the full result payload: record JSON
   including the telemetry block, plus the triage ``cost_breakdown`` for
   routed scans.
@@ -27,8 +27,9 @@ over the existing scheduler + store stack:
 job table under its lock, and push onto the queue; one dispatcher thread
 pops jobs and drives the (single-threaded) :class:`ScanScheduler`, so
 store writes stay single-writer while N clients submit and poll
-concurrently.  ``/metrics`` never touches the dispatcher's store handle:
-it replays the store from disk per request.
+concurrently; retries are the scheduler's (``job_retries``).  ``/metrics``
+never touches the dispatcher's store handle: it replays the store from
+disk per request.
 
 **Tracing.**  Every submitted job is assigned a trace id up front (it is
 returned by the submit call); the dispatcher roots an ``api.job`` span
@@ -89,14 +90,11 @@ class ApiJob:
     request: Any
     #: Triage strategy for routed scans (``None`` = plain single-detector).
     strategy: Optional[str] = None
-    #: ``queued`` -> ``running`` -> ``done`` | ``failed`` (a retried job
-    #: goes back to ``queued``).
+    #: ``queued`` -> ``running`` -> ``done`` | ``failed``.
     status: str = "queued"
-    #: Executions started so far (1 on the first run; retries increment).
-    attempts: int = 0
     #: Result payload once ``done`` (record dict, or triage dict).
     result: Optional[Dict[str, Any]] = None
-    #: Last error message once ``failed`` (or between retries).
+    #: Error message once ``failed``.
     error: Optional[str] = None
     created_at: str = ""
     started_at: Optional[str] = None
@@ -110,8 +108,6 @@ class ApiJob:
             "tenant": self.tenant,
             "priority": self.priority,
             "status": self.status,
-            "attempts": self.attempts,
-            "retries": max(0, self.attempts - 1),
             "strategy": self.strategy,
             "trace_id": self.trace_id,
             "error": self.error,
@@ -125,9 +121,18 @@ class _BadRequest(ValueError):
     """A submit payload the server must answer with 400."""
 
 
+def _priority(payload: Dict[str, Any]) -> int:
+    """A submit body's queue ``priority`` (default 0) as an integer."""
+    try:
+        return int(payload.get("priority", 0))
+    except (TypeError, ValueError, OverflowError) as error:
+        raise _BadRequest(f"'priority' must be an integer: {error}") from error
+
+
 def _parse_scan_submit(payload: Dict[str, Any]
-                       ) -> Tuple[ScanRequest, Optional[str]]:
-    """Parse a ``POST /v1/scans`` body into (request, strategy)."""
+                       ) -> Tuple[ScanRequest, Optional[str], int]:
+    """Parse a ``POST /v1/scans`` body into (request, strategy, priority)."""
+    priority = _priority(payload)
     strategy = payload.get("strategy")
     if strategy is not None:
         strategy = str(strategy).lower()
@@ -140,11 +145,13 @@ def _parse_scan_submit(payload: Dict[str, Any]
         request = ScanRequest.from_dict(payload)
     except (TypeError, ValueError) as error:
         raise _BadRequest(str(error)) from error
-    return request, strategy
+    return request, strategy, priority
 
 
-def _parse_repair_submit(payload: Dict[str, Any]) -> RepairRequest:
+def _parse_repair_submit(payload: Dict[str, Any]
+                         ) -> Tuple[RepairRequest, int]:
     """Parse a ``POST /v1/repairs`` body (nested ``scan`` or flat)."""
+    priority = _priority(payload)
     body = dict(payload)
     if "scan" not in body:
         if not body.get("checkpoint"):
@@ -152,7 +159,7 @@ def _parse_repair_submit(payload: Dict[str, Any]) -> RepairRequest:
                               "or a top-level 'checkpoint' path")
         body["scan"] = {k: v for k, v in body.items()}
     try:
-        return RepairRequest.from_dict(body)
+        return RepairRequest.from_dict(body), priority
     except (TypeError, KeyError, ValueError) as error:
         raise _BadRequest(str(error)) from error
 
@@ -167,7 +174,8 @@ class ApiServer:
         port: Bind port; ``0`` picks an ephemeral port (see :attr:`port`).
         workers: Scheduler pool size (``0``/``1`` runs scans inline on the
             dispatcher thread).
-        job_retries: Times a failed job is re-queued before ``failed``.
+        job_retries: The scheduler's retry budget per failed job attempt
+            (the fleet spends it through its lease tables).
         telemetry: Tracing/profiling toggle (``None`` follows
             ``REPRO_TELEMETRY``).
         backend: Execution backend spec (``inline`` / ``pool`` / ``fleet``)
@@ -185,8 +193,8 @@ class ApiServer:
         self.span_sink = sidecar_path(self.store_path, SPANS_NAME)
         self.scheduler = ScanScheduler(
             store=open_store(self.store_path), workers=workers,
-            telemetry=telemetry, span_sink=self.span_sink, backend=backend)
-        self.job_retries = int(job_retries)
+            job_retries=job_retries, telemetry=telemetry,
+            span_sink=self.span_sink, backend=backend)
         self.queue = JobQueue(thread_safe=True)
         self._jobs: Dict[str, ApiJob] = {}
         self._jobs_lock = threading.Lock()
@@ -298,29 +306,17 @@ class ApiServer:
                 continue
             with self._jobs_lock:
                 job.status = "running"
-                job.attempts = queued.attempts + 1
                 job.started_at = _utc_now()
-                job.error = None
             try:
                 result = self._execute(job)
             except Exception as error:  # noqa: BLE001  # repro-lint: disable=exception-hygiene
                 # Any job failure (bad checkpoint, detector crash) must be
                 # reported to the polling client, never kill the dispatcher.
-                message = f"{type(error).__name__}: {error}"
+                _LOG.warning("job %s failed: %s", job.job_id, error)
                 with self._jobs_lock:
-                    if queued.attempts < self.job_retries:
-                        job.status = "queued"
-                        job.error = message
-                        self.queue.requeue(queued)
-                        _LOG.warning("job %s failed (%s); retrying "
-                                     "(attempt %d/%d).", job.job_id, message,
-                                     queued.attempts + 1, self.job_retries + 1)
-                    else:
-                        job.status = "failed"
-                        job.error = message
-                        job.finished_at = _utc_now()
-                        _LOG.warning("job %s failed permanently: %s",
-                                     job.job_id, message)
+                    job.status = "failed"
+                    job.error = f"{type(error).__name__}: {error}"
+                    job.finished_at = _utc_now()
                 continue
             with self._jobs_lock:
                 job.status = "done"
@@ -538,13 +534,13 @@ class _Handler(BaseHTTPRequestHandler):
         if payload is None:
             return self._last_code
         try:
-            request, strategy = _parse_scan_submit(payload)
+            request, strategy, priority = _parse_scan_submit(payload)
         except _BadRequest as error:
             return self._send_error(400, str(error))
         job = self.api.submit(
             "scan", request, tenant=str(payload.get("tenant",
                                                     DEFAULT_TENANT)),
-            priority=int(payload.get("priority", 0)), strategy=strategy)
+            priority=priority, strategy=strategy)
         return self._send_json(202, job.status_dict())
 
     def _post_repair(self) -> int:
@@ -552,13 +548,13 @@ class _Handler(BaseHTTPRequestHandler):
         if payload is None:
             return self._last_code
         try:
-            request = _parse_repair_submit(payload)
+            request, priority = _parse_repair_submit(payload)
         except _BadRequest as error:
             return self._send_error(400, str(error))
         job = self.api.submit(
             "repair", request, tenant=str(payload.get("tenant",
                                                       DEFAULT_TENANT)),
-            priority=int(payload.get("priority", 0)))
+            priority=priority)
         return self._send_json(202, job.status_dict())
 
     def _get_job(self, job_id: str) -> int:

@@ -4,12 +4,11 @@ The planning core (:mod:`repro.service.planning`) decides *what* to run;
 an :class:`ExecutionBackend` decides *where*.  Three implementations ship:
 
 * :class:`InlineBackend` — serial, in-process: jobs run in queue order in
-  the caller, bit-identical to the pool path minus the process hop (the
-  test suite's default, and the fallback for single-job batches);
-* :class:`PoolBackend` — a ``ProcessPoolExecutor`` per batch with per-job
-  wall-clock timeouts, bounded retries, and stuck-worker exclusion (a
-  timed-out running task cannot be preempted, so its worker is excluded
-  from further dispatch rather than queued behind);
+  the caller and retry in place (the test suite's default; a per-job
+  timeout cannot be enforced there);
+* :class:`PoolBackend` — one forked child per job attempt, at most
+  ``workers`` at once: an attempt still running at its deadline is killed,
+  and a failed, killed or crashed attempt is retried in a fresh child;
 * :class:`~repro.service.fleet.FleetBackend` — independent worker
   processes pulling from a store-adjacent shared queue with lease-based
   ownership (imported lazily via :func:`create_backend` so the scheduler
@@ -20,13 +19,17 @@ All three satisfy the same contract — ``run(fn, payloads)`` returns
 budget and raising the last error once it is spent — so
 :class:`~repro.service.scheduler.ScanScheduler`, the repair driver, the
 watch daemon, and the HTTP API dispatch through a backend without caring
-which one the operator selected (``--backend inline|pool|fleet``).
+which one the operator selected (``--backend inline|pool|fleet``).  Retry
+and timeout policy lives here and in the fleet's lease tables, nowhere else.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
+import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..utils.logging import get_logger
@@ -40,13 +43,17 @@ _LOG = get_logger("repro.service.backends")
 #: Backend specs accepted by :func:`create_backend` (and the CLI flag).
 BACKEND_NAMES = ("inline", "pool", "fleet")
 
+#: Pool children are forked, so a job function never has to pickle; only
+#: its result (or exception) crosses the pipe back.
+_FORK = multiprocessing.get_context("fork")
+
 
 class ExecutionBackend:
     """Contract every execution backend implements.
 
-    A backend turns a sequence of picklable payloads and a module-level
-    function into results, preserving order, with bounded retries.  It owns
-    no resolve/cache logic — callers hand it already-planned work.
+    A backend turns a sequence of payloads and a module-level function into
+    results, preserving order, with bounded retries.  It owns no
+    resolve/cache logic — callers hand it already-planned work.
     """
 
     #: Short identifier rendered in logs, metrics, and ``repro report``.
@@ -58,12 +65,12 @@ class ExecutionBackend:
         """Apply ``fn`` to every payload, preserving order.
 
         Args:
-            fn: Module-level callable (must pickle for process-based
-                backends).
+            fn: Module-level callable (the fleet looks it up by its
+                registered job kind).
             payloads: Job inputs; results come back in the same order.
-            timeout: Per-job wall-clock budget in seconds (``None``
+            timeout: Per-attempt wall-clock budget in seconds (``None``
                 disables it; inline execution cannot be preempted, so only
-                process-based backends enforce it).
+                the pool enforces it).
             retries: Retry budget per job — a failed job is re-queued up to
                 this many times before its last error fails the batch.
             metrics: Optional counters to update (``retries`` /
@@ -74,37 +81,36 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release backend resources (no-op by default)."""
-
     def __repr__(self) -> str:
         """``<BackendClass 'name'>`` for logs and debugging."""
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _run_serial(fn: Callable[[Any], Any], queue: JobQueue,
-                results: List[Any], retries: int,
-                metrics: ServiceMetrics) -> None:
-    """Drain ``queue`` inline: run each job in the caller, retrying in place."""
-    while queue:
-        job = queue.pop()
-        index, payload = job.payload
-        try:
-            results[index] = fn(payload)
-        except Exception:
-            if job.attempts < retries:
-                metrics.retries += 1
-                queue.requeue(job)
-                continue
-            metrics.failures += 1
-            raise
+def _queued(payloads: Sequence[Any]) -> Tuple[JobQueue, List[Any]]:
+    """A FIFO queue of ``(index, payload)`` jobs and a result slot per job."""
+    queue = JobQueue()
+    for index, payload in enumerate(payloads):
+        queue.push((index, payload))
+    return queue, [None] * len(queue)
+
+
+def _requeue(queue: JobQueue, job: QueuedJob, error: BaseException,
+             retries: int, metrics: ServiceMetrics) -> bool:
+    """Requeue a failed attempt while budget remains (True), else count it."""
+    if job.attempts < retries:
+        _LOG.warning("Retrying job %d after %s", job.payload[0], error)
+        metrics.retries += 1
+        queue.requeue(job)
+        return True
+    metrics.failures += 1
+    return False
 
 
 class InlineBackend(ExecutionBackend):
     """Serial in-process execution: the deterministic fallback path.
 
     Jobs run in queue order inside the calling process — bit-identical to
-    the pool path (pool workers fork with the same seeds), just without the
+    the pool path (children fork with the same seeds), just without the
     process hop, which also means a per-job ``timeout`` cannot be enforced.
     """
 
@@ -114,30 +120,53 @@ class InlineBackend(ExecutionBackend):
             timeout: Optional[float] = None, retries: int = 0,
             metrics: Optional[ServiceMetrics] = None) -> List[Any]:
         """Run every payload inline, in queue order (see the base contract)."""
-        items = list(payloads)
+        queue, results = _queued(payloads)
         metrics = metrics if metrics is not None else ServiceMetrics()
-        queue = JobQueue()
-        for index, payload in enumerate(items):
-            queue.push((index, payload))
-        results: List[Any] = [None] * len(items)
-        _run_serial(fn, queue, results, int(retries), metrics)
+        while queue:
+            job = queue.pop()
+            try:
+                results[job.payload[0]] = fn(job.payload[1])
+            except Exception as error:
+                if _requeue(queue, job, error, int(retries), metrics):
+                    continue
+                raise
         return results
 
 
+def _attempt(sender: Connection, fn: Callable[[Any], Any],
+             payload: Any) -> None:
+    """Child entry: run one attempt, send ``(error, result)`` up the pipe."""
+    try:
+        sender.send((None, fn(payload)))
+    # Process boundary: the error is forwarded to the parent, which retries
+    # or re-raises it; one that cannot be pickled becomes a RuntimeError.
+    except Exception as error:  # repro-lint: disable=exception-hygiene
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:  # repro-lint: disable=exception-hygiene
+            error = RuntimeError(f"{type(error).__name__}: {error}")
+        sender.send((error, None))
+
+
+def _stop(receiver: Connection, child: Any) -> None:
+    """Kill ``child`` (a no-op once it has exited), reap it, close its pipe."""
+    child.kill()
+    child.join()
+    receiver.close()
+
+
 class PoolBackend(ExecutionBackend):
-    """Process-pool execution with timeouts, retries, and stuck exclusion.
+    """Forked-child execution: a fresh, killable process per job attempt.
 
     Args:
-        workers: Pool size ceiling; a batch never spawns more workers than
-            it has jobs.  Batches of one job (or ``workers <= 1``) fall
-            back to inline execution — the process hop buys nothing there.
+        workers: Children running at once (at least one).
 
-    A fresh ``ProcessPoolExecutor`` is created per batch, so :meth:`close`
-    has nothing persistent to release.  A job that exceeds ``timeout`` is
-    marked failed/retryable, but a *running* task cannot be preempted: its
-    worker is counted stuck, excluded from further dispatch, and only
-    reclaimed at pool shutdown (the watch daemon uses killable child
-    processes instead; see :class:`repro.service.daemon.ChildBackend`).
+    Each attempt sends its result, or its exception, back over a one-way
+    pipe; :meth:`run` raises the exception again with its own type.  An
+    attempt still running at its ``timeout`` is killed, and a failed, killed
+    or crashed attempt reruns in a fresh child while the ``retries`` budget
+    lasts.  Children still running when the batch fails are killed before
+    :meth:`run` returns, so no work outlives the call.
     """
 
     def __init__(self, workers: int) -> None:
@@ -147,82 +176,51 @@ class PoolBackend(ExecutionBackend):
     def run(self, fn: Callable[[Any], Any], payloads: Sequence[Any],
             timeout: Optional[float] = None, retries: int = 0,
             metrics: Optional[ServiceMetrics] = None) -> List[Any]:
-        """Run the batch across a fresh process pool (see the base contract)."""
-        items = list(payloads)
-        retries = int(retries)
+        """Run each attempt in a fresh, killable child (see the base contract)."""
+        queue, results = _queued(payloads)
         metrics = metrics if metrics is not None else ServiceMetrics()
-        queue = JobQueue()
-        for index, payload in enumerate(items):
-            queue.push((index, payload))
-        results: List[Any] = [None] * len(items)
-        if self.workers <= 1 or len(items) <= 1:
-            _run_serial(fn, queue, results, retries, metrics)
-            return results
-
-        max_workers = min(self.workers, len(items))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        running: Dict[Any, Tuple[QueuedJob, float]] = {}
-        #: Workers presumed wedged on a timed-out task (a pool cannot preempt
-        #: a running job).  They shrink the dispatch capacity so queued jobs
-        #: are never submitted behind a stuck worker — where their timeout
-        #: clock would run without the job ever starting.
-        stuck = 0
+        budget = math.inf if timeout is None else float(timeout)
+        #: Receiving pipe end of each live attempt -> (job, child, deadline).
+        running: Dict[Connection, Tuple[QueuedJob, Any, float]] = {}
         try:
-
-            def _dispatch() -> None:
-                while queue and len(running) < max_workers - stuck:
+            while queue or running:
+                while queue and len(running) < max(1, self.workers):
                     job = queue.pop()
-                    future = pool.submit(fn, job.payload[1])
-                    running[future] = (job, time.monotonic())
-
-            _dispatch()
-            while running:
-                expiries = [started + timeout for _, started in running.values()
-                            ] if timeout is not None else []
-                wait_budget = (max(0.0, min(expiries) - time.monotonic())
-                               if expiries else None)
-                done, _ = wait(set(running), timeout=wait_budget,
-                               return_when=FIRST_COMPLETED)
+                    receiver, sender = _FORK.Pipe(duplex=False)
+                    child = _FORK.Process(target=_attempt,
+                                          args=(sender, fn, job.payload[1]))
+                    child.start()
+                    sender.close()
+                    running[receiver] = (job, child, time.monotonic() + budget)
+                first = min(deadline for _, _, deadline in running.values())
+                ready = wait(list(running), timeout=None if timeout is None
+                             else max(0.0, first - time.monotonic()))
                 now = time.monotonic()
-                expired = [future for future, (_, started) in running.items()
-                           if timeout is not None and future not in done
-                           and now - started >= timeout]
-                for future in list(done) + expired:
-                    job, _started = running.pop(future)
-                    error: Optional[BaseException] = None
-                    if future in done:
-                        error = future.exception()
-                        if error is None:
-                            results[job.payload[0]] = future.result()
-                            continue
-                    else:
-                        if not future.cancel():
-                            # Already running: that worker is occupied until
-                            # the abandoned task finishes, if it ever does.
-                            stuck += 1
+                for receiver, (job, child, deadline) in list(running.items()):
+                    if receiver in ready:
+                        try:
+                            error, result = receiver.recv()
+                        except EOFError:  # the child died without answering
+                            child.join()
+                            error = RuntimeError(
+                                f"job {job.payload[0]} worker died without "
+                                f"a result (exit code {child.exitcode}).")
+                    elif now >= deadline:
                         error = JobTimeoutError(
-                            f"job {job.payload[0]} exceeded {timeout:.1f}s "
-                            f"(attempt {job.attempts + 1}).")
-                    if job.attempts < retries:
-                        _LOG.warning("Retrying job %d after %s", job.payload[0],
-                                     error)
-                        metrics.retries += 1
-                        queue.requeue(job)
+                            f"job {job.payload[0]} exceeded {budget:.1f}s "
+                            f"and was killed (attempt {job.attempts + 1}).")
                     else:
-                        metrics.failures += 1
+                        continue
+                    del running[receiver]
+                    _stop(receiver, child)
+                    if error is None:
+                        results[job.payload[0]] = result
+                    elif not _requeue(queue, job, error, int(retries),
+                                      metrics):
                         raise error
-                _dispatch()
-            if queue:
-                # Every worker is wedged on an abandoned task; the queued
-                # remainder can never start.
-                metrics.failures += 1
-                raise JobTimeoutError(
-                    f"{len(queue)} queued job(s) starved: all {max_workers} "
-                    "worker(s) are stuck on timed-out jobs.")
         finally:
-            # With wedged workers a wait=True shutdown would block forever;
-            # abandon the pool instead (its processes die with the parent).
-            pool.shutdown(wait=stuck == 0, cancel_futures=stuck > 0)
+            for receiver, (_, child, _) in running.items():
+                _stop(receiver, child)
         return results
 
 

@@ -178,9 +178,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="Worker processes; 0/1 runs scans inline (serial).")
     parser.add_argument("--backend", default=None, choices=list(BACKEND_NAMES),
                         help="Execution backend: inline (serial), pool "
-                             "(process pool sized by --workers), or fleet "
-                             "(store-adjacent shared queue drained by "
-                             "'python -m repro worker' processes). Default: "
+                             "(a forked child per job, --workers at once), "
+                             "or fleet (store-adjacent shared queue drained "
+                             "by 'python -m repro worker' processes). Default: "
                              "pool when --workers > 1, else inline.")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="Emit machine-readable JSON instead of tables.")
@@ -278,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Disable trace spans, per-phase profiling, and "
                             "the metrics.prom export.")
     watch.add_argument("--backend", default=None,
-                       choices=["child"] + list(BACKEND_NAMES),
-                       help="Job execution backend: child (killable child "
-                            "process per scan, the default), fleet (hand "
-                            "jobs to 'python -m repro worker' processes), "
-                            "or inline/pool.")
+                       choices=list(BACKEND_NAMES),
+                       help="Job execution backend: pool (a killable "
+                            "forked child per attempt, the default), fleet "
+                            "(hand jobs to 'python -m repro worker' "
+                            "processes), or inline.")
     _add_scan_options(watch)
     watch.add_argument("--store", default=DEFAULT_STORE,
                        help="Result store; use a directory for the sharded "
@@ -309,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Scheduler worker processes; 0/1 runs scans "
                             "inline on the dispatcher thread.")
     serve.add_argument("--retries", type=int, default=1,
-                       help="Retry budget per failed job before it is "
-                            "marked failed.")
+                       help="Scheduler retry budget per failed job attempt "
+                            "before the job is marked failed.")
     serve.add_argument("--no-telemetry", action="store_true",
                        help="Disable trace spans and per-phase profiling.")
     serve.add_argument("--backend", default=None,

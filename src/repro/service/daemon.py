@@ -12,11 +12,11 @@ served, cache-hit ratio, p50/p95 scan latency, failure and retry counts) is
 rewritten atomically after every loop iteration for ``python -m repro
 report`` and external monitors to consume.
 
-Unlike the pool path of :meth:`ScanScheduler.run_jobs`, the daemon's
-scheduler executes each job in a dedicated child process it can *kill*
-(:class:`ChildBackend`): a hung scan is terminated at its deadline, retried
-at once in a fresh child up to the configured budget, and counted as a
-failure past it, while the loop keeps serving the rest of the queue.
+The daemon's scheduler runs on the ``pool`` backend by default, one job at a
+time: each attempt runs in a forked child that is *killed* at its deadline,
+a failed or killed attempt is retried at once in a fresh child up to the
+configured budget and counted as a failure past it, while the loop keeps
+serving the rest of the queue.
 
 A checkpoint is only enqueued once its (mtime, size) signature has stayed
 stable for ``settle_polls`` consecutive polls, so half-copied files are never
@@ -27,27 +27,23 @@ its fingerprint, so the store treats it as a new model).
 from __future__ import annotations
 
 import fnmatch
-import functools
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import build_service_registry
 from ..obs.trace import TRACER, new_trace_id
 from ..utils.logging import get_logger
-from .backends import InlineBackend
 from .locks import atomic_write
-from .planning import ServiceMetrics
 from .records import ScanRequest
 from .repair import RepairRequest, run_repairs
-from .scheduler import JobQueue, JobTimeoutError, ScanScheduler, _utc_now
+from .scheduler import JobQueue, ScanScheduler, _utc_now
 from .store import METRICS_NAME, SPANS_NAME, STATS_NAME, open_store, sidecar_path
 
-__all__ = ["CheckpointWatcher", "ChildBackend", "DaemonConfig", "WatchDaemon",
-           "ScanJob", "RepairJob", "run_scan_in_child"]
+__all__ = ["CheckpointWatcher", "DaemonConfig", "WatchDaemon", "ScanJob",
+           "RepairJob"]
 
 _LOG = get_logger("repro.service.daemon")
 
@@ -160,10 +156,10 @@ class DaemonConfig:
             layout; an extension-less path creates a sharded store).
         detectors: Detectors run against every checkpoint.
         poll_interval: Seconds between directory polls.
-        job_timeout: Wall-clock budget per scan; the child process running a
-            scan is killed at the deadline.  ``None`` disables the limit.
+        job_timeout: Wall-clock budget per job attempt; the ``pool`` child
+            running it is killed at the deadline.  ``None`` disables it.
         max_retries: Bounded retry budget per job after a failure or
-            timeout; each retry runs at once in a fresh child.
+            timeout; on ``pool`` each retry runs at once in a fresh child.
         settle_polls: See :class:`CheckpointWatcher`.
         patterns: File-name patterns treated as checkpoints.
         stats_path: Stats endpoint file (default: ``stats.json`` beside the
@@ -180,11 +176,11 @@ class DaemonConfig:
         telemetry: Record trace spans (``spans.jsonl`` beside the store) and
             export ``metrics.prom`` each cycle.  ``None`` follows the
             ``REPRO_TELEMETRY`` environment switch.
-        backend: Execution backend for queued jobs: ``None``/``"child"``
-            keeps the daemon's killable child processes (the historical
-            behavior), ``"fleet"`` hands jobs to the store-adjacent worker
-            fleet (see :mod:`repro.service.fleet`), and ``"inline"`` runs
-            them in the daemon process (tests; timeouts unenforceable).
+        backend: Execution backend for queued jobs: ``None``/``"pool"``
+            runs each attempt in a killable forked child, one at a time;
+            ``"fleet"`` hands jobs to the store-adjacent worker fleet (see
+            :mod:`repro.service.fleet`), and ``"inline"`` runs them in the
+            daemon process (tests; timeouts unenforceable).
     """
 
     watch_dir: str
@@ -203,94 +199,15 @@ class DaemonConfig:
     backend: Optional[str] = None
 
 
-def _child_entry(conn, fn, payload) -> None:
-    """Child-process entry: run one job, ship the result (or error) back."""
-    try:
-        conn.send(("ok", fn(payload)))
-    # Process boundary: every failure (incl. KeyboardInterrupt/SystemExit)
-    # is serialized onto the pipe so the parent can log/retry it — nothing
-    # is swallowed, it is forwarded.
-    except BaseException as error:  # repro-lint: disable=exception-hygiene
-        conn.send(("error", f"{type(error).__name__}: {error}"))
-    finally:
-        conn.close()
-
-
-def run_scan_in_child(fn: Callable[[Any], Any], payload: Any,
-                      timeout: Optional[float]) -> Any:
-    """Execute ``fn(payload)`` in a killable child process.
-
-    Args:
-        fn: Module-level job callable (a scan, mega-group or repair worker
-            in production).
-        payload: Its single argument.
-        timeout: Seconds before the child is terminated; ``None`` waits
-            forever.
-
-    Returns:
-        The child's result, which must pickle (records and record lists
-        do, trace spans included).
-
-    Raises:
-        JobTimeoutError: the deadline passed (the child is killed first).
-        RuntimeError: the child reported an error or died without answering.
-    """
-    parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-    process = multiprocessing.Process(target=_child_entry,
-                                      args=(child_conn, fn, payload))
-    process.start()
-    child_conn.close()
-    try:
-        if not parent_conn.poll(timeout):
-            process.terminate()
-            process.join()
-            raise JobTimeoutError(
-                f"job exceeded {timeout:.1f}s and was killed.")
-        try:
-            status, result = parent_conn.recv()
-        except EOFError:
-            raise RuntimeError("job worker died without reporting a result "
-                               f"(exit code {process.exitcode}).") from None
-        if status != "ok":
-            raise RuntimeError(f"job worker failed: {result}")
-        return result
-    finally:
-        parent_conn.close()
-        process.join()
-
-
-class ChildBackend(InlineBackend):
-    """Killable-child execution: one dedicated process per job attempt.
-
-    The daemon's execution model behind the
-    :class:`~repro.service.backends.ExecutionBackend` contract: each attempt
-    runs in a child process that is *terminated* at its deadline, so a hung
-    detector cannot wedge the loop the way it wedges a pool worker.  Retries
-    go through :class:`~repro.service.backends.InlineBackend`'s queue loop:
-    a failed or killed attempt is re-run at once in a fresh child, up to the
-    ``retries`` budget.
-    """
-
-    name = "child"
-
-    def run(self, fn: Callable[..., Any], payloads: Sequence[Any],
-            timeout: Optional[float] = None, retries: int = 0,
-            metrics: Optional[ServiceMetrics] = None) -> List[Any]:
-        """Run each payload in its own killable child (see the base contract)."""
-        return super().run(functools.partial(run_scan_in_child, fn,
-                                              timeout=timeout),
-                           payloads, retries=retries, metrics=metrics)
-
-
 class WatchDaemon:
     """The ``python -m repro watch`` loop: poll, enqueue, scan, publish stats.
 
     Args:
         config: See :class:`DaemonConfig`.  The daemon builds its
             :class:`~repro.service.scheduler.ScanScheduler` around
-            ``config.store_path`` — a :class:`ChildBackend` (or the
-            configured backend), the job timeout, ``max_retries`` as the
-            retry budget, and the store's span sidecar; that scheduler's
+            ``config.store_path`` — the configured backend (``pool`` by
+            default), the job timeout, ``max_retries`` as the retry budget,
+            and the store's span sidecar; that scheduler's
             :class:`~repro.service.scheduler.ServiceMetrics` is what the
             stats endpoint publishes.
     """
@@ -299,14 +216,12 @@ class WatchDaemon:
         self.config = config
         self.spans_path = sidecar_path(config.store_path, SPANS_NAME)
         self.metrics_path = sidecar_path(config.store_path, METRICS_NAME)
-        backend = (ChildBackend() if config.backend in (None, "child")
-                   else config.backend)
         self.scheduler = ScanScheduler(store=open_store(config.store_path),
                                        job_timeout=config.job_timeout,
                                        job_retries=config.max_retries,
                                        telemetry=config.telemetry,
                                        span_sink=self.spans_path,
-                                       backend=backend)
+                                       backend=config.backend or "pool")
         self.telemetry = self.scheduler.telemetry
         if self.telemetry:
             TRACER.enable()
@@ -357,15 +272,15 @@ class WatchDaemon:
     def _process(self, job: Union[ScanJob, RepairJob]) -> None:
         """Run one queued job through the scheduler's batch driver.
 
-        The driver does the cache lookup, the child-process execution with
-        its retries, the store append and the metrics; this method only
+        The scheduler does the cache lookup, the backend execution with its
+        retries, the store append and the metrics; this method only
         builds the request under a ``daemon.job`` root span.  Scan jobs that
         come back BACKDOORED enqueue an auto-repair job (when
         ``auto_repair`` is on) behind the remaining scans.
         """
         is_repair = isinstance(job, RepairJob)
         # Each job is one trace: the scheduler's request root and whatever
-        # the child process records hang under this daemon.job span.
+        # the worker process records hang under this daemon.job span.
         root = (TRACER.begin("daemon.job", trace_id=new_trace_id(),
                              checkpoint=job.checkpoint, detector=job.detector,
                              kind="repair" if is_repair else "scan")

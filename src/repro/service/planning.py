@@ -27,6 +27,7 @@ import heapq
 import threading
 from bisect import bisect_left, insort
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
@@ -45,9 +46,9 @@ LATENCY_WINDOW = 1024
 class JobTimeoutError(RuntimeError):
     """A job exceeded its wall-clock budget (and its retry budget, if any).
 
-    Raised by the pool backend for per-job timeouts, and by the fleet
-    backend when a job's lease expired past its retry budget — both are the
-    same operational condition: the work did not finish inside its bound.
+    Raised by the pool backend for an attempt it killed at its deadline, and
+    by the fleet backend when a job's lease expired past its retry budget —
+    the same operational condition: the work did not finish in its bound.
     """
 
 
@@ -90,19 +91,18 @@ class JobQueue:
         Returns:
             The :class:`QueuedJob` wrapper (useful for later :meth:`requeue`).
         """
-        if self._cond is None:
-            return self._push(payload, priority, attempts=0)
-        with self._cond:
-            job = self._push(payload, priority, attempts=0)
-            self._cond.notify()
-            return job
+        return self._push(payload, priority, attempts=0)
 
     def _push(self, payload: Any, priority: int, attempts: int) -> QueuedJob:
-        job = QueuedJob(priority=int(priority), sequence=self._sequence,
-                        payload=payload, attempts=attempts)
-        self._sequence += 1
-        heapq.heappush(self._heap, job)
-        return job
+        """Insert one job, under the condition variable when there is one."""
+        with self._cond or nullcontext():
+            job = QueuedJob(priority=int(priority), sequence=self._sequence,
+                            payload=payload, attempts=attempts)
+            self._sequence += 1
+            heapq.heappush(self._heap, job)
+            if self._cond is not None:
+                self._cond.notify()
+            return job
 
     def pop(self, block: bool = False,
             timeout: Optional[float] = None) -> QueuedJob:
@@ -123,14 +123,7 @@ class JobQueue:
 
     def requeue(self, job: QueuedJob) -> QueuedJob:
         """Re-enqueue a failed job behind same-priority peers, counting the attempt."""
-        if self._cond is None:
-            return self._push(job.payload, job.priority,
-                              attempts=job.attempts + 1)
-        with self._cond:
-            retry = self._push(job.payload, job.priority,
-                               attempts=job.attempts + 1)
-            self._cond.notify()
-            return retry
+        return self._push(job.payload, job.priority, attempts=job.attempts + 1)
 
     def __len__(self) -> int:
         """Number of queued (not yet popped) jobs."""

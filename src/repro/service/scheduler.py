@@ -27,11 +27,12 @@ worker replays the same RNG sequence for the same request.
 **Layering.**  This module owns *planning*: request resolution, cache keys,
 store lookups, and batch bookkeeping.  Where the planned work actually runs
 is an :class:`~repro.service.backends.ExecutionBackend` — serial
-(``inline``), process pool (``pool``), or the lease-coordinated worker
-fleet (``fleet``, :mod:`repro.service.fleet`) — selected per scheduler via
-the ``backend`` argument (every CLI entry point exposes it as
-``--backend``).  Queue/retry/timeout machinery lives in
-:mod:`repro.service.planning`; :class:`JobQueue`, :class:`QueuedJob`,
+(``inline``), a killable forked child per job attempt (``pool``), or the
+lease-coordinated worker fleet (``fleet``, :mod:`repro.service.fleet`) —
+selected per scheduler via the ``backend`` argument (every CLI entry point
+exposes it as ``--backend``).  The backends own retry and timeout policy;
+queue and metrics bookkeeping lives in :mod:`repro.service.planning`;
+:class:`JobQueue`, :class:`QueuedJob`,
 :class:`JobTimeoutError`, :class:`ServiceMetrics`, and
 :data:`LATENCY_WINDOW` are re-exported here for compatibility.
 
@@ -333,8 +334,8 @@ def _scan_record(resolved: ResolvedScan, detection) -> ScanRecord:
 def execute_resolved(resolved: ResolvedScan) -> ScanRecord:
     """Run one already-resolved scan: the worker-side half of a request.
 
-    Runs inside pool workers, fleet workers and daemon children (and inline
-    for the serial fallback); must stay module-level and depend only on the
+    Runs inside pool children and fleet workers (and inline for the serial
+    fallback); must stay module-level and depend only on the
     picklable ``resolved`` payload.  The checkpoint is loaded exactly once
     here — the fingerprint and cache key were computed during resolution,
     so no re-hashing happens in the worker.
@@ -386,7 +387,7 @@ def execute_mega_group(group: Sequence[ResolvedScan]) -> List[ScanRecord]:
     in the same pool (each job keeps its own MAD selection group, so
     verdicts match the per-model path exactly).  The scheduler sends the
     whole group to its backend as *one* job, so it runs on a fleet worker
-    or in a daemon child under that job's timeout and retry budget.
+    or in a killable pool child under that job's timeout and retry budget.
 
     Per-request setup replays :func:`execute_resolved` exactly — fresh RNG
     from the request seed, same checkpoint load, same clean sample — so a
@@ -444,11 +445,11 @@ class ScanScheduler:
     Args:
         store: Optional result store (any :func:`repro.service.open_store`
             layout); without one every request is computed fresh.
-        workers: Pool size for the default (``pool``) backend.
-            ``workers <= 1`` is the serial fallback: jobs run inline in the
-            parent, in queue order — bit-identical to the pool path
-            (workers are forked with the same seeds), just without the
-            process hop.
+        workers: Children the ``pool`` backend runs at once.  With the
+            default backend, ``workers <= 1`` is the serial fallback: jobs
+            run inline in the parent, in queue order — bit-identical to the
+            pool path (children are forked with the same seeds), just
+            without the process hop.
         job_timeout: Default per-job wall-clock budget (seconds) for
             :meth:`run_jobs` on the pool path; ``None`` disables it.
         job_retries: Default retry budget per job — a failed (or timed-out)
@@ -463,9 +464,8 @@ class ScanScheduler:
         backend: Where planned jobs execute — an
             :class:`~repro.service.backends.ExecutionBackend` instance or a
             spec string (``inline`` / ``pool`` / ``fleet``).  ``None`` (the
-            default) keeps the historical behavior: a process pool sized by
-            ``workers``, falling back to inline execution for small
-            batches.  ``fleet`` requires a store (its queue lives next to
+            default) picks ``pool`` when ``workers > 1``, else ``inline``.
+            ``fleet`` requires a store (its queue lives next to
             it) and verdicts stay identical across backends — only the
             processes doing the work change.
     """
@@ -525,8 +525,8 @@ class ScanScheduler:
         leases), failing the batch.
 
         Args:
-            fn: Module-level callable (must pickle for the pool path; must
-                have a registered job kind for the fleet path).
+            fn: Module-level callable (its result must pickle on the pool
+                path; it needs a registered job kind for the fleet path).
             payloads: Job inputs; results come back in the same order.
             timeout: Per-job budget override (default: ``job_timeout``).
                 Inline (serial) execution cannot be preempted, so the budget

@@ -9,8 +9,10 @@ the API's multi-tenant queueing leans on are pinned separately with a
 hypothesis state-machine-style fuzz plus a threaded stress test.
 """
 
+import functools
 import heapq
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -24,7 +26,8 @@ from hypothesis import strategies as st
 from repro.models import build_model
 from repro.nn.serialization import save_model
 from repro.obs.metrics import parse_prometheus_text
-from repro.service import JobQueue, ScanRequest, ScanScheduler, open_store
+from repro.service import (JobQueue, ScanRequest, ScanScheduler,
+                           execute_resolved, open_store)
 from repro.service.api import ApiServer
 from repro.service.cli import main as cli_main
 
@@ -62,6 +65,15 @@ def _request(base, method, path, payload=None):
         return code, json.loads(body)
     except json.JSONDecodeError:
         return code, body
+
+
+def _flaky_execute(marker, resolved):
+    """Fails on the first attempt, then delegates to the real scan."""
+    if not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write("attempted")
+        raise RuntimeError("transient failure")
+    return execute_resolved(resolved)
 
 
 def _poll_done(base, job_id, timeout=120.0):
@@ -105,8 +117,6 @@ class TestLifecycle:
         assert job["trace_id"]
         status = _poll_done(base, job["job_id"])
         assert status["status"] == "done"
-        assert status["attempts"] == 1
-        assert status["retries"] == 0
         code, payload = _request(base, "GET",
                                  f"/v1/jobs/{job['job_id']}/result")
         assert code == 200
@@ -174,19 +184,36 @@ class TestLifecycle:
         assert record["strategy"] == "prune"
         assert isinstance(record["success"], bool)
 
-    def test_failed_job_reports_error_and_retry_count(self, base):
+    def test_missing_checkpoint_fails_at_its_single_resolution_attempt(
+            self, server, base):
         _, job = _request(base, "POST", "/v1/scans",
                           {"checkpoint": "missing.npz", **TINY})
         status = _poll_done(base, job["job_id"])
         assert status["status"] == "failed"
-        assert status["error"]
-        # job_retries=1 on the fixture server: first run + one retry.
-        assert status["attempts"] == 2
-        assert status["retries"] == 1
+        assert "missing.npz" in status["error"]
+        # Resolution runs once in the dispatcher: the scheduler's retry
+        # budget covers backend attempts, not an unreadable checkpoint.
+        metrics = server.scheduler.metrics
+        assert (metrics.failures, metrics.retries) == (1, 0)
         code, payload = _request(base, "GET",
                                  f"/v1/jobs/{job['job_id']}/result")
         assert code == 200
         assert payload["status"] == "failed"
+
+    def test_inline_attempt_failing_once_ends_done(self, server, base,
+                                                   tmp_path, monkeypatch):
+        # job_retries=1 on the fixture server is the scheduler's budget:
+        # the inline backend retries the failed attempt in place.
+        monkeypatch.setattr(
+            "repro.service.scheduler.execute_resolved",
+            functools.partial(_flaky_execute, str(tmp_path / "marker")))
+        ckpt = _save_tiny(tmp_path / "m.npz")
+        _, job = _request(base, "POST", "/v1/scans",
+                          {"checkpoint": ckpt, **TINY})
+        status = _poll_done(base, job["job_id"])
+        assert status["status"] == "done", status["error"]
+        metrics = server.scheduler.metrics
+        assert (metrics.failures, metrics.retries) == (0, 1)
 
 
     def test_failed_job_leaves_a_complete_trace(self, tmp_path):
@@ -254,6 +281,29 @@ class TestErrorContracts:
         assert code == 400
         code, body = _request(base, "POST", "/v1/scans")
         assert code == 400 and "empty" in body["error"]
+
+    def test_non_integer_priority_400(self, base):
+        routes = ("/v1/scans", "/v1/repairs")
+        for route in routes:
+            for priority in ("high", None):
+                code, body = _request(base, "POST", route,
+                                      {"checkpoint": "x.npz",
+                                       "priority": priority})
+                assert code == 400 and "priority" in body["error"]
+        # Every rejected request is counted (the counter is bumped right
+        # after the response is written, so give the handlers a moment).
+        deadline = time.monotonic() + 5.0
+        while True:
+            _, text = _request(base, "GET", "/metrics")
+            counted = {labels["route"]: value for labels, value in
+                       parse_prometheus_text(text)["repro_http_requests_total"]
+                       if labels["code"] == "400"}
+            if counted == {route: 2 for route in routes} or \
+                    time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert counted == {route: 2 for route in routes}
+        assert _request(base, "GET", "/healthz") == (200, {"status": "ok"})
 
     def test_wrong_method_405(self, base):
         assert _request(base, "GET", "/v1/scans")[0] == 405

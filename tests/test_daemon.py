@@ -7,7 +7,9 @@ feature under test); the end-to-end smoke runs a real tiny scan through
 
 import functools
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.service import (
     DaemonConfig,
     JobQueue,
     JobTimeoutError,
+    PoolBackend,
     RepairRecord,
     ScanRecord,
     ScanScheduler,
@@ -29,7 +32,6 @@ from repro.service import (
     execute_resolved,
 )
 from repro.service.cli import main as cli_main
-from repro.service.daemon import ChildBackend, run_scan_in_child
 from repro.service.scheduler import LATENCY_WINDOW
 
 
@@ -67,6 +69,37 @@ def _fail_once_then_double(payload):
             handle.write("attempted")
         raise RuntimeError("transient")
     return value * 2
+
+
+def _kill_once_then_double(payload):
+    """SIGKILLs its own process on the first attempt, then doubles."""
+    marker, value = payload
+    if not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write("attempted")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * 2
+
+
+class _NeedsTwoArgs(Exception):
+    """Pickles, but cannot be rebuilt from its args when unpickled."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _raise_unpicklable(_):
+    raise _NeedsTwoArgs(1, 2)
+
+
+def _fail_once_then_pids(marker):
+    """Fails on the first attempt; the retry returns both attempts' pids."""
+    if not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write(str(os.getpid()))
+        raise RuntimeError("transient")
+    with open(marker) as handle:
+        return int(handle.read()), os.getpid()
 
 
 def _fake_backdoored_scan(resolved):
@@ -185,6 +218,29 @@ class TestRunJobsRetries:
             scheduler.run_jobs(_sleep_seconds, [0.01, 1.2], timeout=0.3)
         assert scheduler.metrics.failures == 1
 
+    def test_pool_retries_a_killed_worker(self, tmp_path):
+        # A SIGKILLed attempt is a crash like any other: retried in a
+        # fresh child, not a broken pool.
+        scheduler = ScanScheduler(workers=2, job_retries=1)
+        markers = [str(tmp_path / f"k{i}") for i in range(2)]
+        results = scheduler.run_jobs(_kill_once_then_double,
+                                     [(markers[0], 1), (markers[1], 2)])
+        assert results == [2, 4]
+        assert scheduler.metrics.retries == 2
+        assert scheduler.metrics.failures == 0
+
+    def test_pool_kills_hung_attempts_and_retries_them(self):
+        scheduler = ScanScheduler(workers=2)
+        start = time.monotonic()
+        with pytest.raises(JobTimeoutError, match="attempt 2"):
+            scheduler.run_jobs(_sleep_seconds, [15, 15], timeout=0.5,
+                               retries=1)
+        assert time.monotonic() - start < 5.0
+        # Both retries really ran, and no child outlives the call.
+        assert multiprocessing.active_children() == []
+        assert scheduler.metrics.retries == 2
+        assert scheduler.metrics.failures == 1
+
 
 # ---------------------------------------------------------------------- #
 # Checkpoint watcher
@@ -232,27 +288,33 @@ class TestCheckpointWatcher:
 
 
 # ---------------------------------------------------------------------- #
-# Child-process scans: hard timeout
+# Child-process scans: every pool attempt runs in a killable child
 # ---------------------------------------------------------------------- #
 class TestRunScanInChild:
     def test_timeout_kills_the_child(self):
         start = time.monotonic()
         with pytest.raises(JobTimeoutError):
-            run_scan_in_child(_hang_scan, None, timeout=0.3)
+            PoolBackend(workers=1).run(_hang_scan, [None], timeout=0.3)
         assert time.monotonic() - start < 5.0  # killed, not waited out
+        assert multiprocessing.active_children() == []
 
     def test_child_error_is_reported(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            run_scan_in_child(_boom_scan, None, timeout=5.0)
+        # The worker's exception comes back with its own type and message.
+        with pytest.raises(RuntimeError, match="^boom$"):
+            PoolBackend(workers=1).run(_boom_scan, [None], timeout=5.0)
 
-    def test_child_backend_retries_in_a_fresh_child(self, tmp_path):
-        # Retries run through the inline queue loop, each attempt in a new
-        # child; any picklable result comes back, not only records.
+    def test_unpicklable_error_becomes_a_named_runtime_error(self):
+        with pytest.raises(RuntimeError, match="^_NeedsTwoArgs: 1/2$"):
+            PoolBackend(workers=1).run(_raise_unpicklable, [None])
+
+    def test_pool_retries_in_a_fresh_child(self, tmp_path):
+        # The failed attempt goes back through the queue and reruns in a
+        # new child; any picklable result comes back, not only records.
         metrics = ServiceMetrics()
-        results = ChildBackend().run(_fail_once_then_double,
-                                     [(str(tmp_path / "marker"), 21)],
-                                     timeout=30.0, retries=1, metrics=metrics)
-        assert results == [42]
+        [(first, second)] = PoolBackend(workers=1).run(
+            _fail_once_then_pids, [str(tmp_path / "marker")], timeout=30.0,
+            retries=1, metrics=metrics)
+        assert len({first, second, os.getpid()}) == 3
         assert metrics.retries == 1 and metrics.failures == 0
 
 
@@ -280,6 +342,7 @@ class TestWatchDaemon:
         for field in ("cache_hit_ratio", "failures", "retries", "queue_depth",
                       "iterations", "updated_at", "store_path"):
             assert field in stats
+        assert stats["backend"] == "pool"
 
     def test_second_daemon_serves_from_cache(self, tmp_path):
         _save_tiny(tmp_path / "drop" / "model.npz", seed=1)
@@ -329,7 +392,7 @@ class TestWatchDaemon:
         assert daemon.stats()["failures"] == 1
 
     def test_mega_request_options_store_a_record(self, tmp_path):
-        # Mega-mode jobs travel as one mega-group job through the child.
+        # Mega-mode jobs travel as one mega-group job through a pool child.
         options = dict(_TINY_OPTIONS, inversion_mode="mega")
         daemon = _daemon(tmp_path, job_timeout=120.0, request_options=options)
         _save_tiny(tmp_path / "drop" / "model.npz", seed=1)

@@ -289,6 +289,28 @@ class TestScheduler:
             assert (left.to_detection_result().per_class_l1
                     == right.to_detection_result().per_class_l1)
 
+    def test_pool_runs_a_mega_group_in_a_child(self, tmp_path):
+        # The whole mega group is one job, and on the pool it runs in a
+        # forked child (killable under the job timeout), not in the caller.
+        requests = []
+        for seed in (23, 24):
+            _save_tiny(tmp_path / f"m{seed}.npz", seed=seed)
+            requests.append(_tiny_request(tmp_path / f"m{seed}.npz",
+                                          inversion_mode="mega"))
+        inline = ScanScheduler(backend="inline", telemetry=False).scan(requests)
+        pooled = ScanScheduler(backend="pool", telemetry=False).scan(requests)
+        assert len(pooled) == 2
+        assert all(record.worker_pid != os.getpid() for record in pooled)
+
+        def verdict(record):
+            detection = {k: v for k, v in record.detection.items()
+                         if k != "seconds_total"}
+            return (record.key, record.is_backdoored,
+                    tuple(record.flagged_classes),
+                    json.dumps(detection, sort_keys=True))
+
+        assert [verdict(r) for r in pooled] == [verdict(r) for r in inline]
+
     def test_resolution_uses_metadata_and_validates(self, tmp_path):
         ckpt = tmp_path / "m.npz"
         _save_tiny(ckpt, seed=14)
@@ -463,6 +485,25 @@ class TestCLI:
                          "--no-store", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 1 and payload[0]["detector"] == "USB"
+
+    def test_pool_grid_keeps_the_worker_error_type(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # Narrow weights under metadata naming the default architecture:
+        # each pool child raises CheckpointMismatchError, which must come
+        # back as that ValueError (the CLI's clean-error path), not a
+        # generic RuntimeError.
+        monkeypatch.chdir(tmp_path)
+        model = build_model("basic_cnn", num_classes=10, in_channels=3,
+                            image_size=12, rng=np.random.default_rng(43),
+                            conv_channels=(4, 8), hidden_dim=16)
+        save_model(model, "mismatch.npz",
+                   metadata={"model": "basic_cnn", "dataset": "cifar10",
+                             "image_size": 12})
+        assert cli_main(["grid", "mismatch.npz", "--detectors", "usb,nc",
+                         "--workers", "2", "--no-store", "--classes", "0,1,2",
+                         "--iterations", "2", "--clean-budget", "10",
+                         "--samples-per-class", "3"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_clean_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
