@@ -11,6 +11,11 @@ reusable heap instead of being mmap'd and returned to the kernel on every
 free — without this, batches beyond ~1 MB per intermediate hit a page-fault
 cliff that makes per-sample cost ~5x worse.  Set ``REPRO_NO_MALLOC_TUNING=1``
 to disable.
+
+Thread tuning is not done on import: :mod:`repro.nn.blas` exposes
+``share_cores(n)``, which executors running side by side on one host
+(``pool`` children, fleet workers) call to shrink their OpenBLAS pool to
+one ``n``-th of the cores.  Single-process paths keep the full pool.
 """
 
 import ctypes as _ctypes

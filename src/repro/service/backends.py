@@ -8,7 +8,10 @@ an :class:`ExecutionBackend` decides *where*.  Three implementations ship:
   timeout cannot be enforced there);
 * :class:`PoolBackend` — one forked child per job attempt, at most
   ``workers`` at once: an attempt still running at its deadline is killed,
-  and a failed, killed or crashed attempt is retried in a fresh child;
+  and a failed, killed or crashed attempt is retried in a fresh child.
+  Each child sizes its BLAS pool to its share of the cores
+  (:func:`repro.nn.blas.share_cores` over the children that can run at
+  once), so side-by-side attempts do not oversubscribe the host;
 * :class:`~repro.service.fleet.FleetBackend` — independent worker
   processes pulling from a store-adjacent shared queue with lease-based
   ownership (imported lazily via :func:`create_backend` so the scheduler
@@ -32,6 +35,7 @@ import time
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..nn.blas import share_cores
 from ..utils.logging import get_logger
 from .planning import JobQueue, JobTimeoutError, QueuedJob, ServiceMetrics
 
@@ -133,9 +137,14 @@ class InlineBackend(ExecutionBackend):
         return results
 
 
-def _attempt(sender: Connection, fn: Callable[[Any], Any],
-             payload: Any) -> None:
-    """Child entry: run one attempt, send ``(error, result)`` up the pipe."""
+def _attempt(sender: Connection, fn: Callable[[Any], Any], payload: Any,
+             executors: int) -> None:
+    """Child entry: run one attempt, send ``(error, result)`` up the pipe.
+
+    The child first sizes its BLAS pool to one of ``executors`` shares of
+    the host's cores.
+    """
+    share_cores(executors)
     try:
         sender.send((None, fn(payload)))
     # Process boundary: the error is forwarded to the parent, which retries
@@ -162,7 +171,9 @@ class PoolBackend(ExecutionBackend):
         workers: Children running at once (at least one).
 
     Each attempt sends its result, or its exception, back over a one-way
-    pipe; :meth:`run` raises the exception again with its own type.  An
+    pipe; :meth:`run` raises the exception again with its own type.  A
+    child keeps ``1 / min(workers, jobs in the batch)`` of the host's cores
+    for its BLAS pool, so a single-job batch keeps them all.  An
     attempt still running at its ``timeout`` is killed, and a failed, killed
     or crashed attempt reruns in a fresh child while the ``retries`` budget
     lasts.  Children still running when the batch fails are killed before
@@ -180,15 +191,18 @@ class PoolBackend(ExecutionBackend):
         queue, results = _queued(payloads)
         metrics = metrics if metrics is not None else ServiceMetrics()
         budget = math.inf if timeout is None else float(timeout)
+        slots = max(1, self.workers)
+        executors = min(slots, len(queue))
         #: Receiving pipe end of each live attempt -> (job, child, deadline).
         running: Dict[Connection, Tuple[QueuedJob, Any, float]] = {}
         try:
             while queue or running:
-                while queue and len(running) < max(1, self.workers):
+                while queue and len(running) < slots:
                     job = queue.pop()
                     receiver, sender = _FORK.Pipe(duplex=False)
-                    child = _FORK.Process(target=_attempt,
-                                          args=(sender, fn, job.payload[1]))
+                    child = _FORK.Process(
+                        target=_attempt,
+                        args=(sender, fn, job.payload[1], executors))
                     child.start()
                     sender.close()
                     running[receiver] = (job, child, time.monotonic() + budget)

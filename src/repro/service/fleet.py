@@ -9,7 +9,7 @@ with name ``fleet``):
   ``error`` / ``failed``), results riding inline on ``done`` lines;
 * ``fleet/leases.jsonl`` — ownership events (``acquire`` / ``renew`` /
   ``release`` / ``requeue``) and worker presence (``online`` /
-  ``heartbeat`` / ``offline``).
+  ``heartbeat`` / ``offline``, each stamped with the worker's host).
 
 Every mutation appends one line under a single advisory
 :class:`~repro.service.locks.FileLock` (``fleet/locks/fleet.lock``) using
@@ -29,6 +29,14 @@ lease can never publish over the current owner (no double ownership), and
 a submitted job always ends ``done`` or ``failed`` (no lost jobs) — the
 invariants ``tests/test_fleet.py`` drives with hypothesis.
 
+**Liveness and the host's cores.**  A worker stays live for its TTL after
+its last heartbeat, and every acquire and lease renewal is one, so a
+worker busy on a long job still counts.  Each claim carries the number of
+live workers announced from the claiming worker's host (itself included),
+and the worker sizes its BLAS pool to that share of the cores before it
+runs the job (:func:`repro.nn.blas.share_cores`), so N workers on one box
+do not oversubscribe it.
+
 :class:`FleetBackend` adapts the queue to the
 :class:`~repro.service.backends.ExecutionBackend` contract: payloads are
 encoded per registered :class:`JobKind` (scan / mega group / repair /
@@ -46,6 +54,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Dict, List, Optional
 from uuid import uuid4
 
+from ..nn.blas import share_cores, threads
 from ..utils.logging import get_logger
 from .backends import ExecutionBackend
 from .planning import JobTimeoutError, ServiceMetrics
@@ -201,19 +210,21 @@ def _decode_resolved_repair(payload: Dict[str, Any]) -> ResolvedRepair:
 
 
 def probe_job(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Diagnostic fleet job: sleep, maybe fail, report the executing pid.
+    """Diagnostic fleet job: sleep, maybe fail, report pid and BLAS pool.
 
     The smoke harness and the kill-a-worker test use probes to exercise the
     lease machinery without paying for a model scan.  ``payload`` knobs:
     ``sleep`` (seconds), ``fail`` (error message to raise), ``value``
-    (echoed back).
+    (echoed back).  The result also carries ``blas_threads``, the
+    executing process's BLAS pool size (``None`` without OpenBLAS).
     """
     duration = float(payload.get("sleep", 0.0) or 0.0)
     if duration > 0:
         time.sleep(duration)
     if payload.get("fail"):
         raise RuntimeError(str(payload["fail"]))
-    return {"value": payload.get("value"), "pid": os.getpid()}
+    return {"value": payload.get("value"), "pid": os.getpid(),
+            "blas_threads": threads()}
 
 
 register_kind(JobKind(
@@ -292,6 +303,9 @@ class FleetClaim:
     attempts: int
     retries: int
     deadline: float
+    #: Live workers announced from the claiming worker's host, itself
+    #: included (presence events without a host count as another host).
+    host_workers: int
 
 
 class FleetQueue:
@@ -317,7 +331,11 @@ class FleetQueue:
             production uses ``time.time`` so deadlines are comparable
             across machines sharing a filesystem).
         reader_id: Label stamped on requeue/fail events this reader writes
-            (defaults to ``<hostname>:<pid>``).
+            (defaults to ``<host>:<pid>``).
+
+    Attributes:
+        host: Host name stamped on this instance's presence events
+            (``os.uname().nodename``); claims count live workers per host.
     """
 
     def __init__(self, store_path: str, lock_timeout: Optional[float] = 30.0,
@@ -325,7 +343,8 @@ class FleetQueue:
                  reader_id: Optional[str] = None) -> None:
         self.path = fleet_dir(store_path)
         self.clock = clock
-        self.reader_id = reader_id or f"{os.uname().nodename}:{os.getpid()}"
+        self.host = os.uname().nodename
+        self.reader_id = reader_id or f"{self.host}:{os.getpid()}"
         self._mutex = threading.RLock()
         self._lock = FileLock(os.path.join(self.path, "locks", "fleet.lock"),
                               timeout=lock_timeout)
@@ -334,7 +353,7 @@ class FleetQueue:
         self._offsets = {self._jobs_path: 0, self._leases_path: 0}
         self._jobs: Dict[str, FleetJob] = {}
         self._sequence = 0
-        #: worker id -> (pid, liveness deadline, offline flag).
+        #: worker id -> [pid, liveness deadline, offline flag, host].
         self._workers: Dict[str, List[Any]] = {}
         self._leases_expired = 0
         self._leases_requeued = 0
@@ -418,7 +437,8 @@ class FleetQueue:
                     self._workers[worker][2] = True
                 return
             self._workers[worker] = [event.get("pid"),
-                                     float(event.get("deadline", 0.0)), False]
+                                     float(event.get("deadline", 0.0)), False,
+                                     event.get("host")]
             return
         job = self._jobs.get(event.get("job", ""))
         if job is None:
@@ -429,6 +449,9 @@ class FleetQueue:
             job.deadline = float(event.get("deadline", 0.0))
         elif name == "renew":
             job.deadline = float(event.get("deadline", 0.0))
+            worker = self._workers.get(event.get("worker", ""))
+            if worker is not None and "worker_deadline" in event:
+                worker[1] = float(event["worker_deadline"])
         elif name == "requeue":
             job.owner = None
             self._leases_requeued += 1
@@ -463,6 +486,12 @@ class FleetQueue:
                     "event": "requeue", "job": job.job_id,
                     "by": self.reader_id, "reason": "expired"})
         self._refresh()
+
+    def _live_hosts(self) -> List[Optional[str]]:
+        """The host of every live worker, one entry per worker (lock held)."""
+        now = self.clock()
+        return [host for _, deadline, offline, host in self._workers.values()
+                if not offline and deadline > now]
 
     def _require_owner(self, job_id: str, worker: str) -> FleetJob:
         """The live job leased to ``worker``, or raise :class:`LeaseLostError`."""
@@ -523,7 +552,7 @@ class FleetQueue:
             if online:
                 self._append(self._leases_path, {
                     "event": "online", "worker": worker, "pid": int(pid),
-                    "deadline": self.clock() + float(ttl)})
+                    "host": self.host, "deadline": self.clock() + float(ttl)})
             else:
                 self._append(self._leases_path, {
                     "event": "offline", "worker": worker})
@@ -536,11 +565,13 @@ class FleetQueue:
         One locked round trip: heartbeat the worker, reap expired leases
         (possibly requeueing work this very call then claims), pick the
         lowest ``(priority, sequence)`` queued job, and stamp its lease.
+        The claim counts the live workers on this queue's host.
         """
         with self._mutex, self._lock:
             self._refresh()
             self._append(self._leases_path, {
                 "event": "heartbeat", "worker": worker, "pid": int(pid),
+                "host": self.host,
                 "deadline": self.clock() + float(worker_ttl or
                                                  3 * lease_seconds)})
             self._refresh()
@@ -557,10 +588,17 @@ class FleetQueue:
             self._refresh()
             return FleetClaim(job_id=job.job_id, kind=job.kind,
                               payload=job.payload, attempts=job.attempts,
-                              retries=job.retries, deadline=job.deadline)
+                              retries=job.retries, deadline=job.deadline,
+                              host_workers=self._live_hosts().count(
+                                  self.host))
 
-    def renew(self, job_id: str, worker: str, lease_seconds: float) -> float:
+    def renew(self, job_id: str, worker: str, lease_seconds: float,
+              worker_ttl: Optional[float] = None) -> float:
         """Extend a held lease; returns the new deadline.
+
+        A renewal is also a heartbeat: it extends the worker's liveness by
+        ``worker_ttl`` (default ``3 * lease_seconds``, as on acquire), so a
+        worker busy on a long job stays live.
 
         Raises:
             LeaseLostError: The lease expired and was requeued (or finished
@@ -573,7 +611,9 @@ class FleetQueue:
             deadline = self.clock() + float(lease_seconds)
             self._append(self._leases_path, {
                 "event": "renew", "job": job_id, "worker": worker,
-                "deadline": deadline})
+                "deadline": deadline,
+                "worker_deadline": self.clock() + float(worker_ttl or
+                                                        3 * lease_seconds)})
             self._refresh()
             return deadline
 
@@ -630,9 +670,6 @@ class FleetQueue:
         with self._mutex, self._lock:
             self._refresh()
             self._reap()
-            now = self.clock()
-            live = sum(1 for pid, deadline, offline in self._workers.values()
-                       if not offline and deadline > now)
             by_status: Dict[str, int] = {"queued": 0, "leased": 0, "done": 0,
                                          "failed": 0}
             depth: Dict[str, int] = {}
@@ -642,7 +679,7 @@ class FleetQueue:
                     depth[job.tenant] = depth.get(job.tenant, 0) + 1
             return {
                 "backend": "fleet",
-                "workers_live": live,
+                "workers_live": len(self._live_hosts()),
                 "workers_seen": len(self._workers),
                 "leases_held": by_status["leased"],
                 "leases_expired_total": self._leases_expired,
@@ -672,6 +709,10 @@ def fleet_snapshot(store_path: str) -> Optional[Dict[str, Any]]:
 # ---------------------------------------------------------------------- #
 class FleetWorker:
     """One fleet worker: pull, lease, heartbeat, execute, publish, repeat.
+
+    Before each job the worker sizes its BLAS pool to its share of the
+    host's cores, one share per live worker announced from this host (the
+    claim's ``host_workers``), and logs the size whenever it changes.
 
     Args:
         store_path: Store whose fleet tables to serve.
@@ -704,19 +745,29 @@ class FleetWorker:
         self.max_jobs = max_jobs
         self.idle_timeout = idle_timeout
         self.jobs_executed = 0
+        #: Liveness TTL stamped on announce, acquire and every renewal.
+        self._ttl = 3 * self.heartbeat_seconds + self.lease_seconds
+        self._blas_threads: Optional[int] = None
 
     def _renewal_loop(self, job_id: str, stop: threading.Event,
                       lost: threading.Event) -> None:
         """Heartbeat thread body: renew until stopped or the lease is lost."""
         while not stop.wait(self.heartbeat_seconds):
             try:
-                self.queue.renew(job_id, self.worker_id, self.lease_seconds)
+                self.queue.renew(job_id, self.worker_id, self.lease_seconds,
+                                 worker_ttl=self._ttl)
             except LeaseLostError:
                 lost.set()
                 return
 
     def _execute(self, claim: FleetClaim) -> None:
         """Run one claimed job under lease renewal and publish the outcome."""
+        blas_threads = share_cores(claim.host_workers)
+        if blas_threads != self._blas_threads:
+            _LOG.info("%s: BLAS pool sized to %d thread(s) for %d live "
+                      "worker(s) on this host.", self.worker_id, blas_threads,
+                      claim.host_workers)
+            self._blas_threads = blas_threads
         stop = threading.Event()
         lost = threading.Event()
         renewer = threading.Thread(
@@ -764,8 +815,7 @@ class FleetWorker:
 
     def run(self) -> int:
         """Serve the queue until ``max_jobs`` / ``idle_timeout``; returns jobs run."""
-        self.queue.announce(self.worker_id, os.getpid(),
-                            ttl=3 * self.heartbeat_seconds + self.lease_seconds)
+        self.queue.announce(self.worker_id, os.getpid(), ttl=self._ttl)
         _LOG.info("%s: serving fleet at %s (lease %.1fs, heartbeat %.1fs).",
                   self.worker_id, self.queue.path, self.lease_seconds,
                   self.heartbeat_seconds)
@@ -774,7 +824,7 @@ class FleetWorker:
             while True:
                 claim = self.queue.acquire(
                     self.worker_id, os.getpid(), self.lease_seconds,
-                    worker_ttl=3 * self.heartbeat_seconds + self.lease_seconds)
+                    worker_ttl=self._ttl)
                 if claim is None:
                     if self.idle_timeout is not None and \
                             time.monotonic() - last_work >= self.idle_timeout:

@@ -240,6 +240,43 @@ class TestFleetQueue:
         assert snapshot["queue_depth"] == {"acme": 2, "zeta": 1}
         assert running in queue.poll()
 
+    def test_busy_worker_stays_live_while_renewing(self, store, clock):
+        # The worker defaults: lease 30 s, heartbeat 10 s, TTL 3 x 10 + 30.
+        ttl = 60.0
+        queue = make_queue(store, clock)
+        job_id = queue.submit("probe", {})
+        queue.announce("w1", pid=1, ttl=ttl)
+        queue.acquire("w1", pid=1, lease_seconds=30.0, worker_ttl=ttl)
+        for _ in range(8):  # 80 s on one job, longer than the TTL
+            clock.advance(10.0)
+            queue.renew(job_id, "w1", 30.0, worker_ttl=ttl)
+        snapshot = queue.snapshot()
+        assert (snapshot["workers_live"], snapshot["leases_held"]) == (1, 1)
+        assert queue.poll([job_id])[job_id].status == "leased"
+        queue.complete(job_id, "w1", {})
+        clock.advance(ttl - 1.0)
+        assert queue.snapshot()["workers_live"] == 1
+        clock.advance(2.0)  # one TTL after the last renewal, no heartbeat
+        assert queue.snapshot()["workers_live"] == 0
+
+    def test_claim_counts_live_workers_on_this_host(self, store, clock):
+        queue = make_queue(store, clock)
+        remote = make_queue(store, clock, reader_id="remote")
+        remote.host = "elsewhere"
+        queue.announce("expired", pid=9, ttl=5.0)
+        clock.advance(6.0)
+        assert queue.acquire("w2", pid=2, lease_seconds=LEASE) is None
+        remote.announce("remote", pid=3, ttl=60.0)
+        with open(os.path.join(fleet_dir(store), "leases.jsonl"), "a",
+                  encoding="utf-8") as handle:  # written before hosts existed
+            handle.write(json.dumps({
+                "event": "heartbeat", "worker": "legacy", "pid": 4,
+                "deadline": clock.now + 60.0, "ts": clock.now}) + "\n")
+        queue.submit("probe", {})
+        claim = queue.acquire("w1", pid=1, lease_seconds=LEASE)
+        assert claim.host_workers == 2  # w1 and w2
+        assert queue.snapshot()["workers_live"] == 4
+
     def test_fleet_snapshot_none_without_fleet_dir(self, store):
         assert fleet_snapshot(store) is None
         assert not os.path.isdir(fleet_dir(store))

@@ -3,11 +3,14 @@
 
 Four phases, each against its own temp store:
 
-1. **Verdict parity, zero lost jobs.**  Scans two tiny checkpoints with two
-   detectors through ``--backend inline``, then through a three-worker fleet
-   (real ``python -m repro worker`` subprocesses), and asserts the fleet
-   verdicts are identical to the serial ones and that every submitted fleet
-   job ended ``done`` (none lost, none failed).  A second pass repeats the
+1. **Pool sizing, verdict parity, zero lost jobs.**  Starts a three-worker
+   fleet (real ``python -m repro worker`` subprocesses), waits until all
+   three are live, and asserts that one probe job per worker reports a BLAS
+   pool of ``max(1, min(start, cpus // 3))`` threads.  Then scans two tiny
+   checkpoints with two detectors through ``--backend inline`` and through
+   the fleet, and asserts the fleet verdicts are identical to the serial
+   ones and that every submitted fleet job ended ``done`` (none lost, none
+   failed).  A second pass repeats the
    grid with ``inversion_mode="mega"``: its one mega-group job must match the
    inline mega verdicts and every record must carry a fleet worker's pid,
    not the submitter's.
@@ -43,10 +46,16 @@ sys.path.insert(0, os.path.join(_ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from repro.models import build_model  # noqa: E402
+from repro.nn.blas import threads  # noqa: E402
 from repro.nn.serialization import save_model  # noqa: E402
 from repro.obs import parse_prometheus_text  # noqa: E402
 from repro.service.api import ApiServer  # noqa: E402
-from repro.service.fleet import FleetQueue, fleet_snapshot  # noqa: E402
+from repro.service.fleet import (  # noqa: E402
+    FleetBackend,
+    FleetQueue,
+    fleet_snapshot,
+    probe_job,
+)
 from repro.service.records import ScanRequest  # noqa: E402
 from repro.service.scheduler import ScanScheduler  # noqa: E402
 from repro.service.store import open_store  # noqa: E402
@@ -112,8 +121,29 @@ def _verdict_view(record) -> dict:
     }
 
 
+def _check_pool_sizes(store: str, workers: int) -> int:
+    """One probe per live worker: each reports its share of the cores."""
+    _wait_for(lambda: (fleet_snapshot(store) or {}).get(
+        "workers_live", 0) >= workers or None,
+        60, f"{workers} fleet workers never went live")
+    start = threads()
+    expected = (None if start is None else
+                max(1, min(start, len(os.sched_getaffinity(0)) // workers)))
+    probes = FleetBackend(store, poll_interval=0.05).run(
+        probe_job, [{"sleep": 0.5, "value": index}
+                    for index in range(workers)])
+    sizes = [probe["blas_threads"] for probe in probes]
+    if sizes != [expected] * workers:
+        return _fail(f"fleet workers' BLAS pools are {sizes}, expected "
+                     f"{expected} each ({workers} live workers)")
+    print(f"  blas   : {workers} live workers on this host, each probe ran "
+          f"with a {expected}-thread BLAS pool (pids "
+          f"{sorted({probe['pid'] for probe in probes})})")
+    return 0
+
+
 def _phase_parity(tmp: str, checkpoints) -> int:
-    """Phase 1: three-worker fleet verdicts == inline verdicts, no lost jobs.
+    """Phase 1: pool sizing, then fleet verdicts == inline, no lost jobs.
 
     Runs the grid twice — default mode, then ``inversion_mode="mega"``,
     whose misses travel as one mega-group job that a worker must execute.
@@ -132,6 +162,9 @@ def _phase_parity(tmp: str, checkpoints) -> int:
     workers = [_spawn_worker(fleet_store, "--idle-timeout", "30")
                for _ in range(3)]
     try:
+        status = _check_pool_sizes(fleet_store, len(workers))
+        if status:
+            return status
         scheduler = ScanScheduler(store=open_store(fleet_store),
                                   backend="fleet")
         fleet = scheduler.scan(requests)
@@ -152,9 +185,10 @@ def _phase_parity(tmp: str, checkpoints) -> int:
                      f"(workers {sorted(worker_pids)}, submitter "
                      f"{os.getpid()})")
     snapshot = fleet_snapshot(fleet_store)
-    if snapshot["jobs_done"] != len(requests) + 1:
+    submitted = len(workers) + len(requests) + 1  # probes, scans, mega group
+    if snapshot["jobs_done"] != submitted:
         return _fail(f"lost jobs: {snapshot['jobs_done']} done of "
-                     f"{len(requests) + 1} submitted ({snapshot})")
+                     f"{submitted} submitted ({snapshot})")
     if snapshot["jobs_failed"] or snapshot["jobs_queued"]:
         return _fail(f"fleet left failed/queued jobs behind: {snapshot}")
     print(f"  parity : {len(requests)} scans + {len(mega)} mega scans in one "
@@ -289,8 +323,9 @@ def main() -> int:
             if status:
                 return status
 
-    print("fleet smoke OK: 3-worker parity with inline, kill-recovery via "
-          "lease expiry, multi-pid HTTP trace, fleet metrics.")
+    print("fleet smoke OK: per-worker BLAS pool sizing, 3-worker parity "
+          "with inline, kill-recovery via lease expiry, multi-pid HTTP "
+          "trace, fleet metrics.")
     return 0
 
 
