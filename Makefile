@@ -23,12 +23,15 @@ bench-detection:
 	$(PYTHON) -m pytest benchmarks/test_table7_timing.py -q
 
 ## Scenario-matrix smoke: tiny BadNet grid over the scenario axis
-## (all-to-one, source-conditional, all-to-all) through train -> pair scan.
+## (all-to-one, source-conditional, all-to-all) through train -> pair scan,
+## once per scan and once as a single table-wide mega-batch job.
+SCENARIOS_ARGS = --table table5 --scale bench \
+  --scenarios all_to_one,source_conditional,all_to_all \
+  --cases badnet_3x3 --detectors usb --seed 1
 scenarios:
-	timeout $(SCENARIOS_TIMEOUT) $(PYTHON) -m repro experiment \
-	  --table table5 --scale bench \
-	  --scenarios all_to_one,source_conditional,all_to_all \
-	  --cases badnet_3x3 --detectors usb --seed 1
+	timeout $(SCENARIOS_TIMEOUT) $(PYTHON) -m repro experiment $(SCENARIOS_ARGS)
+	timeout $(SCENARIOS_TIMEOUT) $(PYTHON) -m repro experiment $(SCENARIOS_ARGS) \
+	  --inversion-mode mega
 
 ## repro-lint: AST-based invariant checker (RNG, digest, lock, telemetry,
 ## wall-clock, exception, docstring discipline).  Fails on any violation

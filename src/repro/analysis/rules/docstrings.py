@@ -22,6 +22,7 @@ TARGETS = (
     "src/repro/obs",
     "src/repro/analysis",
     "src/repro/core/detection.py",
+    "src/repro/eval/experiments.py",
 )
 
 
@@ -35,8 +36,8 @@ class DocstringCoverageRule(Rule):
 
     name = "docstring-coverage"
     description = ("public modules/classes/functions in service/, "
-                   "mitigation/, obs/, analysis/, and core/detection.py "
-                   "must carry docstrings")
+                   "mitigation/, obs/, analysis/, core/detection.py and "
+                   "eval/experiments.py must carry docstrings")
 
     def applies_to(self, path: str) -> bool:
         """Only the documented layers (see :data:`TARGETS`)."""

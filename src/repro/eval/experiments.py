@@ -8,16 +8,23 @@ the reproduction run is.  The paper trains 50 (CIFAR-10/MNIST) or 15
 far smaller so the full suite runs on a CPU, and every knob can be raised to
 paper scale by picking the ``paper`` preset.
 
-The output of :func:`run_experiment` contains one paper-style row per
+:func:`run_experiment` runs a table on the scanning service in two steps:
+training jobs save metadata-tagged checkpoints, then one
+:meth:`repro.service.ScanScheduler.scan` batch scans them with one
+:class:`repro.service.ScanRequest` per (checkpoint, detector)
+(:func:`case_scan_requests`).  Its output contains one paper-style row per
 (case, detector) pair — the same columns as Tables 1–6 — plus the per-case
-mean clean accuracy and ASR.
+mean clean accuracy and ASR.  The service layer sits above this one, so it
+is imported lazily.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,16 +42,16 @@ from ..attacks.base import (
     BackdoorAttack,
     TargetSpec,
 )
-from ..core.trigger_optimizer import TriggerOptimizationConfig
-from ..core.uap import TargetedUAPConfig
-from ..core.usb import USBConfig, USBDetector
-from ..data import DATASET_SPECS, load_dataset, stratified_sample
+from ..data import DATASET_SPECS, load_dataset
 from ..data.dataset import Dataset
-from ..defenses import NeuralCleanseConfig, NeuralCleanseDetector, TaborConfig, TaborDetector
 from ..models import build_model
+from ..nn.serialization import save_model
 from ..utils.logging import get_logger
 from .protocol import DetectionCaseSummary, ModelDetectionRecord, summarize_case
 from .trainer import TrainedModel, Trainer, TrainingConfig
+
+if TYPE_CHECKING:
+    from ..service.records import ScanRecord, ScanRequest
 
 __all__ = [
     "AttackSpec",
@@ -55,14 +62,12 @@ __all__ = [
     "CaseResult",
     "ExperimentResult",
     "CaseModelJob",
-    "CaseModelOutcome",
     "FleetModelSummary",
     "build_attack",
-    "build_case_detectors",
+    "case_scan_requests",
     "case_scenario_id",
     "default_source_classes",
     "scenario_grid_config",
-    "run_case",
     "run_case_model_job",
     "run_experiment",
     "run_repair_sweep",
@@ -165,7 +170,6 @@ class ExperimentScale:
     usb_iterations: int = 50
     baseline_iterations: int = 80
     uap_passes: int = 2
-    uap_batch_size: int = 50
     #: Restrict detection to the first N classes (always including the true
     #: target); ``None`` means all classes.  Only the smallest presets use it.
     detection_class_limit: Optional[int] = None
@@ -229,21 +233,22 @@ class ExperimentConfig:
 class CaseResult:
     """Everything measured for one case (fleet of models + all detectors).
 
-    ``trained`` holds full :class:`TrainedModel` objects for serial runs and
-    lightweight :class:`FleetModelSummary` entries for scheduler-dispatched
-    runs; both expose ``clean_accuracy`` / ``attack_success_rate``.
+    ``trained`` holds one :class:`FleetModelSummary` per model, in model
+    order.
     """
 
     case: CaseSpec
-    trained: Sequence[object]
+    trained: Sequence[FleetModelSummary]
     summaries: Dict[str, DetectionCaseSummary]
 
     @property
     def mean_accuracy(self) -> float:
+        """Mean clean test accuracy of the case's models (0.0 when empty)."""
         return float(np.mean([t.clean_accuracy for t in self.trained])) if self.trained else 0.0
 
     @property
     def mean_asr(self) -> Optional[float]:
+        """Mean held-out attack success rate (``None`` for clean cases)."""
         rates = [t.attack_success_rate for t in self.trained
                  if t.attack_success_rate is not None]
         return float(np.mean(rates)) if rates else None
@@ -263,9 +268,8 @@ class ExperimentResult:
             for detector_name, summary in case_result.summaries.items():
                 row = summary.as_row()
                 row["scenario"] = case_scenario_id(case_result.case)
-                row["accuracy"] = round(case_result.mean_accuracy * 100, 2)
-                asr = case_result.mean_asr
-                row["asr"] = round(asr * 100, 2) if asr is not None else None
+                row["accuracy"] = _percent(case_result.mean_accuracy)
+                row["asr"] = _percent(case_result.mean_asr)
                 table.append(row)
         return table
 
@@ -311,40 +315,6 @@ def build_attack(spec: AttackSpec, image_shape, rng: np.random.Generator,
     raise KeyError(f"Unknown attack kind '{spec.kind}'.")
 
 
-def build_case_detectors(clean_data: Dataset, scale: ExperimentScale,
-                         detectors: Sequence[str], rng: np.random.Generator) -> Dict[str, object]:
-    """Instantiate the requested detectors with scale-appropriate budgets."""
-    built: Dict[str, object] = {}
-    for name in detectors:
-        key = name.lower()
-        child_rng = np.random.default_rng(rng.integers(0, 2 ** 31 - 1))
-        if key == "usb":
-            config = USBConfig(
-                uap=TargetedUAPConfig(max_passes=scale.uap_passes,
-                                      batch_size=scale.uap_batch_size),
-                optimization=TriggerOptimizationConfig(
-                    iterations=scale.usb_iterations, ssim_weight=1.0,
-                    mask_l1_weight=0.01),
-            )
-            built["USB"] = USBDetector(clean_data, config, rng=child_rng)
-        elif key == "nc":
-            config = NeuralCleanseConfig(
-                optimization=TriggerOptimizationConfig(
-                    iterations=scale.baseline_iterations, ssim_weight=0.0,
-                    mask_l1_weight=0.01))
-            built["NC"] = NeuralCleanseDetector(clean_data, config, rng=child_rng)
-        elif key == "tabor":
-            config = TaborConfig(
-                optimization=TriggerOptimizationConfig(
-                    iterations=scale.baseline_iterations, ssim_weight=0.0,
-                    mask_l1_weight=0.01, mask_tv_weight=0.002,
-                    outside_pattern_weight=0.002))
-            built["TABOR"] = TaborDetector(clean_data, config, rng=child_rng)
-        else:
-            raise KeyError(f"Unknown detector '{name}'.")
-    return built
-
-
 def _detection_classes(num_classes: int, scale: ExperimentScale,
                        target_class: Optional[int],
                        extra: Sequence[int] = ()) -> Optional[List[int]]:
@@ -366,7 +336,7 @@ def _detection_classes(num_classes: int, scale: ExperimentScale,
 
 
 def case_scenario_id(case: CaseSpec) -> str:
-    """Short scenario label for one case (reporting + store digests)."""
+    """Short scenario label for one case (the table's ``scenario`` column)."""
     if case.is_clean:
         return "-"
     spec = case.attack
@@ -419,11 +389,11 @@ def scenario_grid_config(config: ExperimentConfig,
 
 
 # ---------------------------------------------------------------------- #
-# Runner
+# Training jobs: one checkpoint per (case, model)
 # ---------------------------------------------------------------------- #
 def _train_case_model(config: ExperimentConfig, case: CaseSpec, case_seed: int,
-                      model_index: int) -> Tuple[TrainedModel, Optional[int], int, Dataset]:
-    """Train one model of one case; returns (trained, true_target, seed, test set)."""
+                      model_index: int) -> Tuple[TrainedModel, int, Dataset]:
+    """Train one model of one case; returns (trained, seed, test set)."""
     scale = config.scale
     spec = DATASET_SPECS[config.dataset]
     model_seed = case_seed * 1000 + model_index
@@ -444,103 +414,61 @@ def _train_case_model(config: ExperimentConfig, case: CaseSpec, case_seed: int,
 
     if case.is_clean:
         trained = trainer.train_clean(model, train_set, test_set, seed=model_seed)
-        true_target = None
     else:
         attack = build_attack(case.attack, image_shape,
                               np.random.default_rng(model_seed + 3),
                               num_classes=spec.num_classes)
         trained = trainer.train_backdoored(model, train_set, test_set, attack,
                                            seed=model_seed)
-        true_target = case.attack.target_class
     _LOG.info("%s/%s model %d: acc=%.3f asr=%s", config.name, case.name,
               model_index, trained.clean_accuracy,
               f"{trained.attack_success_rate:.3f}"
               if trained.attack_success_rate is not None else "n/a")
-    return trained, true_target, model_seed, test_set
+    return trained, model_seed, test_set
 
 
-def _detect_case_model(config: ExperimentConfig, case: CaseSpec,
-                       trained: TrainedModel, true_target: Optional[int],
-                       model_seed: int, model_index: int,
-                       test_set: Dataset) -> Dict[str, ModelDetectionRecord]:
-    """Run every configured detector on one trained model.
-
-    For non-all-to-one cases the detectors run in pair mode: the scenario
-    supplies the (source, target) grid, and the records carry the scenario
-    plus the full ground-truth target set (all-to-all has K targets).
-    """
-    scale = config.scale
+def _save_case_checkpoint(config: ExperimentConfig, case: CaseSpec,
+                          model_index: int, model_seed: int,
+                          trained: TrainedModel, directory: str) -> str:
+    """Save one trained model as a metadata-tagged checkpoint; returns its path."""
+    path = os.path.join(directory,
+                        f"{config.name}_{case.name}_m{model_index}.npz")
     spec = DATASET_SPECS[config.dataset]
-    clean_data = stratified_sample(test_set, scale.clean_budget,
-                                   np.random.default_rng(model_seed + 4))
-    detectors = build_case_detectors(clean_data, scale, config.detectors,
-                                     np.random.default_rng(model_seed + 5))
-    scenario = trained.attack.scenario if trained.attack is not None else None
-    scenario_kind = scenario.kind if scenario is not None else SCENARIO_ALL_TO_ONE
-    extra = scenario.source_classes or () if scenario is not None else ()
-    classes = _detection_classes(spec.num_classes, scale, true_target,
-                                 extra=extra)
-    pairs = None
-    if scenario is not None and scenario.kind != SCENARIO_ALL_TO_ONE:
-        pairs = scenario.scan_pairs(classes if classes is not None
-                                    else range(spec.num_classes))
-    true_targets = (scenario.expected_target_classes(spec.num_classes)
-                    if scenario is not None else None)
-    if scenario_kind == SCENARIO_ALL_TO_ALL:
-        true_target = None
-    records: Dict[str, ModelDetectionRecord] = {}
-    for detector_name, detector in detectors.items():
-        detection = detector.detect(trained.model, classes=classes, pairs=pairs,
-                                    mode=config.inversion_mode)
-        records[detector_name] = ModelDetectionRecord(
-            model_index=model_index, is_backdoored_truth=not case.is_clean,
-            true_target_class=true_target, detection=detection,
-            scenario=scenario_kind, true_target_classes=true_targets)
-    return records
+    save_model(trained.model, path, metadata={
+        "model": config.model,
+        "dataset": config.dataset,
+        "image_size": config.scale.image_size or spec.image_size,
+        "model_kwargs": dict(config.scale.model_kwargs),
+        "experiment": config.name,
+        "case": case.name,
+        "model_index": model_index,
+        "seed": model_seed,
+        "clean_accuracy": trained.clean_accuracy,
+        "attack_success_rate": trained.attack_success_rate,
+        "is_backdoored": trained.is_backdoored,
+    })
+    return path
 
 
-def run_case(config: ExperimentConfig, case: CaseSpec, seed: int) -> CaseResult:
-    """Train the fleet for one case and run every detector on every model."""
-    scale = config.scale
-    trained_models: List[TrainedModel] = []
-    records: Dict[str, List[ModelDetectionRecord]] = {}
-    for model_index in range(scale.models_per_case):
-        trained, true_target, model_seed, test_set = _train_case_model(
-            config, case, seed, model_index)
-        trained_models.append(trained)
-        model_records = _detect_case_model(config, case, trained, true_target,
-                                           model_seed, model_index, test_set)
-        for detector_name, record in model_records.items():
-            records.setdefault(detector_name, []).append(record)
-
-    summaries = {name: summarize_case(case.name, name, recs)
-                 for name, recs in records.items()}
-    return CaseResult(case=case, trained=trained_models, summaries=summaries)
-
-
-# ---------------------------------------------------------------------- #
-# Scheduler-dispatched fleet (process-parallel across cases x models)
-# ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class CaseModelJob:
-    """Picklable unit of fleet work: train one model of one case, scan it."""
+    """Picklable unit of fleet work: train one model of one case."""
 
     config: ExperimentConfig
     case: CaseSpec
-    case_index: int
     case_seed: int
     model_index: int
-    #: When set, the worker saves a fingerprinted checkpoint here.
-    checkpoint_dir: Optional[str] = None
+    #: Directory the worker saves the trained model's checkpoint into.
+    checkpoint_dir: str
 
 
 @dataclass(frozen=True)
 class FleetModelSummary:
-    """Light substitute for :class:`TrainedModel` in scheduler-run fleets.
+    """What a training job returns instead of the trained weights.
 
-    Workers do not ship trained weights back to the parent; they return this
-    summary (plus, optionally, a fingerprinted on-disk checkpoint), which
-    carries everything :class:`CaseResult` aggregates.
+    The weights stay in the saved ``checkpoint``, which the experiment's
+    scan step reads; the summary carries everything :class:`CaseResult`
+    aggregates.
     """
 
     clean_accuracy: float
@@ -551,97 +479,93 @@ class FleetModelSummary:
     checkpoint: Optional[str] = None
 
 
-@dataclass
-class CaseModelOutcome:
-    """Worker -> parent payload: one model's summary + compact detections."""
+def run_case_model_job(job: CaseModelJob) -> FleetModelSummary:
+    """Worker entry point: train one (case, model) cell and save its checkpoint.
 
-    case_index: int
-    model_index: int
-    summary: FleetModelSummary
-    #: detector name -> ``ModelDetectionRecord.to_dict()`` payload.
-    records: Dict[str, Dict[str, object]]
-
-
-def run_case_model_job(job: CaseModelJob) -> CaseModelOutcome:
-    """Worker entry point: train + detect one (case, model) cell.
-
-    Module-level (picklable under any multiprocessing start method) and a
-    thin composition of the same helpers :func:`run_case` uses, so the
-    scheduler path reproduces the serial path's verdicts exactly.
+    Module-level, so it pickles under any multiprocessing start method.
     """
-    from ..nn.serialization import save_model
     from ..service.fingerprint import fingerprint_model
 
-    config, case = job.config, job.case
-    trained, true_target, model_seed, test_set = _train_case_model(
-        config, case, job.case_seed, job.model_index)
-    records = _detect_case_model(config, case, trained, true_target,
-                                 model_seed, job.model_index, test_set)
-    fingerprint = fingerprint_model(trained.model)
-    checkpoint: Optional[str] = None
-    if job.checkpoint_dir:
-        checkpoint = os.path.join(
-            job.checkpoint_dir,
-            f"{config.name}_{case.name}_m{job.model_index}.npz")
-        spec = DATASET_SPECS[config.dataset]
-        save_model(trained.model, checkpoint, metadata={
-            "model": config.model,
-            "dataset": config.dataset,
-            "image_size": config.scale.image_size or spec.image_size,
-            "model_kwargs": dict(config.scale.model_kwargs),
-            "experiment": config.name,
-            "case": case.name,
-            "model_index": job.model_index,
-            "seed": model_seed,
-            "clean_accuracy": trained.clean_accuracy,
-            "attack_success_rate": trained.attack_success_rate,
-            "is_backdoored": trained.is_backdoored,
-        })
-    summary = FleetModelSummary(
+    trained, model_seed, _ = _train_case_model(
+        job.config, job.case, job.case_seed, job.model_index)
+    checkpoint = _save_case_checkpoint(job.config, job.case, job.model_index,
+                                       model_seed, trained, job.checkpoint_dir)
+    return FleetModelSummary(
         clean_accuracy=trained.clean_accuracy,
         attack_success_rate=trained.attack_success_rate,
         is_backdoored=trained.is_backdoored, seed=model_seed,
-        fingerprint=fingerprint, checkpoint=checkpoint)
-    return CaseModelOutcome(
-        case_index=job.case_index, model_index=job.model_index,
-        summary=summary,
-        records={name: record.to_dict() for name, record in records.items()})
+        fingerprint=fingerprint_model(trained.model), checkpoint=checkpoint)
 
 
-def _record_fleet_scans(config: ExperimentConfig, case: CaseSpec,
-                        outcome: CaseModelOutcome, scheduler) -> None:
-    """Append one store record per (model, detector) of a fleet outcome."""
-    from ..service.fingerprint import digest_config, scan_key
-    from ..service.records import ScanRecord
+# ---------------------------------------------------------------------- #
+# Scanning: one service request per (checkpoint, detector)
+# ---------------------------------------------------------------------- #
+def _case_scenario(config: ExperimentConfig,
+                   case: CaseSpec) -> Optional[TargetSpec]:
+    """The scenario a case's models are trained under (``None`` when clean)."""
+    if case.is_clean:
+        return None
+    return case.attack.resolve_scenario(
+        DATASET_SPECS[config.dataset].num_classes)
 
-    store = scheduler.store
-    summary = outcome.summary
-    if store is None or summary.fingerprint is None:
-        return
-    for detector_name, payload in outcome.records.items():
-        record = ModelDetectionRecord.from_dict(payload)
-        # Scenario identity is part of the digest: the same weights scanned
-        # under different scenario grids must never share a cache entry.
-        digest_payload = {
-            "experiment": config.name, "detector": detector_name.lower(),
-            "scale": config.scale, "dataset": config.dataset,
-            "case": case.name, "scenario": case_scenario_id(case),
-        }
-        # Keep pre-existing cached digests stable: the engine only enters
-        # the digest when it deviates from the historical default.
-        if config.inversion_mode != "batched":
-            digest_payload["inversion_mode"] = config.inversion_mode
-        digest = digest_config(digest_payload)
-        store.add(ScanRecord.from_detection(
-            key=scan_key(summary.fingerprint, detector_name, digest),
-            fingerprint=summary.fingerprint, config_digest=digest,
-            checkpoint=summary.checkpoint
-            or f"<fleet:{config.name}/{case.name}#{outcome.model_index}>",
-            model=config.model, dataset=config.dataset,
-            detection=record.detection,
-            extra={"clean_accuracy": summary.clean_accuracy,
-                   **({"attack_success_rate": summary.attack_success_rate}
-                      if summary.attack_success_rate is not None else {})}))
+
+def case_scan_requests(config: ExperimentConfig, case: CaseSpec,
+                       checkpoint: str, seed: int) -> List[ScanRequest]:
+    """The service scans of one trained model of ``case``, one per detector.
+
+    The requests are plain :class:`repro.service.ScanRequest` values, so a
+    ``python -m repro scan`` with the same fields hits the records an
+    experiment stored.  ``seed`` is the model's training seed: the clean
+    data comes from the world the model was trained in.  The scale sets the
+    budgets (``usb_iterations`` for USB, ``baseline_iterations`` for NC and
+    TABOR) and the class subset (``detection_class_limit``, always keeping
+    the true target and a conditional scenario's source classes).
+    """
+    from ..service.records import ScanRequest
+
+    scale = config.scale
+    scenario = _case_scenario(config, case)
+    kind = scenario.kind if scenario is not None else SCENARIO_ALL_TO_ONE
+    classes = _detection_classes(
+        DATASET_SPECS[config.dataset].num_classes, scale,
+        scenario.target_class if scenario is not None else None,
+        extra=(scenario.source_classes or ()) if scenario is not None else ())
+    return [ScanRequest(
+        checkpoint=checkpoint, detector=name.lower(), classes=classes,
+        clean_budget=scale.clean_budget,
+        samples_per_class=scale.samples_per_class,
+        iterations=(scale.usb_iterations if name.lower() == "usb"
+                    else scale.baseline_iterations),
+        uap_passes=scale.uap_passes, seed=seed, scenario=kind,
+        source_classes=(scenario.source_classes
+                        if kind == SCENARIO_SOURCE_CONDITIONAL else None),
+        inversion_mode=config.inversion_mode)
+        for name in config.detectors]
+
+
+def _score_case(config: ExperimentConfig, case: CaseSpec,
+                trained: Sequence[FleetModelSummary],
+                records: Sequence[ScanRecord]) -> CaseResult:
+    """Score one case's scan records (model-major) against its ground truth."""
+    scenario = _case_scenario(config, case)
+    kind = scenario.kind if scenario is not None else SCENARIO_ALL_TO_ONE
+    true_target = (scenario.target_class
+                   if scenario is not None and kind != SCENARIO_ALL_TO_ALL
+                   else None)
+    width = len(config.detectors)
+    by_detector: Dict[str, List[ModelDetectionRecord]] = {}
+    for index, record in enumerate(records):
+        by_detector.setdefault(record.detector, []).append(
+            ModelDetectionRecord(
+                model_index=index // width,
+                is_backdoored_truth=not case.is_clean,
+                true_target_class=true_target,
+                detection=record.to_detection_result(), scenario=kind,
+                true_target_classes=(scenario.expected_target_classes()
+                                     if scenario is not None else None)))
+    return CaseResult(case=case, trained=list(trained), summaries={
+        name: summarize_case(case.name, name, recs)
+        for name, recs in by_detector.items()})
 
 
 def run_experiment(config: ExperimentConfig, seed: int = 0,
@@ -649,73 +573,72 @@ def run_experiment(config: ExperimentConfig, seed: int = 0,
                    checkpoint_dir: Optional[str] = None,
                    job_timeout: Optional[float] = None,
                    job_retries: Optional[int] = None) -> ExperimentResult:
-    """Run every case of an experiment and collect paper-style rows.
+    """Train and scan every case of an experiment, and collect paper-style rows.
 
-    Without a ``scheduler`` the fleet runs serially in-process (the
-    historical behaviour, and what the unit tests exercise).  With a
-    :class:`repro.service.ScanScheduler` the (case, model) grid is dispatched
-    through the scheduler's prioritized job queue — the same queue + retry
-    machinery the watch daemon drains — process-parallel for ``workers > 1``,
-    inline otherwise — and, when the scheduler carries a result store, every
-    model's detections are recorded there under its weight fingerprint.
-    ``checkpoint_dir`` additionally makes workers persist each trained model
-    as a metadata-tagged checkpoint that ``python -m repro scan`` can replay.
+    Both steps run on one :class:`repro.service.ScanScheduler`:
+
+    1. one training job per (case, model) runs :func:`run_case_model_job`
+       through :meth:`~repro.service.ScanScheduler.run_jobs` on the
+       scheduler's backend; each saves a metadata-tagged checkpoint and
+       returns its :class:`FleetModelSummary`;
+    2. one :meth:`~repro.service.ScanScheduler.scan` batch runs
+       :func:`case_scan_requests` for every checkpoint.  These are ordinary
+       service requests: with a store, the records are ordinary cache
+       entries, and a rerun on the same backend is served from the store.
+       In ``mega`` mode the whole table's scans are one pooled job.
+
+    The rows are scored from the returned records against each case's
+    ground truth.
 
     Args:
         config: Table description (cases, detectors, scale).
         seed: Base seed; each case uses ``seed + case_index``.
-        scheduler: Optional :class:`repro.service.ScanScheduler`.
-        checkpoint_dir: When set (scheduler runs only), workers save each
-            trained model as a fingerprinted checkpoint here.
-        job_timeout: Per-(case, model) wall-clock budget forwarded to
+        scheduler: The :class:`repro.service.ScanScheduler` to run on
+            (default: ``ScanScheduler(telemetry=False)``, inline with no
+            store).
+        checkpoint_dir: Where the trained checkpoints are saved (default: a
+            temporary directory removed after the run).
+        job_timeout: Per-training-job wall-clock budget forwarded to
             :meth:`~repro.service.ScanScheduler.run_jobs` (pool path only;
             default: the scheduler's own ``job_timeout``).
-        job_retries: Bounded retry budget per fleet job (default: the
+        job_retries: Retry budget per training job (default: the
             scheduler's own ``job_retries``).
 
     Returns:
         The :class:`ExperimentResult` with one row per (case, detector).
     """
-    if scheduler is None:
-        case_results = []
-        for case_index, case in enumerate(config.cases):
-            _LOG.info("Running %s case '%s' (%d/%d)", config.name, case.name,
-                      case_index + 1, len(config.cases))
-            case_results.append(run_case(config, case, seed=seed + case_index))
-        return ExperimentResult(config=config, cases=case_results)
+    from ..service.scheduler import ScanScheduler
 
+    scheduler = scheduler or ScanScheduler(telemetry=False)
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
-    jobs = [CaseModelJob(config=config, case=case, case_index=case_index,
-                         case_seed=seed + case_index, model_index=model_index,
-                         checkpoint_dir=checkpoint_dir)
-            for case_index, case in enumerate(config.cases)
-            for model_index in range(config.scale.models_per_case)]
-    backend = getattr(scheduler, "backend", None)
-    _LOG.info("Dispatching %s: %d job(s) via the %s backend (%d worker(s)).",
-              config.name, len(jobs),
-              getattr(backend, "name", "inline"),
-              max(getattr(scheduler, "workers", 1), 1))
-    outcomes: List[CaseModelOutcome] = scheduler.run_jobs(
-        run_case_model_job, jobs, timeout=job_timeout, retries=job_retries)
+    workspace = (nullcontext(checkpoint_dir) if checkpoint_dir
+                 else tempfile.TemporaryDirectory(prefix="repro-experiment-"))
+    models = config.scale.models_per_case
+    with workspace as directory:
+        jobs = [CaseModelJob(config=config, case=case,
+                             case_seed=seed + case_index,
+                             model_index=model_index,
+                             checkpoint_dir=directory)
+                for case_index, case in enumerate(config.cases)
+                for model_index in range(models)]
+        _LOG.info("Training %s: %d job(s) via the %s backend.", config.name,
+                  len(jobs), scheduler.backend.name)
+        trained: List[FleetModelSummary] = scheduler.run_jobs(
+            run_case_model_job, jobs, timeout=job_timeout,
+            retries=job_retries)
+        records = scheduler.scan([
+            request for job, summary in zip(jobs, trained)
+            for request in case_scan_requests(config, job.case,
+                                              summary.checkpoint,
+                                              summary.seed)])
 
-    case_results = []
-    for case_index, case in enumerate(config.cases):
-        case_outcomes = sorted(
-            (o for o in outcomes if o.case_index == case_index),
-            key=lambda o: o.model_index)
-        records: Dict[str, List[ModelDetectionRecord]] = {}
-        for outcome in case_outcomes:
-            for detector_name, payload in outcome.records.items():
-                records.setdefault(detector_name, []).append(
-                    ModelDetectionRecord.from_dict(payload))
-            _record_fleet_scans(config, case, outcome, scheduler)
-        summaries = {name: summarize_case(case.name, name, recs)
-                     for name, recs in records.items()}
-        case_results.append(CaseResult(
-            case=case, trained=[o.summary for o in case_outcomes],
-            summaries=summaries))
-    return ExperimentResult(config=config, cases=case_results)
+    width = models * len(config.detectors)
+    return ExperimentResult(config=config, cases=[
+        _score_case(config, case,
+                    trained[case_index * models:(case_index + 1) * models],
+                    records[case_index * width:(case_index + 1) * width])
+        for case_index, case in enumerate(config.cases)])
 
 
 # ---------------------------------------------------------------------- #
@@ -726,13 +649,15 @@ def run_repair_sweep(config: ExperimentConfig, seed: int = 0,
                      plan=None) -> List[Dict[str, object]]:
     """ASR-before/after repair table: attack x scenario x detector x strategy.
 
-    For every non-clean case the fleet is trained as in
-    :func:`run_experiment`, each configured detector reverse-engineers its
-    triggers once (full arrays, scenario-aware pair grids), and each repair
-    ``strategy`` is applied to a fresh copy of the weights through
+    For every non-clean case the fleet is trained and saved as in
+    :func:`run_experiment`.  Each detector's detect stage runs the table's
+    own request (:func:`case_scan_requests`) through the service's scan
+    setup, so ``verdict_before`` is the table's verdict for that model,
+    and the full reversed triggers stay in memory.  Each repair
+    ``strategy`` is then applied to a fresh copy of the weights through
     :func:`repro.mitigation.repair_model` — so strategies are compared on
-    identical starting points.  Because the sweep owns the ground-truth
-    attack, the rows carry *true* ASR before/after (the service's repair
+    identical starting points.  Repair runs in-process with the trained
+    attack, so the rows carry *true* ASR before/after (the service's repair
     path can only report reversed-trigger flip rates).
 
     Args:
@@ -748,80 +673,81 @@ def run_repair_sweep(config: ExperimentConfig, seed: int = 0,
         layout of :data:`repro.eval.reporting.repair_sweep_columns`
         (percentages for accuracy/ASR).
     """
-    from ..mitigation import RepairPlan, repair_model
+    from ..mitigation import RepairPlan
 
     plan = plan or RepairPlan()
-    scale = config.scale
+    with tempfile.TemporaryDirectory(prefix="repro-repair-sweep-") as directory:
+        return [row for case_index, case in enumerate(config.cases)
+                if not case.is_clean
+                for model_index in range(config.scale.models_per_case)
+                for row in _repair_sweep_rows(config, case, seed + case_index,
+                                              model_index, strategies, plan,
+                                              directory)]
+
+
+def _repair_sweep_rows(config: ExperimentConfig, case: CaseSpec,
+                       case_seed: int, model_index: int,
+                       strategies: Sequence[str], plan,
+                       directory: str) -> List[Dict[str, object]]:
+    """Train one model of ``case``; one sweep row per detector x strategy."""
+    from ..mitigation import repair_model
+    from ..service.scheduler import _prepare_scan, resolve_request
+
     spec = DATASET_SPECS[config.dataset]
+    trained, model_seed, test_set = _train_case_model(config, case, case_seed,
+                                                      model_index)
+    checkpoint = _save_case_checkpoint(config, case, model_index, model_seed,
+                                       trained, directory)
+    snapshot = trained.model.state_dict()  # already a copy per entry
     rows: List[Dict[str, object]] = []
-    for case_index, case in enumerate(config.cases):
-        if case.is_clean:
-            continue
-        for model_index in range(scale.models_per_case):
-            trained, true_target, model_seed, test_set = _train_case_model(
-                config, case, seed + case_index, model_index)
-            snapshot = trained.model.state_dict()  # already a copy per entry
-            clean_data = stratified_sample(test_set, scale.clean_budget,
-                                           np.random.default_rng(model_seed + 4))
-            scenario = trained.attack.scenario
-            extra = scenario.source_classes or ()
-            classes = _detection_classes(spec.num_classes, scale, true_target,
-                                         extra=extra)
-            pairs = None
-            if scenario.kind != SCENARIO_ALL_TO_ONE:
-                pairs = scenario.scan_pairs(classes if classes is not None
-                                            else range(spec.num_classes))
-            detectors = build_case_detectors(clean_data, scale,
-                                             config.detectors,
-                                             np.random.default_rng(model_seed + 5))
-            for detector_name, detector in detectors.items():
-                detection = detector.detect(trained.model, classes=classes,
-                                            pairs=pairs,
-                                            mode=config.inversion_mode)
-                for strategy in strategies:
-                    model = build_model(
-                        config.model, num_classes=spec.num_classes,
-                        in_channels=spec.channels,
-                        image_size=test_set.image_shape[1],
-                        rng=np.random.default_rng(model_seed + 1),
-                        **scale.model_kwargs)
-                    model.load_state_dict(snapshot)
-                    report = repair_model(
-                        model, detection, clean_data,
-                        plan=replace(plan, strategy=strategy),
-                        detector=detector, eval_data=test_set,
-                        attack=trained.attack,
-                        rng=np.random.default_rng(model_seed + 6))
-                    rows.append({
-                        "case": case.name,
-                        "scenario": case_scenario_id(case),
-                        "method": detector_name,
-                        "strategy": strategy,
-                        "model": model_index,
-                        "asr_before": (round(report.asr_before * 100, 2)
-                                       if report.asr_before is not None
-                                       else None),
-                        "asr_after": (round(report.asr_after * 100, 2)
-                                      if report.asr_after is not None
-                                      else None),
-                        "acc_before": round(report.accuracy_before * 100, 2),
-                        "acc_after": round(report.accuracy_after * 100, 2),
-                        "verdict_before": ("BACKDOORED" if report.verdict_before
-                                           else "clean"),
-                        "verdict_after": (
-                            "-" if report.verdict_after is None
-                            else "BACKDOORED" if report.verdict_after
-                            else "clean"),
-                        "guardrail_ok": report.guardrail_ok,
-                        "success": report.success,
-                        "cells": ",".join(report.cells) or "-",
-                    })
-                    _LOG.info(
-                        "%s/%s [%s/%s]: asr %.3f -> %.3f, acc %.3f -> %.3f",
-                        config.name, case.name, detector_name, strategy,
-                        report.asr_before or 0.0, report.asr_after or 0.0,
-                        report.accuracy_before, report.accuracy_after)
+    for request in case_scan_requests(config, case, checkpoint, model_seed):
+        setup = _prepare_scan(resolve_request(request))
+        detection = setup.detector.detect(setup.model, classes=setup.classes,
+                                          pairs=setup.pairs,
+                                          mode=request.inversion_mode)
+        for strategy in strategies:
+            model = build_model(config.model, num_classes=spec.num_classes,
+                                in_channels=spec.channels,
+                                image_size=test_set.image_shape[1],
+                                rng=np.random.default_rng(model_seed + 1),
+                                **config.scale.model_kwargs)
+            model.load_state_dict(snapshot)
+            report = repair_model(model, detection, setup.clean,
+                                  plan=replace(plan, strategy=strategy),
+                                  detector=setup.detector, eval_data=test_set,
+                                  attack=trained.attack,
+                                  rng=np.random.default_rng(model_seed + 6))
+            rows.append({
+                "case": case.name,
+                "scenario": case_scenario_id(case),
+                "method": detection.detector,
+                "strategy": strategy,
+                "model": model_index,
+                "asr_before": _percent(report.asr_before),
+                "asr_after": _percent(report.asr_after),
+                "acc_before": _percent(report.accuracy_before),
+                "acc_after": _percent(report.accuracy_after),
+                "verdict_before": _verdict(report.verdict_before),
+                "verdict_after": _verdict(report.verdict_after),
+                "guardrail_ok": report.guardrail_ok,
+                "success": report.success,
+                "cells": ",".join(report.cells) or "-",
+            })
+            _LOG.info("%s/%s [%s/%s]: asr %.3f -> %.3f, acc %.3f -> %.3f",
+                      config.name, case.name, detection.detector, strategy,
+                      report.asr_before or 0.0, report.asr_after or 0.0,
+                      report.accuracy_before, report.accuracy_after)
     return rows
+
+
+def _percent(rate: Optional[float]) -> Optional[float]:
+    """A rate as a percentage rounded to 2 places (``None`` stays ``None``)."""
+    return round(rate * 100, 2) if rate is not None else None
+
+
+def _verdict(flagged: Optional[bool]) -> str:
+    """Table label for a verdict: BACKDOORED / clean, ``-`` when not run."""
+    return "-" if flagged is None else "BACKDOORED" if flagged else "clean"
 
 
 # ---------------------------------------------------------------------- #

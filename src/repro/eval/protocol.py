@@ -86,44 +86,6 @@ class ModelDetectionRecord:
         return classify_target_detection(self.detection.flagged_classes,
                                          self.expected_targets)
 
-    # ------------------------------------------------------------------ #
-    # Compact (JSON/pickle-friendly) round trip
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form used when records cross process boundaries.
-
-        The detection payload is the compact summary
-        (:meth:`~repro.core.detection.DetectionResult.to_compact_dict`), so
-        fleet workers stream verdict-complete records back without shipping
-        the reversed-trigger arrays.
-        """
-        return {
-            "model_index": int(self.model_index),
-            "is_backdoored_truth": bool(self.is_backdoored_truth),
-            "true_target_class": (int(self.true_target_class)
-                                  if self.true_target_class is not None else None),
-            "detection": self.detection.to_compact_dict(),
-            "scenario": self.scenario,
-            "true_target_classes": (list(self.true_target_classes)
-                                    if self.true_target_classes is not None
-                                    else None),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ModelDetectionRecord":
-        """Rebuild a record (with a compact detection) from :meth:`to_dict`."""
-        target = payload.get("true_target_class")
-        targets = payload.get("true_target_classes")
-        return cls(
-            model_index=int(payload["model_index"]),
-            is_backdoored_truth=bool(payload["is_backdoored_truth"]),
-            true_target_class=int(target) if target is not None else None,
-            detection=DetectionResult.from_compact_dict(payload["detection"]),
-            scenario=str(payload.get("scenario", SCENARIO_ALL_TO_ONE)),
-            true_target_classes=(tuple(int(c) for c in targets)
-                                 if targets is not None else None),
-        )
-
 
 def classify_target_detection(flagged_classes: List[int],
                               true_target: Union[int, Iterable[int], None]

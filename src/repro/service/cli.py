@@ -162,8 +162,9 @@ def _add_repair_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-rescan", action="store_true",
                         help="Skip the post-repair detector re-scan.")
     parser.add_argument("--output-dir", default=None,
-                        help="Directory for repaired checkpoints (default: "
-                             "next to the originals, digest-suffixed).")
+                        help="Directory for repaired checkpoints, created "
+                             "if missing (default: next to the originals); "
+                             "names stay digest-suffixed.")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -390,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "the experiment (see 'scan --help').")
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--workers", type=int, default=0,
-                            help="Dispatch the (case, model) fleet across N "
-                                 "worker processes; 0/1 runs serially.")
+                            help="Run the training jobs and scans on N "
+                                 "pool workers; 0/1 runs them inline.")
     experiment.add_argument("--repair-strategies", type=str, default=None,
                             help="Comma-separated repair strategies "
                                  f"({','.join(REPAIR_STRATEGIES)}); when "
@@ -540,10 +541,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _repair_request_from_args(args: argparse.Namespace,
                               checkpoint: str) -> RepairRequest:
     """Build one :class:`RepairRequest` from parsed repair-option flags."""
-    output = None
     if args.output_dir:
-        stem = os.path.splitext(os.path.basename(checkpoint))[0]
-        output = os.path.join(args.output_dir, f"{stem}.repaired.npz")
+        os.makedirs(args.output_dir, exist_ok=True)
     return RepairRequest(
         scan=_request_from_args(args, checkpoint, args.detector),
         strategy=args.strategy,
@@ -553,7 +552,7 @@ def _repair_request_from_args(args: argparse.Namespace,
         prune_fraction=args.prune_fraction,
         max_accuracy_drop=args.max_accuracy_drop / 100.0,
         rescan=not args.no_rescan,
-        output=output)
+        output=args.output_dir)
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:

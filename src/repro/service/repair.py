@@ -88,8 +88,9 @@ class RepairRequest:
     success_flip_rate: float = 0.2
     #: Re-scan the repaired model with the same detector.
     rescan: bool = True
-    #: Repaired checkpoint path (default: derived from the input path and
-    #: the repair digest).
+    #: Repaired checkpoint path, or an existing directory to hold the
+    #: default name (default: derived from the input path and the repair
+    #: digest, next to the input).
     output: Optional[str] = None
 
     def plan(self):
@@ -178,8 +179,10 @@ def resolve_repair(request: RepairRequest,
     })
     key = scan_key(resolved_scan.fingerprint,
                    f"repair+{request.scan.detector.lower()}", digest)
-    output = request.output or default_repair_output(request.scan.checkpoint,
-                                                     digest)
+    output = default_repair_output(request.scan.checkpoint, digest)
+    if request.output:
+        output = (os.path.join(request.output, os.path.basename(output))
+                  if os.path.isdir(request.output) else request.output)
     return ResolvedRepair(request=request, scan=resolved_scan,
                           config_digest=digest, key=key, output=output)
 

@@ -60,15 +60,10 @@ from ..core.detection import detect_mega_fleet
 from ..core.mega import CleanActivationCache
 from ..core.trigger_optimizer import TriggerOptimizationConfig
 from ..core.uap import TargetedUAPConfig
-from ..core.usb import USBConfig, USBDetector
+from ..core.usb import USBConfig
 from ..data import DATASET_SPECS, load_dataset, stratified_sample
 from ..data.dataset import Dataset
-from ..defenses import (
-    NeuralCleanseConfig,
-    NeuralCleanseDetector,
-    TaborConfig,
-    TaborDetector,
-)
+from ..defenses import NeuralCleanseConfig, TaborConfig, build_detector
 from ..models import build_model
 from ..nn.layers import Module
 from ..nn.serialization import load_checkpoint, validate_state_dict
@@ -153,13 +148,8 @@ def _detector_config(request: ScanRequest):
 def build_request_detector(request: ScanRequest, clean_data: Dataset,
                            rng: np.random.Generator):
     """Instantiate the detector a request asks for."""
-    kind = request.detector.lower()
-    config = _detector_config(request)
-    if kind == "usb":
-        return USBDetector(clean_data, config, rng=rng)
-    if kind == "nc":
-        return NeuralCleanseDetector(clean_data, config, rng=rng)
-    return TaborDetector(clean_data, config, rng=rng)
+    return build_detector(request.detector, clean_data,
+                          _detector_config(request), rng=rng)
 
 
 def resolve_request(request: ScanRequest,

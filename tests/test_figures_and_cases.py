@@ -1,4 +1,4 @@
-"""Tests for the figure-reproduction helpers and a miniature run_case integration."""
+"""Tests for the figure-reproduction helpers and a miniature run_experiment integration."""
 
 from dataclasses import replace
 
@@ -15,7 +15,7 @@ from repro.eval import (
     TrainingConfig,
     figure1_uap_vs_random,
     figure5_per_class_triggers,
-    run_case,
+    run_experiment,
     table5_config,
     trigger_recovery_figure,
 )
@@ -106,19 +106,22 @@ class TestFigure5:
         assert all(arr.shape == clean_data.image_shape for arr in triggers.values())
 
 
-class TestRunCaseIntegration:
-    def test_run_case_clean_and_backdoored_rows(self):
+class TestRunExperimentIntegration:
+    def test_clean_and_backdoored_rows(self):
         scale = replace(SCALES["bench"], samples_per_class=10, test_per_class=5,
                         epochs=2, clean_budget=20, usb_iterations=4,
                         baseline_iterations=4, uap_passes=1,
                         detection_class_limit=3, image_size=16)
         config = table5_config(scale)
-        clean_case = run_case(config, CaseSpec("clean"), seed=1)
+        # The clean case trains at seed 1 and badnet_2x2 at seed 2.
+        result = run_experiment(replace(config, cases=config.cases[:2]), seed=1)
+        clean_case, badnet_case = result.cases
+        assert clean_case.case == CaseSpec("clean")
         assert set(clean_case.summaries) == {"NC", "TABOR", "USB"}
         assert clean_case.mean_asr is None
         assert 0.0 <= clean_case.mean_accuracy <= 1.0
 
-        badnet_case = run_case(config, config.cases[1], seed=2)
         assert badnet_case.mean_asr is not None
         for summary in badnet_case.summaries.values():
             assert summary.num_models == 1
+        assert len(result.rows()) == 2 * 3

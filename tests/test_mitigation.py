@@ -7,7 +7,9 @@ fast), the repair pipeline's guardrail/rollback, the service layer
 parity), and the daemon's auto-repair queueing.
 """
 
+import fnmatch
 import json
+import os
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from repro.service import (
     resolve_repair,
     run_repairs,
 )
+from repro.service.cli import _repair_request_from_args, build_parser
 from repro.service.cli import main as cli_main
 
 
@@ -353,6 +356,27 @@ class TestRepairService:
         other = resolve_repair(_tiny_repair_request(path, strategy="both"))
         assert other.key != resolved.key
         assert other.output != resolved.output  # digest-suffixed paths
+
+    def test_output_dir_keeps_one_file_per_repair_config(self, tmp_path):
+        path = tmp_path / "m.npz"
+        _save_untrained(path, seed=4)
+        out = tmp_path / "out"
+        outputs = []
+        for strategy in ("unlearn", "prune"):
+            args = build_parser().parse_args(
+                ["repair", str(path), "--detector", "nc", "--classes", "0,1,2",
+                 "--strategy", strategy, "--output-dir", str(out)])
+            request = _repair_request_from_args(args, str(path))
+            outputs.append(resolve_repair(request).output)
+        assert out.is_dir()  # the CLI creates --output-dir
+        assert outputs[0] != outputs[1]
+        for output in outputs:
+            assert os.path.dirname(output) == str(out)
+            assert fnmatch.fnmatch(os.path.basename(output), "*.repaired-*.npz")
+        # An explicit file path is still used as given.
+        explicit = str(tmp_path / "fixed.npz")
+        assert resolve_repair(_tiny_repair_request(
+            path, output=explicit)).output == explicit
 
     def test_run_repairs_cache_hits_second_batch(self, tmp_path):
         path = tmp_path / "m.npz"

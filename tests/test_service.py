@@ -3,6 +3,7 @@
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from repro.eval import (
     ExperimentConfig,
     ExperimentScale,
     FleetModelSummary,
+    case_scan_requests,
     format_scan_records,
+    run_case_model_job,
     run_experiment,
+    run_repair_sweep,
 )
-from repro.eval.protocol import ModelDetectionRecord
+from repro.mitigation import RepairPlan, UnlearningConfig
 from repro.models import build_model
 from repro.nn.serialization import (
     CheckpointMismatchError,
@@ -28,6 +32,7 @@ from repro.nn.serialization import (
     save_state_dict,
 )
 from repro.service import (
+    InlineBackend,
     ResultStore,
     ScanRecord,
     ScanRequest,
@@ -40,6 +45,7 @@ from repro.service import (
     scan_key,
 )
 from repro.service.cli import main as cli_main
+from repro.service.scheduler import execute_mega_group
 
 
 def _tiny_model(seed=0):
@@ -421,25 +427,77 @@ class TestFleetDispatch:
         assert inline.rows() == run_experiment(config, seed=3).rows()
 
 
-# ---------------------------------------------------------------------- #
-# Protocol round trip
-# ---------------------------------------------------------------------- #
-class TestProtocolRoundTrip:
-    def test_model_detection_record_round_trip(self):
-        detection = DetectionResult(
-            detector="NC",
-            triggers=[ReversedTrigger(0, np.full((1, 1, 1), 0.5), np.ones((1, 1, 1)), 1.0),
-                      ReversedTrigger(2, np.full((1, 1, 1), 4.0), np.ones((1, 1, 1)), 0.2)],
-            anomaly_indices={0: 2.5, 2: 0.0}, flagged_classes=[0],
-            is_backdoored=True, seconds_total=0.5, metadata={"batched": 1.0})
-        record = ModelDetectionRecord(3, True, 0, detection)
-        clone = ModelDetectionRecord.from_dict(
-            json.loads(json.dumps(record.to_dict())))
-        assert clone.model_index == 3 and clone.true_target_class == 0
-        assert clone.target_class_outcome == record.target_class_outcome
-        assert clone.detection.per_class_l1 == detection.per_class_l1
-        assert clone.detection.flagged_classes == [0]
-        assert clone.detection.metadata == {"batched": 1.0}
+class TestOneScanDefinition:
+    """Experiments scan their checkpoints with ordinary service requests."""
+
+    def test_plain_scan_of_an_experiment_checkpoint_is_a_hit(self, tmp_path):
+        config = _micro_config()
+        store = ResultStore(str(tmp_path / "exp.jsonl"))
+        result = run_experiment(
+            config, seed=3, scheduler=ScanScheduler(store=store, telemetry=False),
+            checkpoint_dir=str(tmp_path / "ckpts"))
+        summary = result.cases[1].trained[0]
+        # The request a user would write by hand for this checkpoint.
+        request = ScanRequest(checkpoint=summary.checkpoint, detector="usb",
+                              classes=(0, 1, 2), clean_budget=10,
+                              samples_per_class=6, iterations=2, uap_passes=1,
+                              seed=summary.seed)
+        assert case_scan_requests(config, config.cases[1], summary.checkpoint,
+                                  summary.seed) == [request]
+        scheduler = ScanScheduler(store=store, telemetry=False)
+        [record] = scheduler.scan([request])
+        assert record.cache_hit
+        assert scheduler.cache_hits == 1 and scheduler.cache_misses == 0
+        assert record.fingerprint == summary.fingerprint
+
+    def test_rerun_serves_every_scan_from_the_store(self, tmp_path):
+        config = replace(_micro_config(), detectors=("usb", "nc"))
+        store = ResultStore(str(tmp_path / "exp.jsonl"))
+        first = run_experiment(
+            config, seed=3, scheduler=ScanScheduler(store=store, telemetry=False))
+        scheduler = ScanScheduler(store=store, telemetry=False)
+        second = run_experiment(config, seed=3, scheduler=scheduler)
+        scans = (len(config.cases) * config.scale.models_per_case
+                 * len(config.detectors))
+        assert scheduler.cache_hits == scans and scheduler.cache_misses == 0
+        assert len(store) == scans
+        assert second.rows() == first.rows()
+
+    def test_mega_table_is_one_pooled_job(self):
+        config = replace(_micro_config(), inversion_mode="mega",
+                         detectors=("usb", "nc"))
+        calls = []
+
+        class RecordingBackend(InlineBackend):
+            def run(self, fn, payloads, **kwargs):
+                calls.append((fn, list(payloads)))
+                return super().run(fn, payloads, **kwargs)
+
+        result = run_experiment(config, seed=3, scheduler=ScanScheduler(
+            backend=RecordingBackend(), telemetry=False))
+        scan_calls = [(fn, payloads) for fn, payloads in calls
+                      if fn is not run_case_model_job]
+        assert [fn for fn, _ in scan_calls] == [execute_mega_group]
+        [[group]] = [payloads for _, payloads in scan_calls]
+        assert len(group) == len(result.rows())
+        checkpoints = {summary.checkpoint for case in result.cases
+                       for summary in case.trained}
+        assert {item.request.checkpoint for item in group} == checkpoints
+        assert len(checkpoints) == len(config.cases)
+
+    def test_repair_sweep_verdict_before_is_the_table_verdict(self):
+        config = replace(_micro_config(), detectors=("usb", "nc"))
+        table = run_experiment(config, seed=3)
+        rows = run_repair_sweep(config, seed=3, plan=RepairPlan(
+            unlearning=UnlearningConfig(epochs=1), rescan=False))
+        expected = [
+            (name, "BACKDOORED" if summary.records[0].detection.is_backdoored
+             else "clean")
+            for name, summary in table.cases[1].summaries.items()]
+        assert [(row["method"], row["verdict_before"]) for row in rows] \
+            == expected
+        # Both verdicts occur, so the comparison is not vacuous.
+        assert {verdict for _, verdict in expected} == {"BACKDOORED", "clean"}
 
 
 # ---------------------------------------------------------------------- #
