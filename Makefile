@@ -7,7 +7,7 @@ TIER1_TIMEOUT ?= 120
 # Budget for the scenario-matrix smoke run (seconds).
 SCENARIOS_TIMEOUT ?= 300
 
-.PHONY: test tier1 lint lint-baseline bench bench-detection examples scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke
+.PHONY: test tier1 lint lint-baseline bench bench-detection kernel-bench examples scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke
 
 ## Tier-1 unit suite (tests/ only; benchmarks/ are excluded via pytest.ini).
 test: tier1
@@ -21,6 +21,13 @@ bench:
 ## Detection-speed regression harness: refreshes BENCH_detection.json.
 bench-detection:
 	$(PYTHON) -m pytest benchmarks/test_table7_timing.py -q
+
+## Kernel microbench: median ms of every conv/pool call one 64-row scan
+## step makes (forward, input gradient, weight gradient) on the benchmark
+## zoo's three architectures.  CI runs it with KERNEL_BENCH_ARGS=--repeats=1.
+KERNEL_BENCH_ARGS ?=
+kernel-bench:
+	$(PYTHON) tools/kernel_bench.py $(KERNEL_BENCH_ARGS)
 
 ## Scenario-matrix smoke: tiny BadNet grid over the scenario axis
 ## (all-to-one, source-conditional, all-to-all) through train -> pair scan,

@@ -1,9 +1,18 @@
 """Differentiable functional operations for the ``repro.nn`` substrate.
 
 This module implements the convolutional / pooling / normalization primitives
-used by the model zoo and by the defenses.  Convolution uses the im2col
-transformation so that the heavy lifting is a single large GEMM, which is the
-fastest approach available in pure NumPy.
+used by the model zoo and by the defenses.  Every convolution puts its heavy
+lifting into one large GEMM, the fastest approach available in pure NumPy:
+
+* dense kernels larger than 1x1 gather tap-major, batch-innermost columns
+  with one slice copy per kernel tap, so the forward is one GEMM and the
+  input gradient is one GEMM whose per-tap slices scatter-add contiguously
+  (:func:`_conv2d_dense`);
+* unpadded 1x1 kernels are a channel-mixing GEMM on the input itself;
+* grouped and depthwise kernels use :func:`im2col` and a per-group einsum.
+
+Pooling over non-overlapping windows is a reshape; only overlapping or
+ragged windows go through :func:`im2col` / :func:`col2im`.
 
 All functions accept and return :class:`repro.nn.tensor.Tensor` instances and
 participate in the autograd graph.
@@ -170,15 +179,95 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     return Tensor._make(out, parents, backward)
 
 
+def _conv2d_dense(x: Tensor, weight: Tensor, bias: Optional[Tensor],
+                  stride: int, padding: int) -> Tensor:
+    """Dense (``groups == 1``) convolution with tap-major, batch-innermost GEMMs.
+
+    The input is copied once into a zero-padded ``(C, H+2p, W+2p, N)`` buffer
+    and the columns ``cols[c, i, j, y, x, n] = xpad[n, c, y·s+i, x·s+j]`` are
+    filled with one slice copy per kernel tap ``(i, j)``.  The forward is then
+    one ``W (OC, C·kh·kw) @ cols`` GEMM, written into an ``(N, oh, ow, OC)``
+    array whose NCHW view is returned, so the ops after the conv see the same
+    memory order as every other conv output.
+
+    The input gradient is one ``Wᵀ @ g`` GEMM whose rows come out tap-major,
+    ``(kh, kw, C)``: each tap's ``(C, oh, ow, N)`` slice is contiguous and is
+    scatter-added into a padded ``(C, H+2p, W+2p, N)`` buffer in ``(i, j)``
+    order, whatever the padding.  The weight gradient (training only) reorders
+    the columns to ``(C·kh·kw, N·oh·ow)`` so its GEMM reduces over
+    ``(n, oh, ow)`` in the order an im2col GEMM does: a ``(oh, ow, n)`` order
+    would train to different weights.
+    """
+    x_data = x.data
+    batch, channels, height, width = x_data.shape
+    out_channels, _, kernel_h, kernel_w = weight.data.shape
+    out_h = (height + 2 * padding - kernel_h) // stride + 1
+    out_w = (width + 2 * padding - kernel_w) // stride + 1
+    padded_h, padded_w = height + 2 * padding, width + 2 * padding
+    patch = channels * kernel_h * kernel_w
+    span_h, span_w = stride * out_h, stride * out_w
+
+    x_pad = np.zeros((channels, padded_h, padded_w, batch), dtype=x_data.dtype)
+    x_pad[:, padding:padding + height, padding:padding + width] = \
+        x_data.transpose(1, 2, 3, 0)
+    cols = np.empty((channels, kernel_h, kernel_w, out_h, out_w, batch),
+                    dtype=x_data.dtype)
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            cols[:, i, j] = x_pad[:, i:i + span_h:stride, j:j + span_w:stride]
+    cols = cols.reshape(patch, out_h * out_w * batch)
+
+    out = weight.data.reshape(out_channels, patch) @ cols
+    out = np.ascontiguousarray(
+        out.reshape(out_channels, out_h, out_w, batch).transpose(3, 1, 2, 0))
+    out = out.transpose(0, 3, 1, 2)  # NCHW view of (N, oh, ow, OC) memory
+    if bias is not None:
+        out = out + bias.data.reshape(1, -1, 1, 1)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    # grad_w needs the columns; when the weight is frozen (trigger
+    # optimization, DeepFool sweeps) drop them so the closure does not pin
+    # the largest allocation of the layer.
+    cols_saved = cols if weight.requires_grad else None
+
+    def backward(grad: np.ndarray) -> None:
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+        if cols_saved is not None:
+            grad_out_mat = grad.transpose(0, 2, 3, 1).reshape(-1, out_channels)
+            cols_nhw = cols_saved.reshape(patch, out_h * out_w, batch).transpose(
+                0, 2, 1).reshape(patch, -1)
+            grad_w = grad_out_mat.T @ cols_nhw.T
+            weight._accumulate(grad_w.reshape(weight.data.shape))
+        if x.requires_grad:
+            grad_mat = grad.transpose(1, 2, 3, 0).reshape(out_channels, -1)
+            w_taps = weight.data.transpose(2, 3, 1, 0).reshape(-1, out_channels)
+            grad_cols = (w_taps @ grad_mat).reshape(
+                kernel_h, kernel_w, channels, out_h, out_w, batch)
+            grad_pad = np.zeros((channels, padded_h, padded_w, batch),
+                                dtype=grad_cols.dtype)
+            for i in range(kernel_h):
+                for j in range(kernel_w):
+                    grad_pad[:, i:i + span_h:stride, j:j + span_w:stride] += \
+                        grad_cols[i, j]
+            grad_x = grad_pad[:, padding:padding + height,
+                              padding:padding + width]
+            x._accumulate(np.ascontiguousarray(grad_x.transpose(3, 0, 1, 2)))
+
+    return Tensor._make(out, parents, backward)
+
+
 def _conv2d_input_grad(grad_out: np.ndarray, weight: np.ndarray,
                        x_shape: Tuple[int, int, int, int], stride: int,
                        padding: int, groups: int) -> np.ndarray:
-    """Gradient of a convolution w.r.t. its input, as a transposed convolution.
+    """Input gradient of a grouped convolution, as a transposed convolution.
 
-    Runs the standard identity ``grad_x = conv(dilate(grad_out), flip(W)ᵀ)``
-    through the same im2col + GEMM/einsum machinery as the forward pass, which
-    is several times faster than the col2im scatter-add loop (one strided pass
-    per kernel position) it replaces.
+    Dense convolutions never come here: :func:`_conv2d_dense` computes theirs
+    with one tap-major GEMM.  Spatial-heavy depthwise convolutions scatter
+    each kernel tap of the output gradient straight into the input extent.
+    Every other grouped convolution runs the identity
+    ``grad_x = conv(dilate(grad_out), flip(W)ᵀ)`` through im2col and a
+    per-group einsum, which requires ``padding <= kernel - 1``.
     """
     batch, in_channels, height, width = x_shape
     out_channels, in_per_group, kernel_h, kernel_w = weight.shape
@@ -231,19 +320,46 @@ def _conv2d_input_grad(grad_out: np.ndarray, weight: np.ndarray,
         raise RuntimeError(
             f"conv2d input-grad: transposed-conv extent ({gh}, {gw}) does "
             f"not match the input ({height}, {width}).")
-    if groups == 1:
-        w_mat = flipped.transpose(1, 0, 2, 3).reshape(in_channels, -1)
-        grad_x = (cols.reshape(-1, out_channels * kernel_h * kernel_w)
-                  @ w_mat.T).reshape(batch, height, width, in_channels)
-    else:
-        opg = out_channels // groups
-        cols_g = cols.reshape(batch, height, width, groups,
-                              opg * kernel_h * kernel_w)
-        w_g = flipped.reshape(groups, opg, in_per_group, kernel_h, kernel_w)
-        w_g = w_g.transpose(0, 2, 1, 3, 4).reshape(groups, in_per_group, -1)
-        grad_x = np.einsum("nhwgk,gik->nhwgi", cols_g, w_g)
-        grad_x = grad_x.reshape(batch, height, width, in_channels)
+    opg = out_channels // groups
+    cols_g = cols.reshape(batch, height, width, groups,
+                          opg * kernel_h * kernel_w)
+    w_g = flipped.reshape(groups, opg, in_per_group, kernel_h, kernel_w)
+    w_g = w_g.transpose(0, 2, 1, 3, 4).reshape(groups, in_per_group, -1)
+    grad_x = np.einsum("nhwgk,gik->nhwgi", cols_g, w_g)
+    grad_x = grad_x.reshape(batch, height, width, in_channels)
     return grad_x.transpose(0, 3, 1, 2)
+
+
+def _conv2d_grouped(x: Tensor, weight: Tensor, bias: Optional[Tensor],
+                    stride: int, padding: int, groups: int) -> Tensor:
+    """Grouped / depthwise convolution: im2col and a per-group einsum."""
+    batch = x.data.shape[0]
+    out_channels, in_per_group, kernel_h, kernel_w = weight.data.shape
+    cols, out_h, out_w = im2col(x.data, kernel_h, kernel_w, stride, padding)
+    patch = in_per_group * kernel_h * kernel_w
+    cols_g = cols.reshape(batch, out_h, out_w, groups, patch)
+    w_g = weight.data.reshape(groups, out_channels // groups, -1)
+    out = np.einsum("nhwgk,gok->nhwgo", cols_g, w_g)
+    out = out.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+    if bias is not None:
+        out = out + bias.data.reshape(1, -1, 1, 1)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    cols_saved = cols_g if weight.requires_grad else None
+
+    def backward(grad: np.ndarray) -> None:
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+        if cols_saved is not None:
+            grad_out_g = grad.transpose(0, 2, 3, 1).reshape(
+                batch, out_h, out_w, groups, out_channels // groups)
+            grad_w = np.einsum("nhwgo,nhwgk->gok", grad_out_g, cols_saved)
+            weight._accumulate(grad_w.reshape(weight.data.shape))
+        if x.requires_grad:
+            x._accumulate(_conv2d_input_grad(grad, weight.data, x.data.shape,
+                                             stride, padding, groups))
+
+    return Tensor._make(out, parents, backward)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -251,87 +367,66 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """2D convolution over ``(N, C, H, W)`` inputs.
 
     ``groups > 1`` implements grouped / depthwise convolution (used by the
-    EfficientNet-style model).  1x1 kernels with ``groups == 1`` take a direct
-    GEMM fast path without im2col.
+    EfficientNet-style model).  With ``groups == 1``, unpadded 1x1 kernels
+    take a direct channel-mixing GEMM and every other kernel the tap-major
+    GEMMs of :func:`_conv2d_dense`.  Except on the 1x1 path, the result is
+    an NCHW view of ``(N, oh, ow, OC)`` memory.
     """
-    batch, in_channels, _, _ = x.data.shape
+    in_channels = x.data.shape[1]
     out_channels, in_per_group, kernel_h, kernel_w = weight.data.shape
     if in_channels != in_per_group * groups:
         raise ValueError(
             f"conv2d channel mismatch: input has {in_channels} channels, "
             f"weight expects {in_per_group * groups} (groups={groups}).")
 
-    if groups == 1 and kernel_h == 1 and kernel_w == 1 and padding == 0:
+    if groups > 1:
+        return _conv2d_grouped(x, weight, bias, stride, padding, groups)
+    if kernel_h == 1 and kernel_w == 1 and padding == 0:
         return _conv2d_1x1(x, weight, bias, stride)
-
-    cols, out_h, out_w = im2col(x.data, kernel_h, kernel_w, stride, padding)
-    patch = in_per_group * kernel_h * kernel_w
-
-    if groups == 1:
-        w_mat = weight.data.reshape(out_channels, -1)  # (OC, C*kh*kw)
-        # One large GEMM over all (N*oh*ow) positions beats the batched
-        # per-row matmuls NumPy would run on the 4D operands.
-        out = (cols.reshape(-1, patch) @ w_mat.T).reshape(
-            batch, out_h, out_w, out_channels)
-    else:
-        cols_g = cols.reshape(batch, out_h, out_w, groups, patch)
-        w_g = weight.data.reshape(groups, out_channels // groups, -1)
-        out = np.einsum("nhwgk,gok->nhwgo", cols_g, w_g)
-        out = out.reshape(batch, out_h, out_w, out_channels)
-
-    out = out.transpose(0, 3, 1, 2)  # (N, OC, oh, ow)
-    if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    # The backward pass re-uses the forward im2col buffer for grad_w; when the
-    # weight is frozen (trigger optimization, DeepFool sweeps) drop it so the
-    # closure does not pin the largest allocation of the layer.
-    cols_saved = cols if weight.requires_grad else None
-
-    def backward(grad: np.ndarray) -> None:
-        grad_out = grad.transpose(0, 2, 3, 1)  # (N, oh, ow, OC)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-
-        if groups == 1:
-            if cols_saved is not None:
-                grad_out_mat = grad_out.reshape(-1, out_channels)
-                grad_w = grad_out_mat.T @ cols_saved.reshape(-1, patch)
-                weight._accumulate(grad_w.reshape(weight.data.shape))
-        else:
-            if cols_saved is not None:
-                grad_out_g = grad_out.reshape(batch, out_h, out_w, groups,
-                                              out_channels // groups)
-                cols_g_local = cols_saved.reshape(batch, out_h, out_w, groups,
-                                                  patch)
-                grad_w = np.einsum("nhwgo,nhwgk->gok", grad_out_g, cols_g_local)
-                weight._accumulate(grad_w.reshape(weight.data.shape))
-        if x.requires_grad:
-            if groups == 1 and in_channels <= out_channels:
-                # grad-cols GEMM + col2im scatter touches C·k² columns; the
-                # transposed-conv route touches OC·k² (on the s²-dilated
-                # gradient).  Pick per shape: expanding convs (C <= OC) go
-                # through col2im, contracting ones through the transpose.
-                w_mat_local = weight.data.reshape(out_channels, -1)
-                grad_cols = (grad_out.reshape(-1, out_channels)
-                             @ w_mat_local).reshape(batch, out_h, out_w, patch)
-                grad_x = col2im(grad_cols, x.data.shape, kernel_h, kernel_w,
-                                stride, padding)
-            else:
-                grad_x = _conv2d_input_grad(grad, weight.data, x.data.shape,
-                                            stride, padding, groups)
-            x._accumulate(grad_x)
-
-    return Tensor._make(out, parents, backward)
+    return _conv2d_dense(x, weight, bias, stride, padding)
 
 
 # ---------------------------------------------------------------------- #
 # Pooling
 # ---------------------------------------------------------------------- #
+def _max_pool2d_tiled(x: Tensor, kernel_size: int) -> Tensor:
+    """Non-overlapping max pooling via a reshape, no im2col/col2im.
+
+    Applies when ``stride == kernel_size`` and the spatial dims divide evenly.
+    The windows are gathered into ``(N, oh, ow, C, k·k)`` by one reshape copy
+    (a view of the input's own memory when it is NHWC-ordered, as conv
+    outputs are), and each output is the window's first maximum in row-major
+    ``(i, j)`` order.  The backward places every gradient at that maximum and
+    rebuilds the NCHW input with one transpose instead of k² strided adds.
+    """
+    batch, channels, height, width = x.data.shape
+    k = kernel_size
+    out_h, out_w = height // k, width // k
+    windows = x.data.transpose(0, 2, 3, 1).reshape(
+        batch, out_h, k, out_w, k, channels).transpose(0, 1, 3, 5, 2, 4)
+    windows = windows.reshape(batch, out_h, out_w, channels, k * k)
+    argmax = windows.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(windows, argmax, axis=-1)[..., 0]
+
+    def backward(grad: np.ndarray) -> None:
+        if not x.requires_grad:
+            return
+        grad_windows = np.zeros((batch, out_h, out_w, channels, k * k),
+                                dtype=grad.dtype)
+        np.put_along_axis(grad_windows, argmax,
+                          grad.transpose(0, 2, 3, 1)[..., None], axis=-1)
+        grad_x = grad_windows.reshape(batch, out_h, out_w, channels, k, k)
+        x._accumulate(grad_x.transpose(0, 3, 1, 4, 2, 5).reshape(x.data.shape))
+
+    return Tensor._make(out.transpose(0, 3, 1, 2), (x,), backward)
+
+
 def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows."""
     stride = stride or kernel_size
+    if (stride == kernel_size and x.data.shape[2] % kernel_size == 0
+            and x.data.shape[3] % kernel_size == 0):
+        return _max_pool2d_tiled(x, kernel_size)
     cols, out_h, out_w = im2col(x.data, kernel_size, kernel_size, stride, 0)
     batch, channels = x.data.shape[:2]
     cols = cols.reshape(batch, out_h, out_w, channels, kernel_size * kernel_size)

@@ -161,6 +161,23 @@ class TestConvPoolNumericGrad:
         num = numeric_grad(forward_np, w.copy(), eps=1e-2)
         np.testing.assert_allclose(wt.grad, num, rtol=0.05, atol=0.05)
 
+    @pytest.mark.parametrize("in_channels,out_channels,kernel,padding",
+                             [(8, 4, 1, 1), (8, 4, 3, 3), (4, 8, 3, 3)])
+    def test_conv2d_input_grad_padding_at_least_kernel(
+            self, rng, in_channels, out_channels, kernel, padding):
+        x = rng.standard_normal((2, in_channels, 4, 4))
+        w = rng.standard_normal((out_channels, in_channels, kernel, kernel))
+
+        def forward_np(x_arr):
+            return float(F.conv2d(Tensor(x_arr), Tensor(w),
+                                  padding=padding).sum().data)
+
+        xt = Tensor(x.copy(), requires_grad=True)
+        F.conv2d(xt, Tensor(w), padding=padding).sum().backward()
+        # The conv is linear in x: a wide step is exact up to float32 rounding.
+        num = numeric_grad(forward_np, x.copy(), eps=0.1)
+        np.testing.assert_allclose(xt.grad, num, rtol=1e-3, atol=1e-3)
+
     def test_grouped_conv_matches_manual(self, rng):
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
         w = rng.standard_normal((4, 1, 3, 3)).astype(np.float32)
