@@ -21,8 +21,10 @@ TARGETS = (
     "src/repro/mitigation",
     "src/repro/obs",
     "src/repro/analysis",
-    "src/repro/core/detection.py",
+    "src/repro/core",
+    "src/repro/defenses",
     "src/repro/eval/experiments.py",
+    "src/repro/eval/timing.py",
 )
 
 
@@ -36,8 +38,9 @@ class DocstringCoverageRule(Rule):
 
     name = "docstring-coverage"
     description = ("public modules/classes/functions in service/, "
-                   "mitigation/, obs/, analysis/, core/detection.py and "
-                   "eval/experiments.py must carry docstrings")
+                   "mitigation/, obs/, analysis/, core/, defenses/, "
+                   "eval/experiments.py and eval/timing.py must carry "
+                   "docstrings")
 
     def applies_to(self, path: str) -> bool:
         """Only the documented layers (see :data:`TARGETS`)."""

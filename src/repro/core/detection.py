@@ -10,11 +10,18 @@ outer loop:
    "shortcut"), using the median-absolute-deviation (MAD) anomaly index from
    the Neural Cleanse paper.
 
-**Joint outer loop.**  By default (``mode="batched"``) :meth:`detect` runs
-all K candidate classes as *one* joint optimization on the work-item pool of
-:mod:`repro.core.mega`, with the budget cascade off: every model
-forward/backward is amortized across classes on a ``(K·B, C, H, W)``
-mega-batch.  ``mode="mega"`` uses the same pool with the cascade on.  Each
+**One loop.**  A scan is a list of ``(source, target)`` cells — a classic
+scan is the unconditional grid ``[(None, t) for t in classes]`` — and
+:meth:`TriggerReverseEngineeringDetector.detect` inverts them one source
+group at a time, over clean data restricted to the source class.  By
+default (``mode="batched"``) a group of several targets runs as *one*
+joint optimization on the work-item pool of :mod:`repro.core.mega` with the
+budget cascade off, amortizing every model forward/backward across the
+targets on a ``(K·B, C, H, W)`` mega-batch.  ``mode="mega"`` runs a scan of
+several cells as a one-job :func:`detect_mega_fleet`, the same pool with the
+cascade on.  ``mode="sequential"`` (per-class wall clock, or the reference
+for A/B validation), a one-target group and a one-cell scan call
+:meth:`TriggerReverseEngineeringDetector.reverse_engineer` per cell.  Each
 detector states its per-class starting points once, in
 :meth:`TriggerReverseEngineeringDetector._mega_inits`, and both joint modes
 take them from there.  The Alg. 2 refinement loss is a sum of independent
@@ -26,14 +33,11 @@ across classes instead of consuming the RNG per class, so its UAP seeds —
 and hence per-class trigger norms — differ from the sequential path in
 their random stream, not just in rounding; flagged classes are expected to
 agree, with anomaly indices within a small tolerance (tracked by the
-Table 7 harness).  ``detect`` falls back to the sequential per-class loop
-when the detector provides no starting points, when only one class is
-scanned, or when ``mode="sequential"`` is passed (per-class wall-clock
-measurements, or the reference for A/B validation).
+Table 7 harness).
 
 This module provides the data structures, the MAD outlier test, and the
 :class:`TriggerReverseEngineeringDetector` base class implementing the outer
-loops; concrete detectors implement
+loop; concrete detectors implement
 :meth:`TriggerReverseEngineeringDetector.reverse_engineer` and
 :meth:`TriggerReverseEngineeringDetector._mega_inits`.
 """
@@ -346,7 +350,7 @@ def mad_anomaly_indices(norms: Sequence[float]) -> Dict[int, float]:
 
 
 class TriggerReverseEngineeringDetector:
-    """Base class: per-class reverse engineering + MAD outlier decision."""
+    """Base class: per-cell reverse engineering + MAD outlier decision."""
 
     #: Detector name used in reports (overridden by subclasses).
     name: str = "detector"
@@ -382,59 +386,96 @@ class TriggerReverseEngineeringDetector:
     def _mega_inits(self, model: Module, target_classes: List[int]):
         """Per-class starting points for the joint (work-item pool) modes.
 
-        Subclasses return ``(inits, config, prescreen_norms)`` — the
-        per-class ``(pattern, mask)`` starts, the trigger-optimization
-        config, and optional per-class seed norms for cascade prescreening
-        (``None`` when the detector has no seed-size signal).  The base
-        implementation returns ``None``, meaning no joint path.
+        Returns ``(inits, config, prescreen_norms)`` — the per-class
+        ``(pattern, mask)`` starts, the trigger-optimization config, and
+        optional per-class seed norms for cascade prescreening (``None``
+        when the detector has no seed-size signal).  Every detector
+        implements it: ``batched`` groups and :func:`detect_mega_fleet` take
+        their starts from here.
         """
-        return None
-
-    def reverse_engineer_batch(self, model: Module, target_classes: Sequence[int]
-                               ) -> Optional[List[ReversedTrigger]]:
-        """Jointly reconstruct triggers for all ``target_classes`` at once.
-
-        Runs the :meth:`_mega_inits` starting points through the work-item
-        pool with the cascade off
-        (:class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`).
-        Returns ``None`` when the detector provides no starting points, in
-        which case :meth:`detect` falls back to the sequential per-class loop.
-        """
-        class_list = list(target_classes)
-        prepared = self._mega_inits(model, class_list)
-        if prepared is None:
-            return None
-        inits, config, _ = prepared
-        results = BatchedTriggerMaskOptimizer(
-            model, self.clean_data.images, class_list, config=config
-        ).optimize(inits)
-        return [_reversed(target, result)
-                for target, result in zip(class_list, results)]
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # Mega path: work-item pool + budget cascade
+    # Scan cells and the engines' building blocks
     # ------------------------------------------------------------------ #
-    def _mega_task(self, model: Module, target_classes: Sequence[int],
-                   selection_group: Optional[str] = None
-                   ) -> Optional[MegaTask]:
-        """Build this detector's :class:`~repro.core.mega.MegaTask`."""
-        prepared = self._mega_inits(model, list(target_classes))
-        if prepared is None:
-            return None
-        inits, config, prescreen_norms = prepared
-        return MegaTask(
-            model=model,
-            images=self.clean_data.images,
-            target_classes=target_classes,
-            inits=inits,
-            config=config,
-            anomaly_threshold=self.anomaly_threshold,
-            prescreen_norms=prescreen_norms,
-            selection_group=selection_group,
-            model_key=self.model_key,
-            images_key=self._images_key(),
-            label=self.name,
-        )
+    def _cells(self, classes: Optional[Sequence[int]],
+               pairs: Optional[Sequence[ScanPair]]
+               ) -> Tuple[List[ScanPair], Dict[Optional[int], List[int]]]:
+        """A scan's cells and its targets grouped by source, in first-seen order.
+
+        Without ``pairs`` the cells are ``(None, t)`` for every ``t`` in
+        ``classes`` (default: every class).  Repeated cells are dropped; an
+        empty scan or a class outside the clean pool raises ``ValueError``.
+        """
+        if pairs is None:
+            if classes is None:
+                classes = range(self.clean_data.num_classes)
+            pairs = [(None, target) for target in classes]
+        cells: List[ScanPair] = list(dict.fromkeys(
+            (None if source is None else int(source), int(target))
+            for source, target in pairs))
+        if not cells:
+            raise ValueError(f"{self.name}: a scan needs at least one class "
+                             "or (source, target) pair.")
+        num_classes = self.clean_data.num_classes
+        groups: Dict[Optional[int], List[int]] = {}
+        for source, target in cells:
+            for cls in (source, target):
+                if cls is not None and not 0 <= cls < num_classes:
+                    raise ValueError(
+                        f"{self.name}: class {cls} is outside the clean "
+                        f"pool's {num_classes} classes.")
+            groups.setdefault(source, []).append(target)
+        return cells, groups
+
+    def _mega_task(self, model: Module, source: Optional[int],
+                   targets: List[int], selection_group: str) -> MegaTask:
+        """One source group's :class:`~repro.core.mega.MegaTask`."""
+        with self._restricted_clean(source):
+            inits, config, prescreen_norms = self._mega_inits(model, targets)
+            return MegaTask(
+                model=model,
+                images=self.clean_data.images,
+                target_classes=targets,
+                inits=inits,
+                config=config,
+                anomaly_threshold=self.anomaly_threshold,
+                prescreen_norms=prescreen_norms,
+                selection_group=selection_group,
+                model_key=self.model_key,
+                images_key=self._images_key(),
+                label=self.name,
+            )
+
+    def _invert(self, model: Module, source: Optional[int],
+                targets: List[int], joint: bool) -> List[ReversedTrigger]:
+        """One source group's triggers, from one joint run or per target.
+
+        A joint run optimizes the :meth:`_mega_inits` starts together and
+        splits its wall clock evenly over them.
+        """
+        start = time.perf_counter()
+        with self._restricted_clean(source):
+            if joint:
+                inits, config, _ = self._mega_inits(model, targets)
+                results = BatchedTriggerMaskOptimizer(
+                    model, self.clean_data.images, targets, config=config
+                ).optimize(inits)
+                seconds = (time.perf_counter() - start) / len(targets)
+                return [_reversed(target, result, seconds=seconds,
+                                  source_class=source)
+                        for target, result in zip(targets, results)]
+            triggers = []
+            for target in targets:
+                cell_start = time.perf_counter()
+                trigger = self.reverse_engineer(model, target)
+                trigger.seconds = time.perf_counter() - cell_start
+                trigger.source_class = source
+                triggers.append(trigger)
+                _LOG.debug("%s cell %s: L1=%.3f success=%.2f (%.1fs)",
+                           self.name, trigger.pair, trigger.l1_norm,
+                           trigger.success_rate, trigger.seconds)
+            return triggers
 
     def _images_key(self) -> Optional[str]:
         """Activation-cache key of the current clean pool.
@@ -449,28 +490,6 @@ class TriggerReverseEngineeringDetector:
             return f"{self.clean_key}@src{self._active_source}"
         return self.clean_key
 
-    def reverse_engineer_mega(self, model: Module,
-                              target_classes: Sequence[int]
-                              ) -> Optional[List[ReversedTrigger]]:
-        """Invert all ``target_classes`` through the mega work-item pool.
-
-        Returns ``None`` when the detector provides no mega starting points
-        (:meth:`_mega_inits`), in which case :meth:`detect` falls back to the
-        sequential per-class loop.
-        """
-        task = self._mega_task(model, target_classes)
-        if task is None:
-            return None
-        self.last_mega_stats = {}
-        [results] = run_mega_inversion(
-            [task], cascade=self.mega_cascade, pool=self.mega_pool,
-            cache=self.activation_cache, stats=self.last_mega_stats)
-        return [_reversed(target, result)
-                for target, result in zip(task.target_classes, results)]
-
-    # ------------------------------------------------------------------ #
-    # Scenario support: source-restricted clean data
-    # ------------------------------------------------------------------ #
     @contextmanager
     def _restricted_clean(self, source: Optional[int]) -> Iterator[None]:
         """Temporarily restrict ``clean_data`` to one source class.
@@ -507,242 +526,106 @@ class TriggerReverseEngineeringDetector:
                classes: Optional[Sequence[int]] = None,
                pairs: Optional[Sequence[ScanPair]] = None,
                mode: str = "batched") -> DetectionResult:
-        """Run reverse engineering for every class and apply the outlier test.
+        """Reverse-engineer a trigger for every scan cell and apply the MAD test.
 
-        ``mode`` selects the inversion engine (:data:`INVERSION_MODES`):
-        ``"sequential"`` runs the per-class loop, ``"batched"`` (the default)
-        one joint run on the work-item pool with the cascade off, ``"mega"``
-        the pool with its budget cascade.  Modes degrade gracefully: a
-        detector without the requested fast path falls back to the next one
-        down.
+        ``classes`` (default: every class of the clean pool) scans the
+        unconditional cells ``(None, t)``.  ``pairs`` scans ``(source,
+        target)`` cells instead, each over clean data restricted to its
+        source (``None`` = unconditional); the result then also carries
+        per-pair anomaly indices and flagged pairs.  Repeated cells are
+        scanned once.  ``mode`` selects the engine (:data:`INVERSION_MODES`,
+        see the module docstring).
 
-        ``pairs`` switches to the scenario-aware pair mode: each ``(source,
-        target)`` cell is reverse-engineered with the clean data restricted
-        to the source class (``None`` = unconditional), the MAD outlier test
-        runs over the pair norms, and the result carries per-pair anomaly
-        indices and flagged pairs alongside the per-class aggregation.
+        Raises:
+            ValueError: an unknown ``mode``, a scan with no cell, or a class
+                outside ``[0, clean_data.num_classes)``.
         """
         if mode not in INVERSION_MODES:
             raise ValueError(f"Unknown inversion mode '{mode}'. "
                              f"Available: {', '.join(INVERSION_MODES)}")
-        model.eval()
-        was_grad = [p.requires_grad for p in model.parameters()]
-        model.requires_grad_(False)
-        try:
-            if pairs is not None:
-                return self._detect_pairs(model, pairs, mode)
-            class_list = list(classes) if classes is not None else list(
-                range(self.clean_data.num_classes))
-            triggers: Optional[List[ReversedTrigger]] = None
+        classes = None if classes is None else list(classes)
+        pairs = None if pairs is None else list(pairs)
+        cells, groups = self._cells(classes, pairs)
+        if mode == "mega" and len(cells) > 1:
+            engine = "mega"
+        elif mode != "sequential" and any(len(targets) > 1
+                                          for targets in groups.values()):
+            engine = "batched"
+        else:
+            engine = "sequential"
+        with _tspan("inversion", detector=self.name, classes=len(cells),
+                    engine=engine):
+            if engine == "mega":
+                return detect_mega_fleet(
+                    [(self, model, classes, pairs)], cascade=self.mega_cascade,
+                    pool=self.mega_pool, cache=self.activation_cache)[0]
             start = time.perf_counter()
-            used_batched = False
-            used_mega = False
-            with _tspan("inversion", detector=self.name,
-                        classes=len(class_list)) as inv_span:
-                if mode == "mega" and len(class_list) > 1:
-                    triggers = self.reverse_engineer_mega(model, class_list)
-                    used_mega = triggers is not None
-                if (triggers is None and mode != "sequential"
-                        and len(class_list) > 1):
-                    triggers = self.reverse_engineer_batch(model, class_list)
-                    used_batched = triggers is not None
-                if triggers is None:
-                    triggers = []
-                    for target in class_list:
-                        t0 = time.perf_counter()
-                        trigger = self.reverse_engineer(model, target)
-                        trigger.seconds = time.perf_counter() - t0
-                        triggers.append(trigger)
-                        _LOG.debug("%s class %d: L1=%.3f success=%.2f (%.1fs)",
-                                   self.name, target, trigger.l1_norm,
-                                   trigger.success_rate, trigger.seconds)
-                if inv_span is not None:
-                    inv_span.attrs["engine"] = ("mega" if used_mega else
-                                                "batched" if used_batched
-                                                else "sequential")
-            total_seconds = time.perf_counter() - start
-            if used_batched or used_mega:
-                # Joint optimization amortizes the wall clock across classes.
-                per_class = total_seconds / max(len(triggers), 1)
-                for trigger in triggers:
-                    trigger.seconds = per_class
+            by_cell: Dict[ScanPair, ReversedTrigger] = {}
+            with _frozen([model]):
+                for source, targets in groups.items():
+                    joint = engine == "batched" and len(targets) > 1
+                    for trigger in self._invert(model, source, targets, joint):
+                        by_cell[trigger.pair] = trigger
+            seconds = time.perf_counter() - start
+        return _verdict(self, cells, by_cell, seconds,
+                        {"batched": float(engine == "batched"), "mega": 0.0},
+                        pair_mode=pairs is not None)
 
-            metadata = {"batched": 1.0 if (used_batched or used_mega) else 0.0,
-                        "mega": 1.0 if used_mega else 0.0}
-            return _classic_result(self.name, class_list, triggers,
-                                   self.anomaly_threshold, total_seconds,
-                                   metadata)
-        finally:
-            for param, flag in zip(model.parameters(), was_grad):
+
+@contextmanager
+def _frozen(models: Sequence[Module]) -> Iterator[None]:
+    """Eval mode with parameter gradients off for ``models``, then restore.
+
+    Flags come back in reverse order: a model listed twice keeps its own.
+    """
+    restore = []
+    for model in models:
+        model.eval()
+        restore.append((model, [p.requires_grad for p in model.parameters()]))
+        model.requires_grad_(False)
+    try:
+        yield
+    finally:
+        for model, flags in reversed(restore):
+            for param, flag in zip(model.parameters(), flags):
                 param.requires_grad = flag
 
-    def _detect_pairs(self, model: Module, pairs: Sequence[ScanPair],
-                      mode: str) -> DetectionResult:
-        """Pair-mode outer loop (grad flags already disabled by ``detect``).
 
-        Pairs are grouped by source so each group shares one clean-data
-        restriction and, when the detector implements it, one mega-batch
-        optimization across the group's targets.  In mega mode all source
-        groups become tasks of *one* work-item pool sharing a single MAD
-        selection group, so the cascade sees the full pair grid at once.
-        """
-        pair_list, groups = _normalize_pairs(pairs)
+def _verdict(detector: TriggerReverseEngineeringDetector,
+             cells: List[ScanPair], by_cell: Dict[ScanPair, ReversedTrigger],
+             seconds_total: float, metadata: Dict[str, float],
+             pair_mode: bool) -> DetectionResult:
+    """A scan's verdict: the MAD test over its cell norms.
 
-        start = time.perf_counter()
-        used_batched = False
-        used_mega = False
-        by_pair: Dict[ScanPair, ReversedTrigger] = {}
-        if mode == "mega":
-            tasks: List[MegaTask] = []
-            task_groups: List[Tuple[Optional[int], List[int]]] = []
-            for source, targets in groups.items():
-                with self._restricted_clean(source):
-                    task = self._mega_task(model, targets,
-                                           selection_group="pairs")
-                if task is None:
-                    tasks = []
-                    break
-                tasks.append(task)
-                task_groups.append((source, targets))
-            if tasks:
-                used_mega = True
-                self.last_mega_stats = {}
-                results = run_mega_inversion(
-                    tasks, cascade=self.mega_cascade, pool=self.mega_pool,
-                    cache=self.activation_cache, stats=self.last_mega_stats)
-                for (source, targets), task_results in zip(task_groups,
-                                                           results):
-                    for target, result in zip(targets, task_results):
-                        by_pair[(source, target)] = _reversed(
-                            target, result, source_class=source)
-        if not by_pair:
-            for source, targets in groups.items():
-                group_start = time.perf_counter()
-                with self._restricted_clean(source):
-                    group_triggers: Optional[List[ReversedTrigger]] = None
-                    if mode != "sequential" and len(targets) > 1:
-                        group_triggers = self.reverse_engineer_batch(model,
-                                                                     targets)
-                        group_batched = group_triggers is not None
-                        used_batched = used_batched or group_batched
-                    if group_triggers is None:
-                        group_batched = False
-                        group_triggers = []
-                        for target in targets:
-                            t0 = time.perf_counter()
-                            trigger = self.reverse_engineer(model, target)
-                            trigger.seconds = time.perf_counter() - t0
-                            group_triggers.append(trigger)
-                if group_batched:
-                    per_target = ((time.perf_counter() - group_start)
-                                  / len(targets))
-                    for trigger in group_triggers:
-                        trigger.seconds = per_target
-                for target, trigger in zip(targets, group_triggers):
-                    trigger.source_class = source
-                    by_pair[(source, target)] = trigger
-                    _LOG.debug("%s pair (%s -> %d): L1=%.3f success=%.2f",
-                               self.name, "*" if source is None else source,
-                               target, trigger.l1_norm, trigger.success_rate)
-        triggers = [by_pair[pair] for pair in pair_list]
-        total_seconds = time.perf_counter() - start
-        if used_mega:
-            per_pair = total_seconds / max(len(triggers), 1)
-            for trigger in triggers:
-                trigger.seconds = per_pair
-
-        return _pair_result(
-            self.name, pair_list, triggers, self.anomaly_threshold,
-            total_seconds,
-            {"batched": 1.0 if (used_batched or used_mega) else 0.0,
-             "mega": 1.0 if used_mega else 0.0,
-             "pair_mode": 1.0,
-             "pairs_scanned": float(len(pair_list))})
-
-
-def _normalize_pairs(pairs: Sequence[ScanPair]
-                     ) -> Tuple[List[ScanPair], Dict[Optional[int], List[int]]]:
-    """Dedupe a pair list (order-preserving) and group targets by source.
-
-    Returns:
-        ``(pair_list, groups)`` where ``groups`` maps each source class
-        (``None`` = unconditional) to its target classes in first-seen
-        order.
-
-    Raises:
-        ValueError: ``pairs`` is empty.
+    A class scores its worst cell's index.  Pair mode adds the per-cell
+    indices, flagged cells and ``pair_mode``/``pairs_scanned`` metadata.
     """
-    pair_list: List[ScanPair] = []
-    groups: Dict[Optional[int], List[int]] = {}
-    for source, target in pairs:
-        pair = (None if source is None else int(source), int(target))
-        if pair in pair_list:
-            continue
-        pair_list.append(pair)
-        groups.setdefault(pair[0], []).append(pair[1])
-    if not pair_list:
-        raise ValueError("Pair-mode detection needs at least one "
-                         "(source, target) pair.")
-    return pair_list, groups
-
-
-def _pair_result(detector_name: str, pair_list: List[ScanPair],
-                 triggers: List[ReversedTrigger], threshold: float,
-                 seconds_total: float,
-                 metadata: Dict[str, float]) -> DetectionResult:
-    """Assemble the pair-mode verdict from per-pair triggers.
-
-    The MAD outlier test runs over the pair norms; per-class anomaly
-    indices aggregate each target's worst pair so classic consumers keep
-    working on pair-mode results.
-    """
-    with _tspan("mad.decision", detector=detector_name, cells=len(triggers),
-                pair_mode=True):
-        norms = [t.l1_norm for t in triggers]
-        position_indices = mad_anomaly_indices(norms)
-    pair_anomaly = {pair_list[pos]: value
+    triggers = [by_cell[cell] for cell in cells]
+    with _tspan("mad.decision", detector=detector.name, cells=len(triggers),
+                pair_mode=pair_mode):
+        position_indices = mad_anomaly_indices([t.l1_norm for t in triggers])
+    cell_anomaly = {cells[pos]: value
                     for pos, value in position_indices.items()}
-    flagged_pairs = sorted(
-        (pair for pair, value in pair_anomaly.items() if value > threshold),
-        key=lambda pair: (pair[1], -1 if pair[0] is None else pair[0]))
+    flagged_cells = sorted(
+        (cell for cell, value in cell_anomaly.items()
+         if value > detector.anomaly_threshold),
+        key=lambda cell: (cell[1], -1 if cell[0] is None else cell[0]))
     anomaly_indices: Dict[int, float] = {}
-    for (source, target), value in pair_anomaly.items():
+    for (_, target), value in cell_anomaly.items():
         anomaly_indices[target] = max(anomaly_indices.get(target, 0.0), value)
-    flagged_classes = sorted({target for _, target in flagged_pairs})
+    if pair_mode:
+        metadata = {**metadata, "pair_mode": 1.0,
+                    "pairs_scanned": float(len(cells))}
     return DetectionResult(
-        detector=detector_name,
+        detector=detector.name,
         triggers=triggers,
         anomaly_indices=anomaly_indices,
-        flagged_classes=flagged_classes,
-        is_backdoored=bool(flagged_pairs),
+        flagged_classes=sorted({target for _, target in flagged_cells}),
+        is_backdoored=bool(flagged_cells),
         seconds_total=seconds_total,
         metadata=metadata,
-        pair_anomaly_indices=pair_anomaly,
-        flagged_pairs=flagged_pairs,
-    )
-
-
-def _classic_result(detector_name: str, class_list: List[int],
-                    triggers: List[ReversedTrigger], threshold: float,
-                    seconds_total: float,
-                    metadata: Dict[str, float]) -> DetectionResult:
-    """Assemble the classic (unconditional) verdict from per-class triggers."""
-    with _tspan("mad.decision", detector=detector_name, cells=len(triggers)):
-        norms = [t.l1_norm for t in triggers]
-        position_indices = mad_anomaly_indices(norms)
-        anomaly_indices = {
-            class_list[pos]: value for pos, value in position_indices.items()
-        }
-        flagged = [cls for cls, value in anomaly_indices.items()
-                   if value > threshold]
-    return DetectionResult(
-        detector=detector_name,
-        triggers=triggers,
-        anomaly_indices=anomaly_indices,
-        flagged_classes=sorted(flagged),
-        is_backdoored=bool(flagged),
-        seconds_total=seconds_total,
-        metadata=metadata,
+        pair_anomaly_indices=cell_anomaly if pair_mode else {},
+        flagged_pairs=flagged_cells if pair_mode else [],
     )
 
 
@@ -753,20 +636,16 @@ def detect_mega_fleet(jobs: Sequence[Sequence[Any]],
                       stats: Optional[dict] = None) -> List[DetectionResult]:
     """Run many scans — classic and pair-mode — through one work-item pool.
 
-    ``jobs`` is a sequence of ``(detector, model, classes)`` triples
-    (``classes=None`` scans every class of the detector's clean pool) or
-    ``(detector, model, classes, pairs)`` quadruples; a non-``None``
-    ``pairs`` makes that job a scenario-aware pair scan: every ``(source,
-    target)`` cell is inverted with the clean pool restricted to its source
-    class, and the job's verdict carries per-pair anomaly indices and
-    flagged pairs exactly like ``detect(pairs=...)``.
+    ``jobs`` is a sequence of ``(detector, model, classes)`` triples or
+    ``(detector, model, classes, pairs)`` quadruples, read exactly like the
+    arguments of :meth:`TriggerReverseEngineeringDetector.detect`: a job's
+    verdict has the shape ``detect`` gives it, pair-mode extras included.
 
-    All cells across all jobs execute in a single
+    Every source group of every job is one task of a single
     :func:`~repro.core.mega.run_mega_inversion` call, so a multi-model or
     multi-detector scan — pair grids included — interleaves its model
     forwards in one pool instead of draining job by job; each job keeps its
-    own MAD selection group and verdict.  Every detector must provide a
-    mega path (:meth:`TriggerReverseEngineeringDetector._mega_inits`).
+    own MAD selection group and verdict.
 
     Wall clock is attributed to jobs proportionally to their cell counts
     (the pool interleaves jobs, so per-job timing is not separable).
@@ -774,88 +653,40 @@ def detect_mega_fleet(jobs: Sequence[Sequence[Any]],
     job_list = [tuple(job) for job in jobs]
     if not job_list:
         return []
-    restore: List[Tuple[Module, List[bool]]] = []
     start = time.perf_counter()
-    try:
-        tasks: List[MegaTask] = []
-        #: Per job: list of (task index, source, targets) task slots.
-        job_slots: List[List[Tuple[int, Optional[int], List[int]]]] = []
-        #: Per job: its cells — a class list, or a pair list (pair mode).
-        job_cells: List[List[Any]] = []
-        job_pair_mode: List[bool] = []
+    tasks: List[MegaTask] = []
+    #: Per job: (detector, cells, pair mode, [(task index, source, targets)]).
+    plans = []
+    with _frozen([job[1] for job in job_list]):
         for index, job in enumerate(job_list):
-            detector, model, classes = job[0], job[1], job[2]
+            detector, model, classes = job[:3]
             pairs = job[3] if len(job) > 3 else None
-            model.eval()
-            restore.append((model, [p.requires_grad
-                                    for p in model.parameters()]))
-            model.requires_grad_(False)
-            slots: List[Tuple[int, Optional[int], List[int]]] = []
-            if pairs is None:
-                class_list = list(classes) if classes is not None else list(
-                    range(detector.clean_data.num_classes))
-                groups: Dict[Optional[int], List[int]] = {None: class_list}
-                cells: List[Any] = class_list
-                job_pair_mode.append(False)
-            else:
-                pair_list, groups = _normalize_pairs(pairs)
-                cells = pair_list
-                job_pair_mode.append(True)
+            cells, groups = detector._cells(classes, pairs)
+            slots = []
             for source, targets in groups.items():
-                if pairs is None:
-                    task = detector._mega_task(model, targets,
-                                               selection_group=f"job{index}")
-                else:
-                    with detector._restricted_clean(source):
-                        task = detector._mega_task(
-                            model, targets, selection_group=f"job{index}")
-                if task is None:
-                    raise ValueError(
-                        f"{detector.name} provides no mega inversion path; "
-                        "detect_mega_fleet needs _mega_inits on every job.")
                 slots.append((len(tasks), source, targets))
-                tasks.append(task)
-            job_slots.append(slots)
-            job_cells.append(cells)
-
+                tasks.append(detector._mega_task(
+                    model, source, targets, selection_group=f"job{index}"))
+            plans.append((detector, cells, pairs is not None, slots))
         run_stats: dict = {}
         all_results = run_mega_inversion(tasks, cascade=cascade, pool=pool,
                                          cache=cache, stats=run_stats)
-        total_seconds = time.perf_counter() - start
-        total_cells = sum(len(cells) for cells in job_cells) or 1
+    total_seconds = time.perf_counter() - start
+    total_cells = sum(len(cells) for _, cells, _, _ in plans)
 
-        detections: List[DetectionResult] = []
-        for job, slots, cells, pair_mode in zip(job_list, job_slots,
-                                                job_cells, job_pair_mode):
-            detector = job[0]
-            job_seconds = total_seconds * len(cells) / total_cells
-            per_cell = job_seconds / max(len(cells), 1)
-            detector.last_mega_stats = dict(run_stats)
-            if not pair_mode:
-                task_index, _, class_list = slots[0]
-                triggers = [_reversed(target, result, seconds=per_cell)
-                            for target, result in zip(class_list,
-                                                      all_results[task_index])]
-                detections.append(_classic_result(
-                    detector.name, class_list, triggers,
-                    detector.anomaly_threshold, job_seconds,
-                    {"batched": 1.0, "mega": 1.0, "fleet": 1.0}))
-                continue
-            by_pair: Dict[ScanPair, ReversedTrigger] = {}
-            for task_index, source, targets in slots:
-                for target, result in zip(targets, all_results[task_index]):
-                    by_pair[(source, target)] = _reversed(
-                        target, result, seconds=per_cell, source_class=source)
-            triggers = [by_pair[pair] for pair in cells]
-            detections.append(_pair_result(
-                detector.name, cells, triggers, detector.anomaly_threshold,
-                job_seconds,
-                {"batched": 1.0, "mega": 1.0, "fleet": 1.0, "pair_mode": 1.0,
-                 "pairs_scanned": float(len(cells))}))
-        if stats is not None:
-            stats.update(run_stats)
-        return detections
-    finally:
-        for model, flags in restore:
-            for param, flag in zip(model.parameters(), flags):
-                param.requires_grad = flag
+    detections: List[DetectionResult] = []
+    for detector, cells, pair_mode, slots in plans:
+        job_seconds = total_seconds * len(cells) / total_cells
+        per_cell = job_seconds / len(cells)
+        detector.last_mega_stats = dict(run_stats)
+        by_cell = {
+            (source, target): _reversed(target, result, seconds=per_cell,
+                                        source_class=source)
+            for task_index, source, targets in slots
+            for target, result in zip(targets, all_results[task_index])}
+        detections.append(_verdict(
+            detector, cells, by_cell, job_seconds,
+            {"batched": 1.0, "mega": 1.0, "fleet": 1.0}, pair_mode))
+    if stats is not None:
+        stats.update(run_stats)
+    return detections

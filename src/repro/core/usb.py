@@ -21,9 +21,9 @@ generate_targeted_uaps`, called from ``_mega_inits``).  Alg. 2 then refines
 the K seeded ``(pattern, mask)`` pairs on the work-item pool of
 :mod:`repro.core.mega`.  Classes whose UAP reaches θ, or (with
 ``early_stop_success`` configured) whose trigger already flips the clean set,
-drop out of the mega-batch early.  The detector falls back to the sequential
-per-class loop when ``detect(mode="sequential")`` is passed, when a single
-class is scanned, or when callers invoke :meth:`reverse_engineer` directly.
+drop out of the mega-batch early.  :meth:`USBDetector.reverse_engineer` runs
+the two stages for one class; ``detect`` calls it per class under
+``mode="sequential"`` and for a scan of a single class.
 """
 
 from __future__ import annotations
@@ -103,6 +103,12 @@ class USBDetector(TriggerReverseEngineeringDetector):
         self._seeded_uaps = dict(uaps)
 
     def reverse_engineer(self, model: Module, target_class: int) -> ReversedTrigger:
+        """Alg. 1 then Alg. 2 for one class: the sequential engine.
+
+        The targeted UAP (a :meth:`seed_uaps` one when provided, recorded in
+        ``last_uaps``) seeds the trigger/mask refinement; with
+        ``random_init`` a random start replaces it.
+        """
         images = self.clean_data.images
         optimizer = TriggerMaskOptimizer(model, images, target_class,
                                          config=self.config.optimization)

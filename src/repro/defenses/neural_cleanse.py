@@ -47,6 +47,11 @@ class NeuralCleanseDetector(TriggerReverseEngineeringDetector):
         self.config = config
 
     def reverse_engineer(self, model: Module, target_class: int) -> ReversedTrigger:
+        """Optimize one class's trigger under the NC loss from a random start.
+
+        The sequential engine; the random start is drawn from the
+        detector's RNG in the order the joint modes draw theirs.
+        """
         optimizer = TriggerMaskOptimizer(model, self.clean_data.images, target_class,
                                          config=self.config.optimization)
         pattern_init, mask_init = TriggerMaskOptimizer.random_init(

@@ -144,11 +144,10 @@ def measure_detection_times(model: Module,
         case_name: Label stamped on the report.
         mode: ``"sequential"`` (per-class loop, genuine per-class times),
             ``"batched"`` (one stacked scan per detector), or ``"mega"``
-            (the pooled engine with the budget cascade).  Joint modes record
-            only the total — their engines interleave classes, so per-class
-            attribution would be fabricated.  A detector lacking the
-            requested joint engine falls back down the chain
-            (mega -> batched -> sequential), mirroring ``detect()``.
+            (the pooled engine with the budget cascade).  Joint modes time
+            one ``detect()`` call and record only its total — their engines
+            interleave classes, so per-class attribution would be
+            fabricated.  A single class is always timed sequentially.
     """
     if mode not in INVERSION_MODES:
         raise ValueError(f"Unknown timing mode '{mode}'. "
@@ -161,10 +160,7 @@ def measure_detection_times(model: Module,
         for name, detector in detectors.items():
             class_list = list(classes) if classes is not None else list(
                 range(detector.clean_data.num_classes))
-            per_class: Dict[int, float] = {}
-            used_mode = "sequential"
-            total: Optional[float] = None
-            phases: Dict[str, float] = {}
+            timing = ClassTiming(detector=name, classes_timed=tuple(class_list))
             if mode != "sequential" and len(class_list) > 1:
                 # Joint engines report per-phase wall clock (coarse sweep vs
                 # finalist resume vs UAP seeding) through the profiler — the
@@ -173,38 +169,25 @@ def measure_detection_times(model: Module,
                 PROFILER.enable()
                 PROFILER.reset()
                 try:
-                    start = time.perf_counter()
-                    triggers = None
-                    if mode == "mega":
-                        triggers = detector.reverse_engineer_mega(model,
-                                                                  class_list)
-                        if triggers is not None:
-                            used_mode = "mega"
-                    if triggers is None:
-                        triggers = detector.reverse_engineer_batch(model,
-                                                                   class_list)
-                        if triggers is not None:
-                            used_mode = "batched"
-                    if triggers is not None:
-                        total = time.perf_counter() - start
-                        snapshot = PROFILER.snapshot().get("phases", {})
-                        phases = {phase: round(float(entry["seconds"]), 6)
-                                  for phase, entry in snapshot.items()}
+                    result = detector.detect(model, classes=class_list,
+                                             mode=mode)
+                    snapshot = PROFILER.snapshot().get("phases", {})
                 finally:
                     PROFILER.reset()
                     if not prior_profiling:
                         PROFILER.disable()
-            if total is None:
-                used_mode = "sequential"
-                phases = {}
+                timing.mode = "mega" if result.metadata["mega"] else "batched"
+                timing.total = result.seconds_total
+                timing.phase_seconds = {
+                    phase: round(float(entry["seconds"]), 6)
+                    for phase, entry in snapshot.items()}
+            else:
                 for target in class_list:
                     start = time.perf_counter()
                     detector.reverse_engineer(model, target)
-                    per_class[target] = time.perf_counter() - start
-            timings.append(ClassTiming(
-                detector=name, per_class_seconds=per_class, mode=used_mode,
-                total=total, classes_timed=tuple(class_list),
-                phase_seconds=phases))
+                    timing.per_class_seconds[target] = (time.perf_counter()
+                                                        - start)
+            timings.append(timing)
         return TimingReport(case_name=case_name, timings=timings)
     finally:
         for param, flag in zip(model.parameters(), was_grad):

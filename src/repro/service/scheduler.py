@@ -161,6 +161,11 @@ def resolve_request(request: ScanRequest,
     callers resolve many requests against the same file with one read and
     one SHA-256 — a grid scans each checkpoint once per detector, and the
     weights do not change between those requests.
+
+    Raises:
+        ValueError: the checkpoint names no model/dataset, ``classes`` is
+            empty, or it or ``source_classes`` names a class outside the
+            dataset — the scan fails here, once, before any dispatch.
     """
     cached = checkpoint_cache.get(request.checkpoint) if checkpoint_cache else None
     if cached is not None:
@@ -182,6 +187,13 @@ def resolve_request(request: ScanRequest,
         raise KeyError(f"Unknown dataset '{dataset}'. "
                        f"Available: {sorted(DATASET_SPECS)}")
     spec = DATASET_SPECS[dataset]
+    named = (request.classes or ()) + (request.source_classes or ())
+    if request.classes == () or not all(0 <= c < spec.num_classes
+                                        for c in named):
+        raise ValueError(
+            f"{request.checkpoint}: classes {request.classes} / "
+            f"source_classes {request.source_classes} must name classes of "
+            f"{dataset} (0..{spec.num_classes - 1}).")
     image_size = int(request.image_size or metadata.get("image_size")
                      or spec.image_size)
     # The digest covers everything besides the weights that can change the

@@ -425,7 +425,9 @@ class TestEngine:
     """Framework-level behaviors: suppressions, parse errors, CLI."""
 
     def test_disable_all_comment(self, tmp_path):
+        # core/ is docstring-gated, so the fixture carries a module docstring.
         root = write_tree(tmp_path, {"src/repro/core/fix.py": """\
+            "Fixture module."
             import time
             stamp = time.time()  # repro-lint: disable
             """})
@@ -459,6 +461,7 @@ class TestEngine:
 
     def test_cli_json_and_exit_codes(self, tmp_path, capsys):
         root = write_tree(tmp_path, {"src/repro/core/fix.py": """\
+            "Fixture module."
             import time
             stamp = time.time()
             """})
@@ -470,6 +473,7 @@ class TestEngine:
 
     def test_cli_update_baseline_roundtrip(self, tmp_path, capsys):
         root = write_tree(tmp_path, {"src/repro/core/fix.py": """\
+            "Fixture module."
             import time
             stamp = time.time()
             """})

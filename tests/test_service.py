@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.attacks.base import SCENARIO_SOURCE_CONDITIONAL
 from repro.core.detection import DetectionResult, ReversedTrigger
 from repro.eval import (
     AttackSpec,
@@ -383,6 +384,24 @@ class TestScheduler:
         snapshot = scheduler.metrics.snapshot()
         assert (snapshot["scans_served"], snapshot["cache_misses"],
                 snapshot["failures"]) == (0, 0, 1)
+
+    @pytest.mark.parametrize("overrides", [
+        {"classes": ()},
+        {"classes": (0, 10)},
+        {"classes": (-1, 0, 1)},
+        {"scenario": SCENARIO_SOURCE_CONDITIONAL, "source_classes": (12,)},
+    ], ids=["empty", "past_the_end", "negative", "source"])
+    def test_bad_class_list_fails_at_resolution(self, tmp_path, overrides):
+        # cifar10 has 10 classes; a list the detector cannot scan must fail
+        # once while resolving, before any job is dispatched or retried.
+        ckpt = tmp_path / "m.npz"
+        _save_tiny(ckpt, seed=17)
+        scheduler = ScanScheduler(workers=0, telemetry=False)
+        with pytest.raises(ValueError, match="classes"):
+            scheduler.scan([_tiny_request(ckpt, **overrides)])
+        assert scheduler.cache_misses == 0
+        snapshot = scheduler.metrics.snapshot()
+        assert (snapshot["scans_served"], snapshot["failures"]) == (0, 1)
 
 
 # ---------------------------------------------------------------------- #

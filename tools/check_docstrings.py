@@ -30,7 +30,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry: run the docstring-coverage rule, exit 1 on any miss.
 
     With no arguments the rule's own target set applies (service/,
-    mitigation/, obs/, analysis/, core/detection.py, eval/experiments.py);
+    mitigation/, obs/, analysis/, core/, defenses/, eval/experiments.py,
+    eval/timing.py);
     explicit paths are checked in full, mirroring the original script.
     """
     targets = (argv if argv is not None else sys.argv[1:]) or None
