@@ -63,7 +63,8 @@ docs-check:
 	$(PYTHON) tools/gen_api_docs.py --check docs/api.md
 
 ## Daemon smoke: watch a temp drop dir through the real CLI, drop one
-## checkpoint, assert a verdict lands in the store and metrics publish.
+## checkpoint, scan it with two detectors in one poll, assert both verdicts
+## land in the store and metrics publish.
 daemon-smoke:
 	$(PYTHON) tools/daemon_smoke.py
 

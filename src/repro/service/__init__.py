@@ -13,11 +13,12 @@ The service layer turns the in-process detectors into throughput:
   :class:`ShardedResultStore` (pick via :func:`open_store`), both making
   repeat scans cache hits and both supporting ``compact`` / ``merge``;
 * :mod:`repro.service.planning` — the backend-independent planning core:
-  the prioritized :class:`JobQueue`, :class:`ServiceMetrics`, and the
-  shared cache-lookup planner every execution path reuses;
+  :class:`JobTimeoutError`, :class:`ServiceMetrics`, and the shared
+  cache-lookup planner every execution path reuses;
 * :mod:`repro.service.backends` — :class:`ExecutionBackend`, serial
   ``inline`` and ``pool``, which runs each job attempt in a forked child
-  it kills at the deadline (pick via :func:`create_backend`);
+  it kills at the deadline; both retry a failed job behind the rest of
+  the batch (pick via :func:`create_backend`);
 * :mod:`repro.service.fleet` — the lease-based distributed worker fleet:
   a store-adjacent shared job queue (:class:`FleetQueue`), the
   ``python -m repro worker`` process (:class:`FleetWorker`), and the
@@ -31,15 +32,17 @@ The service layer turns the in-process detectors into throughput:
   :mod:`repro.mitigation`, with atomically written repaired checkpoints and
   :class:`RepairRecord` persistence in the shared store;
 * :mod:`repro.service.daemon` — :class:`WatchDaemon`, the long-running
-  ``python -m repro watch`` loop over a checkpoint drop directory with a
-  JSON stats endpoint and an opt-in auto-repair mode;
+  ``python -m repro watch`` loop over a checkpoint drop directory: each
+  poll scans the ready checkpoints detector by detector, then runs the
+  opt-in auto-repairs, and publishes a JSON stats endpoint;
 * :mod:`repro.service.routing` — strategy-routed triage
   (:class:`RoutingPolicy` / :func:`route_scan`): ``fastest`` /
   ``cheapest`` / ``thorough`` detector escalation plans with per-request
   cost breakdowns;
 * :mod:`repro.service.api` — :class:`ApiServer`, the
   ``python -m repro serve`` HTTP front end (submit/poll/result/traces/
-  metrics endpoints over the shared queue, scheduler, and store);
+  metrics endpoints; submitted jobs wait on a stdlib priority queue for
+  one dispatcher thread that drives the scheduler and store);
 * :mod:`repro.service.cli` — the ``python -m repro`` command line
   (``scan`` / ``grid`` / ``repair`` / ``report`` / ``experiment`` /
   ``watch`` / ``serve`` / ``store compact`` / ``store merge``).
@@ -89,9 +92,7 @@ from .repair import (
     run_repairs,
 )
 from .scheduler import (
-    JobQueue,
     JobTimeoutError,
-    QueuedJob,
     ResolvedScan,
     ScanScheduler,
     ServiceMetrics,
@@ -131,9 +132,7 @@ __all__ = [
     "ResolvedScan",
     "ScanScheduler",
     "ServiceMetrics",
-    "JobQueue",
     "JobTimeoutError",
-    "QueuedJob",
     "execute_resolved",
     "resolve_request",
     "ResultStore",

@@ -5,7 +5,7 @@
 over the existing scheduler + store stack:
 
 * ``POST /v1/scans`` / ``POST /v1/repairs`` — enqueue a job onto the
-  shared multi-tenant :class:`~repro.service.scheduler.JobQueue`
+  server's shared multi-tenant :class:`queue.PriorityQueue`
   (``priority`` in the payload: lower runs first, FIFO within a priority;
   ``tenant`` labels the job).  Scan payloads may carry a ``strategy``
   (``fastest|cheapest|thorough``) to run the
@@ -24,8 +24,10 @@ over the existing scheduler + store stack:
 * ``GET /healthz`` — liveness probe (used by the smoke script).
 
 **Threading model.**  Handler threads only parse payloads, mutate the
-job table under its lock, and push onto the queue; one dispatcher thread
-pops jobs and drives the (single-threaded) :class:`ScanScheduler`, so
+job table under its lock, and put ``(priority, sequence, job_id)`` on the
+queue (the sequence number, drawn under the same lock, keeps equal
+priorities first in, first out); one dispatcher thread takes jobs off it
+and drives the (single-threaded) :class:`ScanScheduler`, so
 store writes stay single-writer while N clients submit and poll
 concurrently; retries are the scheduler's (``job_retries``).  ``/metrics``
 never touches the dispatcher's store handle: it replays the store from
@@ -46,6 +48,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from queue import Empty, PriorityQueue
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlparse
 from uuid import uuid4
@@ -57,7 +60,7 @@ from .fleet import fleet_snapshot
 from .records import ScanRequest
 from .repair import RepairRequest, run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
-from .scheduler import JobQueue, ScanScheduler, _utc_now
+from .scheduler import ScanScheduler, _utc_now
 from .store import SPANS_NAME, open_store, sidecar_path
 
 __all__ = ["ApiJob", "ApiServer", "DEFAULT_TENANT"]
@@ -195,9 +198,12 @@ class ApiServer:
             store=open_store(self.store_path), workers=workers,
             job_retries=job_retries, telemetry=telemetry,
             span_sink=self.span_sink, backend=backend)
-        self.queue = JobQueue(thread_safe=True)
+        #: ``(priority, sequence, job_id)`` of every job not yet dispatched.
+        self.queue: PriorityQueue[Tuple[int, int, str]] = PriorityQueue()
         self._jobs: Dict[str, ApiJob] = {}
         self._jobs_lock = threading.Lock()
+        #: Submit counter (under ``_jobs_lock``): FIFO within a priority.
+        self._sequence = 0
         self._stop = threading.Event()
         self._dispatcher: Optional[threading.Thread] = None
         self._registry = MetricsRegistry()
@@ -254,13 +260,15 @@ class ApiServer:
         """Stop accepting requests and shut the dispatcher down.
 
         Args:
-            drain: Finish every queued job before exiting (the in-flight
-                job always completes either way).
+            drain: Finish every queued job before exiting while a
+                dispatcher runs (the in-flight job always completes either
+                way); without one, queued jobs stay queued.
         """
         self._server.shutdown()
         self._server.server_close()
         if drain:
-            while len(self.queue):
+            while self._dispatcher is not None and \
+                    self._dispatcher.is_alive() and not self.queue.empty():
                 time.sleep(0.05)
         self._stop.set()
         if self._dispatcher is not None:
@@ -278,7 +286,9 @@ class ApiServer:
                      strategy=strategy, created_at=_utc_now())
         with self._jobs_lock:
             self._jobs[job.job_id] = job
-        self.queue.push(job.job_id, priority=job.priority)
+            self._sequence += 1
+            entry = (job.priority, self._sequence, job.job_id)
+        self.queue.put(entry)
         with self._registry_lock:
             self._registry.counter(
                 "repro_http_jobs_submitted_total",
@@ -295,13 +305,13 @@ class ApiServer:
     # Dispatcher (the only thread that touches the scheduler/store)
     # ------------------------------------------------------------------ #
     def _dispatch_loop(self) -> None:
-        """Pop queued jobs and execute them serially until :meth:`close`."""
+        """Take queued jobs and execute them serially until :meth:`close`."""
         while not self._stop.is_set():
             try:
-                queued = self.queue.pop(block=True, timeout=0.2)
-            except IndexError:
+                _, _, job_id = self.queue.get(timeout=0.2)
+            except Empty:
                 continue
-            job = self.job(str(queued.payload))
+            job = self.job(job_id)
             if job is None:
                 continue
             with self._jobs_lock:
@@ -414,7 +424,7 @@ class ApiServer:
         rows = [record.to_dict()
                 for record in open_store(self.store_path).scan_records()]
         stats = {"metrics": self.scheduler.metrics.snapshot(),
-                 "queue_depth": len(self.queue),
+                 "queue_depth": self.queue.qsize(),
                  "backend": self.scheduler.backend.name}
         fleet = fleet_snapshot(self.store_path)
         if fleet is not None:

@@ -32,12 +32,13 @@ import math
 import multiprocessing
 import pickle
 import time
+from collections import deque
 from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..nn.blas import share_cores
 from ..utils.logging import get_logger
-from .planning import JobQueue, JobTimeoutError, QueuedJob, ServiceMetrics
+from .planning import JobTimeoutError, ServiceMetrics
 
 __all__ = ["ExecutionBackend", "InlineBackend", "PoolBackend",
            "create_backend", "BACKEND_NAMES"]
@@ -90,21 +91,28 @@ class ExecutionBackend:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _queued(payloads: Sequence[Any]) -> Tuple[JobQueue, List[Any]]:
-    """A FIFO queue of ``(index, payload)`` jobs and a result slot per job."""
-    queue = JobQueue()
-    for index, payload in enumerate(payloads):
-        queue.push((index, payload))
+#: One queued job: ``[index, payload, attempts so far]``.
+_Job = List[Any]
+
+
+def _queued(payloads: Sequence[Any]) -> Tuple[Deque[_Job], List[Any]]:
+    """A FIFO of ``[index, payload, 0]`` jobs and a result slot per job."""
+    queue = deque([index, payload, 0]
+                  for index, payload in enumerate(payloads))
     return queue, [None] * len(queue)
 
 
-def _requeue(queue: JobQueue, job: QueuedJob, error: BaseException,
+def _requeue(queue: Deque[_Job], job: _Job, error: BaseException,
              retries: int, metrics: ServiceMetrics) -> bool:
-    """Requeue a failed attempt while budget remains (True), else count it."""
-    if job.attempts < retries:
-        _LOG.warning("Retrying job %d after %s", job.payload[0], error)
+    """Requeue a failed attempt at the back while budget lasts (True).
+
+    Past the budget the failure is counted and False is returned.
+    """
+    if job[2] < retries:
+        _LOG.warning("Retrying job %d after %s", job[0], error)
         metrics.retries += 1
-        queue.requeue(job)
+        job[2] += 1
+        queue.append(job)
         return True
     metrics.failures += 1
     return False
@@ -127,9 +135,9 @@ class InlineBackend(ExecutionBackend):
         queue, results = _queued(payloads)
         metrics = metrics if metrics is not None else ServiceMetrics()
         while queue:
-            job = queue.pop()
+            job = queue.popleft()
             try:
-                results[job.payload[0]] = fn(job.payload[1])
+                results[job[0]] = fn(job[1])
             except Exception as error:
                 if _requeue(queue, job, error, int(retries), metrics):
                     continue
@@ -194,15 +202,15 @@ class PoolBackend(ExecutionBackend):
         slots = max(1, self.workers)
         executors = min(slots, len(queue))
         #: Receiving pipe end of each live attempt -> (job, child, deadline).
-        running: Dict[Connection, Tuple[QueuedJob, Any, float]] = {}
+        running: Dict[Connection, Tuple[_Job, Any, float]] = {}
         try:
             while queue or running:
                 while queue and len(running) < slots:
-                    job = queue.pop()
+                    job = queue.popleft()
                     receiver, sender = _FORK.Pipe(duplex=False)
                     child = _FORK.Process(
                         target=_attempt,
-                        args=(sender, fn, job.payload[1], executors))
+                        args=(sender, fn, job[1], executors))
                     child.start()
                     sender.close()
                     running[receiver] = (job, child, time.monotonic() + budget)
@@ -217,18 +225,18 @@ class PoolBackend(ExecutionBackend):
                         except EOFError:  # the child died without answering
                             child.join()
                             error = RuntimeError(
-                                f"job {job.payload[0]} worker died without "
+                                f"job {job[0]} worker died without "
                                 f"a result (exit code {child.exitcode}).")
                     elif now >= deadline:
                         error = JobTimeoutError(
-                            f"job {job.payload[0]} exceeded {budget:.1f}s "
-                            f"and was killed (attempt {job.attempts + 1}).")
+                            f"job {job[0]} exceeded {budget:.1f}s "
+                            f"and was killed (attempt {job[2] + 1}).")
                     else:
                         continue
                     del running[receiver]
                     _stop(receiver, child)
                     if error is None:
-                        results[job.payload[0]] = result
+                        results[job[0]] = result
                     elif not _requeue(queue, job, error, int(retries),
                                       metrics):
                         raise error
@@ -239,8 +247,7 @@ class PoolBackend(ExecutionBackend):
 
 
 def create_backend(spec: str, workers: int = 0,
-                   store_path: Optional[str] = None,
-                   **fleet_options: Any) -> ExecutionBackend:
+                   store_path: Optional[str] = None) -> ExecutionBackend:
     """Build the backend a ``--backend`` spec names.
 
     Args:
@@ -250,9 +257,6 @@ def create_backend(spec: str, workers: int = 0,
         store_path: Store path the ``fleet`` backend coordinates through
             (required for ``fleet``: its job/lease tables live next to the
             store so every worker sharing the filesystem sees them).
-        **fleet_options: Forwarded to
-            :class:`~repro.service.fleet.FleetBackend` (``lease_seconds``,
-            ``poll_interval``, ``tenant``, ...).
 
     Returns:
         A ready :class:`ExecutionBackend`.
@@ -271,6 +275,6 @@ def create_backend(spec: str, workers: int = 0,
                 "--backend fleet needs a store path: the fleet queue lives "
                 "next to the store so workers can find it.")
         from .fleet import FleetBackend
-        return FleetBackend(store_path, **fleet_options)
+        return FleetBackend(store_path)
     raise ValueError(f"Unknown backend '{spec}'. "
                      f"Available: {', '.join(BACKEND_NAMES)}")

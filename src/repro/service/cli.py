@@ -73,7 +73,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..attacks.base import SCENARIO_ALL_TO_ONE, SCENARIOS
 from ..core.detection import INVERSION_MODES
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--store).")
     watch.add_argument("--auto-repair", action="store_true",
                        help="Automatically repair every checkpoint flagged "
-                            "as backdoored (queued behind the scans).")
+                            "as backdoored (after the poll's scans).")
     watch.add_argument("--repair-strategy", default="both",
                        choices=list(REPAIR_STRATEGIES),
                        help="Strategy used by --auto-repair.")
@@ -410,18 +410,23 @@ def _parse_classes(text: Optional[str]) -> Optional[tuple]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _request_from_args(args: argparse.Namespace, checkpoint: str,
-                       detector: str) -> ScanRequest:
-    """Build one :class:`ScanRequest` from parsed scan-option flags."""
-    return ScanRequest(
-        checkpoint=checkpoint, detector=detector, model=args.model,
-        dataset=args.dataset, image_size=args.image_size,
+def _scan_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """The :class:`ScanRequest` fields the scan-option flags set."""
+    return dict(
+        model=args.model, dataset=args.dataset, image_size=args.image_size,
         classes=_parse_classes(args.classes), clean_budget=args.clean_budget,
         samples_per_class=args.samples_per_class, iterations=args.iterations,
         uap_passes=args.uap_passes, anomaly_threshold=args.anomaly_threshold,
         seed=args.seed, scenario=args.scenario,
         source_classes=_parse_classes(args.source_classes),
         inversion_mode=args.inversion_mode)
+
+
+def _request_from_args(args: argparse.Namespace, checkpoint: str,
+                       detector: str) -> ScanRequest:
+    """Build one :class:`ScanRequest` from parsed scan-option flags."""
+    return ScanRequest(checkpoint=checkpoint, detector=detector,
+                       **_scan_options(args))
 
 
 def _make_scheduler(args: argparse.Namespace) -> ScanScheduler:
@@ -705,19 +710,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             print(f"watch: unknown detector '{detector}'. "
                   f"Available: {', '.join(KNOWN_DETECTORS)}", file=sys.stderr)
             return 2
-    request_options = dict(
-        model=args.model, dataset=args.dataset, image_size=args.image_size,
-        classes=_parse_classes(args.classes), clean_budget=args.clean_budget,
-        samples_per_class=args.samples_per_class, iterations=args.iterations,
-        uap_passes=args.uap_passes, anomaly_threshold=args.anomaly_threshold,
-        seed=args.seed, scenario=args.scenario,
-        source_classes=_parse_classes(args.source_classes),
-        inversion_mode=args.inversion_mode)
     config = DaemonConfig(
         watch_dir=args.directory, store_path=args.store, detectors=detectors,
         poll_interval=args.poll_interval, job_timeout=args.job_timeout,
         max_retries=args.retries, settle_polls=args.settle_polls,
-        stats_path=args.stats, request_options=request_options,
+        stats_path=args.stats, request_options=_scan_options(args),
         auto_repair=args.auto_repair,
         repair_options={"strategy": args.repair_strategy},
         telemetry=False if args.no_telemetry else None,

@@ -2,23 +2,25 @@
 
 ``python -m repro watch <dir>`` turns the scanning service into a service
 proper: the daemon polls a drop directory for new or changed ``.npz``
-checkpoints, enqueues one scan per (checkpoint, detector) on a prioritized
-:class:`~repro.service.scheduler.JobQueue`, and drains the queue through the
-scheduler's batch driver — the same resolve → cache plan → backend → store
-path ``python -m repro scan`` takes.  Verdicts land in the (usually sharded)
-result store — so any number of daemons and ad-hoc ``python -m repro scan``
-invocations can share one store — and a JSON stats endpoint file (scans
-served, cache-hit ratio, p50/p95 scan latency, failure and retry counts) is
-rewritten atomically after every loop iteration for ``python -m repro
-report`` and external monitors to consume.
+checkpoints and runs each poll's jobs in order through the scheduler's
+batch driver — the same resolve → cache plan → backend → store path
+``python -m repro scan`` takes: first one scan per (checkpoint, detector),
+detector by detector in the configured order, then (with auto-repair on)
+one repair per flagged (checkpoint, detector), in the order flagged.
+Verdicts land in the (usually sharded) result store — so any number of
+daemons and ad-hoc ``python -m repro scan`` invocations can share one store
+— and a JSON stats endpoint file (scans served, cache-hit ratio, p50/p95
+scan latency, failure and retry counts) is rewritten atomically after every
+loop iteration for ``python -m repro report`` and external monitors to
+consume.
 
 The daemon's scheduler runs on the ``pool`` backend by default, one job at a
 time: each attempt runs in a forked child that is *killed* at its deadline,
 a failed or killed attempt is retried at once in a fresh child up to the
 configured budget and counted as a failure past it, while the loop keeps
-serving the rest of the queue.
+running the rest of the poll's jobs.
 
-A checkpoint is only enqueued once its (mtime, size) signature has stayed
+A checkpoint is only scanned once its (mtime, size) signature has stayed
 stable for ``settle_polls`` consecutive polls, so half-copied files are never
 scanned; rewriting a checkpoint re-triggers a scan (a changed file changes
 its fingerprint, so the store treats it as a new model).
@@ -31,7 +33,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import build_service_registry
 from ..obs.trace import TRACER, new_trace_id
@@ -39,11 +41,10 @@ from ..utils.logging import get_logger
 from .locks import atomic_write
 from .records import ScanRequest
 from .repair import RepairRequest, run_repairs
-from .scheduler import JobQueue, ScanScheduler, _utc_now
+from .scheduler import ScanScheduler, _utc_now
 from .store import METRICS_NAME, SPANS_NAME, STATS_NAME, open_store, sidecar_path
 
-__all__ = ["CheckpointWatcher", "DaemonConfig", "WatchDaemon", "ScanJob",
-           "RepairJob"]
+__all__ = ["CheckpointWatcher", "DaemonConfig", "WatchDaemon"]
 
 _LOG = get_logger("repro.service.daemon")
 
@@ -130,22 +131,6 @@ class CheckpointWatcher:
         return ready
 
 
-@dataclass(frozen=True)
-class ScanJob:
-    """One queued daemon job: scan ``checkpoint`` with ``detector``."""
-
-    checkpoint: str
-    detector: str
-
-
-@dataclass(frozen=True)
-class RepairJob:
-    """One queued auto-repair job: repair ``checkpoint`` flagged by ``detector``."""
-
-    checkpoint: str
-    detector: str
-
-
 @dataclass
 class DaemonConfig:
     """Everything ``python -m repro watch`` configures.
@@ -167,8 +152,8 @@ class DaemonConfig:
         request_options: Extra :class:`~repro.service.records.ScanRequest`
             fields applied to every job (scan budgets, classes, scenario...).
         auto_repair: When True, every checkpoint a scan flags as backdoored
-            is queued for a detect -> repair -> verify job (behind the
-            remaining scans), with the repaired checkpoint written next to
+            gets a detect -> repair -> verify job once the poll's scans are
+            done, with the repaired checkpoint written next to
             the original and a :class:`~repro.service.records.RepairRecord`
             persisted to the store.
         repair_options: Extra :class:`~repro.service.repair.RepairRequest`
@@ -176,7 +161,7 @@ class DaemonConfig:
         telemetry: Record trace spans (``spans.jsonl`` beside the store) and
             export ``metrics.prom`` each cycle.  ``None`` follows the
             ``REPRO_TELEMETRY`` environment switch.
-        backend: Execution backend for queued jobs: ``None``/``"pool"``
+        backend: Execution backend for the jobs: ``None``/``"pool"``
             runs each attempt in a killable forked child, one at a time;
             ``"fleet"`` hands jobs to the store-adjacent worker fleet (see
             :mod:`repro.service.fleet`), and ``"inline"`` runs them in the
@@ -200,7 +185,7 @@ class DaemonConfig:
 
 
 class WatchDaemon:
-    """The ``python -m repro watch`` loop: poll, enqueue, scan, publish stats.
+    """The ``python -m repro watch`` loop: poll, scan, repair, publish stats.
 
     Args:
         config: See :class:`DaemonConfig`.  The daemon builds its
@@ -228,7 +213,8 @@ class WatchDaemon:
         self.watcher = CheckpointWatcher(config.watch_dir,
                                          patterns=config.patterns,
                                          settle_polls=config.settle_polls)
-        self.queue = JobQueue()
+        #: Jobs of the current poll not yet run (0 between polls).
+        self.queue_depth = 0
         self.stats_path = config.stats_path or sidecar_path(
             config.store_path, STATS_NAME)
         #: Checkpoints ever reported ready by the watcher.
@@ -239,102 +225,88 @@ class WatchDaemon:
         self.repairs_completed = 0
 
     # ------------------------------------------------------------------ #
-    # Queue handling
+    # Loop
     # ------------------------------------------------------------------ #
-    def _enqueue(self, checkpoint: str) -> None:
-        """Queue one job per configured detector for a ready checkpoint."""
-        self.checkpoints_seen += 1
-        for priority, detector in enumerate(self.config.detectors):
-            self.queue.push(ScanJob(checkpoint=checkpoint, detector=detector),
-                            priority=priority)
-            _LOG.info("queued %s [%s]", checkpoint, detector)
-
-    def _request_for(self, job: Union[ScanJob, RepairJob]) -> ScanRequest:
-        """Build the :class:`ScanRequest` a queued job resolves to."""
-        return ScanRequest(checkpoint=job.checkpoint, detector=job.detector,
-                           **self.config.request_options)
-
-    def _repair_request_for(self, job: RepairJob) -> RepairRequest:
-        """Build the :class:`RepairRequest` an auto-repair job resolves to."""
-        return RepairRequest(scan=self._request_for(job),
-                             **self.config.repair_options)
-
-    def _enqueue_repair(self, job: ScanJob) -> None:
-        """Queue an auto-repair for a flagged checkpoint, behind the scans."""
-        detectors = list(self.config.detectors)
-        priority = len(detectors) + (detectors.index(job.detector)
-                                     if job.detector in detectors else 0)
-        self.queue.push(RepairJob(checkpoint=job.checkpoint,
-                                  detector=job.detector), priority=priority)
-        _LOG.info("queued auto-repair for %s [%s]", job.checkpoint,
-                  job.detector)
-
-    def _process(self, job: Union[ScanJob, RepairJob]) -> None:
-        """Run one queued job through the scheduler's batch driver.
+    def _process(self, checkpoint: str, detector: str,
+                 repair: bool = False) -> Any:
+        """Run one job through the scheduler's batch driver.
 
         The scheduler does the cache lookup, the backend execution with its
         retries, the store append and the metrics; this method only
-        builds the request under a ``daemon.job`` root span.  Scan jobs that
-        come back BACKDOORED enqueue an auto-repair job (when
-        ``auto_repair`` is on) behind the remaining scans.
+        builds the request under a ``daemon.job`` root span.
+
+        Returns:
+            The job's record, or ``None`` when the job failed (the driver
+            already counted the failure).
         """
-        is_repair = isinstance(job, RepairJob)
         # Each job is one trace: the scheduler's request root and whatever
         # the worker process records hang under this daemon.job span.
         root = (TRACER.begin("daemon.job", trace_id=new_trace_id(),
-                             checkpoint=job.checkpoint, detector=job.detector,
-                             kind="repair" if is_repair else "scan")
+                             checkpoint=checkpoint, detector=detector,
+                             kind="repair" if repair else "scan")
                 if self.telemetry else None)
         try:
             with TRACER.context_of(root):
-                if is_repair:
-                    record = run_repairs(self.scheduler,
-                                         [self._repair_request_for(job)])[0]
+                request = ScanRequest(checkpoint=checkpoint, detector=detector,
+                                      **self.config.request_options)
+                if repair:
+                    record = run_repairs(self.scheduler, [RepairRequest(
+                        scan=request, **self.config.repair_options)])[0]
                 else:
-                    record = self.scheduler.scan_one(self._request_for(job))
+                    record = self.scheduler.scan_one(request)
         # The liveness boundary: a bad file, a timeout or any detector error
         # was already counted by the driver; log it and keep watching.
         except Exception as error:  # repro-lint: disable=exception-hygiene
-            _LOG.error("%s [%s]: giving up: %s", job.checkpoint,
-                       job.detector, error, exc_info=True)
-            return
+            _LOG.error("%s [%s]: giving up: %s", checkpoint, detector,
+                       error, exc_info=True)
+            return None
         finally:
             if root is not None:
                 TRACER.finish(root)
                 TRACER.flush(self.spans_path)
         if record.cache_hit:
-            _LOG.info("%s [%s]: cache hit", job.checkpoint, job.detector)
-        elif is_repair:
+            _LOG.info("%s [%s]: cache hit", checkpoint, detector)
+        elif repair:
             self.repairs_completed += 1
-            _LOG.info("%s [%s] repair -> %s (%.1fs)", job.checkpoint,
-                      job.detector,
+            _LOG.info("%s [%s] repair -> %s (%.1fs)", checkpoint, detector,
                       "success" if record.success else "NOT repaired",
                       record.seconds)
         else:
-            _LOG.info("%s [%s] -> %s (%.1fs)", job.checkpoint, job.detector,
+            _LOG.info("%s [%s] -> %s (%.1fs)", checkpoint, detector,
                       "BACKDOORED" if record.is_backdoored else "clean",
                       record.seconds)
-        if not is_repair and self.config.auto_repair and record.is_backdoored:
-            self._enqueue_repair(job)
+        return record
 
-    # ------------------------------------------------------------------ #
-    # Loop
-    # ------------------------------------------------------------------ #
     def run_once(self) -> int:
-        """One iteration: poll the drop dir, drain the queue, publish stats.
+        """One iteration: poll the drop dir, run its jobs, publish stats.
+
+        The jobs run in two ordered passes: every ready checkpoint under
+        each detector, in the configured detector order; then, with
+        ``auto_repair`` on, one repair per (checkpoint, detector) a scan
+        flagged, in the order they were flagged.
 
         Returns:
-            Number of jobs taken off the queue this iteration.
+            Number of jobs run this iteration.
         """
-        for checkpoint in self.watcher.poll():
-            self._enqueue(checkpoint)
-        processed = 0
-        while self.queue:
-            self._process(self.queue.pop().payload)
-            processed += 1
+        ready = self.watcher.poll()
+        self.checkpoints_seen += len(ready)
+        scans = [(checkpoint, detector) for detector in self.config.detectors
+                 for checkpoint in ready]
+        self.queue_depth = len(scans)
+        flagged: List[Tuple[str, str]] = []
+        for checkpoint, detector in scans:
+            self.queue_depth -= 1
+            record = self._process(checkpoint, detector)
+            if self.config.auto_repair and record is not None and \
+                    record.is_backdoored:
+                flagged.append((checkpoint, detector))
+                self.queue_depth += 1
+        for checkpoint, detector in flagged:
+            self.queue_depth -= 1
+            self._process(checkpoint, detector, repair=True)
         self.iterations += 1
         self.write_stats()
-        return processed
+        return len(scans) + len(flagged)
 
     def run(self, max_iterations: Optional[int] = None) -> Dict[str, Any]:
         """Run the polling loop until interrupted (or for ``max_iterations``).
@@ -372,7 +344,7 @@ class WatchDaemon:
         payload["metrics"] = snapshot
         payload.update({
             "backend": self.scheduler.backend.name,
-            "queue_depth": len(self.queue),
+            "queue_depth": self.queue_depth,
             "checkpoints_seen": self.checkpoints_seen,
             "repairs_completed": self.repairs_completed,
             "auto_repair": bool(self.config.auto_repair),

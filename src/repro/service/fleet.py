@@ -871,24 +871,17 @@ class FleetBackend(ExecutionBackend):
 
     Args:
         store_path: Store whose fleet tables coordinate the work.
-        lease_seconds: Lease duration workers stamp (advisory here; used
-            for the no-worker warning cadence).
         poll_interval: Submitter poll sleep between queue checks.
         tenant: Tenant stamped on submitted jobs (the HTTP API overrides
             this per job for the per-tenant queue-depth gauge).
-        lock_timeout: Fleet lock acquisition budget.
     """
 
-    def __init__(self, store_path: str,
-                 lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                 poll_interval: float = 0.1,
-                 tenant: str = DEFAULT_TENANT,
-                 lock_timeout: Optional[float] = 30.0) -> None:
+    def __init__(self, store_path: str, poll_interval: float = 0.1,
+                 tenant: str = DEFAULT_TENANT) -> None:
         self.store_path = os.fspath(store_path)
-        self.lease_seconds = float(lease_seconds)
         self.poll_interval = float(poll_interval)
         self.tenant = tenant
-        self.queue = FleetQueue(store_path, lock_timeout=lock_timeout)
+        self.queue = FleetQueue(store_path)
         self.name = "fleet"
 
     def run(self, fn: Callable[[Any], Any], payloads: Any,

@@ -1,43 +1,34 @@
-"""Backend-independent planning core: queueing, retries, metrics, cache plans.
+"""Backend-independent planning core: failure type, metrics, cache plans.
 
 Everything in this module is pure bookkeeping — no process pools, no child
-processes, no fleet files.  The pieces were extracted from the original
-``ScanScheduler`` so every execution backend
+processes, no fleet files.  Every execution backend
 (:mod:`repro.service.backends`, :mod:`repro.service.fleet`) and every entry
 point (scheduler, repair driver, watch daemon, HTTP API) shares one
 implementation of:
 
-* :class:`JobQueue` / :class:`QueuedJob` — prioritized FIFO dispatch with
-  per-job retry counting (lower ``priority`` first, FIFO within a
-  priority, a retried job re-enters behind its peers);
 * :class:`JobTimeoutError` — the shared wall-clock/lease failure type;
 * :class:`ServiceMetrics` — cumulative service counters plus the bounded
-  sorted latency window behind the p50/p95 snapshots;
+  latency window behind the p50/p95 snapshots;
 * :class:`CachePlanner` — the resolve-side cache plan: store lookups and
   in-batch duplicate collapsing, shared by scan batches and repair batches.
 
 The split matters for the fleet: a remote worker process must agree with
-the submitter about retry budgets and failure semantics without importing
-any executor machinery, and the planning core is that contract.
+the submitter about failure semantics without importing any executor
+machinery, and the planning core is that contract.
 """
 
 from __future__ import annotations
 
-import heapq
-import threading
-from bisect import bisect_left, insort
 from collections import deque
-from contextlib import nullcontext
-from dataclasses import dataclass, field as dataclass_field
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.trace import TRACER, span as _span
 
-__all__ = ["JobTimeoutError", "QueuedJob", "JobQueue", "ServiceMetrics",
-           "CachePlanner", "LATENCY_WINDOW"]
+__all__ = ["JobTimeoutError", "ServiceMetrics", "CachePlanner",
+           "LATENCY_WINDOW"]
 
 #: Number of recent computed-scan latencies kept for percentile snapshots.
 LATENCY_WINDOW = 1024
@@ -52,88 +43,6 @@ class JobTimeoutError(RuntimeError):
     """
 
 
-@dataclass(order=True)
-class QueuedJob:
-    """One queue entry: a payload with scheduling metadata.
-
-    Ordering (what the heap compares) is ``(priority, sequence)``: lower
-    priority first, FIFO within a priority.  ``attempts`` counts executions
-    so far — a retried job re-enters the queue with a fresh sequence number,
-    placing it behind already-queued peers of the same priority.
-    """
-
-    priority: int
-    sequence: int
-    payload: Any = dataclass_field(compare=False)
-    attempts: int = dataclass_field(default=0, compare=False)
-
-
-class JobQueue:
-    """Prioritized FIFO job queue with retry bookkeeping (heap-based).
-
-    Not thread-safe by default — the scheduler and the daemon drive it from
-    a single dispatcher loop (workers never touch the queue).  Pass
-    ``thread_safe=True`` for producers and consumers on different threads
-    (the HTTP API's handler threads push while its dispatcher pops): every
-    operation then runs under one condition variable, and :meth:`pop` can
-    block until a job arrives.
-    """
-
-    def __init__(self, thread_safe: bool = False) -> None:
-        self._heap: List[QueuedJob] = []
-        self._sequence = 0
-        self._cond: Optional[threading.Condition] = (
-            threading.Condition() if thread_safe else None)
-
-    def push(self, payload: Any, priority: int = 0) -> QueuedJob:
-        """Enqueue ``payload``; lower ``priority`` runs first.
-
-        Returns:
-            The :class:`QueuedJob` wrapper (useful for later :meth:`requeue`).
-        """
-        return self._push(payload, priority, attempts=0)
-
-    def _push(self, payload: Any, priority: int, attempts: int) -> QueuedJob:
-        """Insert one job, under the condition variable when there is one."""
-        with self._cond or nullcontext():
-            job = QueuedJob(priority=int(priority), sequence=self._sequence,
-                            payload=payload, attempts=attempts)
-            self._sequence += 1
-            heapq.heappush(self._heap, job)
-            if self._cond is not None:
-                self._cond.notify()
-            return job
-
-    def pop(self, block: bool = False,
-            timeout: Optional[float] = None) -> QueuedJob:
-        """Dequeue the front job (raises :class:`IndexError` when empty).
-
-        Args:
-            block: Wait for a job instead of raising immediately (only
-                meaningful on a ``thread_safe`` queue).
-            timeout: Give up after this many seconds of blocking;
-                :class:`IndexError` is raised when the wait expires empty.
-        """
-        if self._cond is None:
-            return heapq.heappop(self._heap)
-        with self._cond:
-            if block:
-                self._cond.wait_for(lambda: bool(self._heap), timeout=timeout)
-            return heapq.heappop(self._heap)
-
-    def requeue(self, job: QueuedJob) -> QueuedJob:
-        """Re-enqueue a failed job behind same-priority peers, counting the attempt."""
-        return self._push(job.payload, job.priority, attempts=job.attempts + 1)
-
-    def __len__(self) -> int:
-        """Number of queued (not yet popped) jobs."""
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        """True while jobs are queued."""
-        return bool(self._heap)
-
-
 @dataclass
 class ServiceMetrics:
     """Cumulative service counters plus scan-latency percentiles.
@@ -141,13 +50,8 @@ class ServiceMetrics:
     The scheduler updates these on every batch; the daemon publishes
     :meth:`snapshot` to its stats endpoint file after each loop iteration.
 
-    Latencies of recent computed scans live in a bounded window
-    (:data:`LATENCY_WINDOW`) kept **sorted** alongside the insertion-order
-    deque: :meth:`record_latency` is an O(log n) bisect search plus an O(n)
-    list shift within the bounded window, and every
-    :meth:`latency_percentile` / :meth:`snapshot` reads the percentile
-    straight off the sorted window in O(1) — no per-snapshot re-sort, which
-    matters for a daemon republishing stats after every loop iteration.
+    Latencies of recent computed scans live in a bounded window: the last
+    :data:`LATENCY_WINDOW` of them, oldest evicted first.
     """
 
     #: Requests answered (cache hits + fresh computations).
@@ -167,9 +71,8 @@ class ServiceMetrics:
     activation_cache_misses: int = 0
 
     def __post_init__(self) -> None:
-        """Set up the latency window (insertion order + sorted view)."""
-        self._window: Deque[float] = deque()
-        self._sorted: List[float] = []
+        """Set up the bounded latency window."""
+        self._window: Deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     @property
     def latencies(self) -> Tuple[float, ...]:
@@ -178,12 +81,7 @@ class ServiceMetrics:
 
     def record_latency(self, seconds: float) -> None:
         """Add one computed-scan latency to the bounded percentile window."""
-        value = float(seconds)
-        if len(self._window) >= LATENCY_WINDOW:
-            evicted = self._window.popleft()
-            del self._sorted[bisect_left(self._sorted, evicted)]
-        self._window.append(value)
-        insort(self._sorted, value)
+        self._window.append(float(seconds))
 
     def record_hit(self) -> None:
         """Count one request served from the store."""
@@ -215,19 +113,12 @@ class ServiceMetrics:
     def latency_percentile(self, q: float) -> float:
         """The ``q``-th percentile (0-100) of computed-scan latencies.
 
-        Linear interpolation between closest ranks (the same convention as
-        ``numpy.percentile``'s default), read from the pre-sorted window in
-        O(1).
+        ``numpy.percentile`` over the window (linear interpolation between
+        closest ranks); 0.0 before any latency is recorded.
         """
-        data = self._sorted
-        if not data:
+        if not self._window:
             return 0.0
-        rank = (len(data) - 1) * float(q) / 100.0
-        lower = int(np.floor(rank))
-        upper = int(np.ceil(rank))
-        if lower == upper:
-            return float(data[lower])
-        return float(data[lower] + (data[upper] - data[lower]) * (rank - lower))
+        return float(np.percentile(self._window, float(q)))
 
     def snapshot(self) -> Dict[str, float]:
         """JSON-safe stats payload (the daemon's stats-endpoint schema)."""

@@ -31,8 +31,7 @@ is an :class:`~repro.service.backends.ExecutionBackend` — serial
 lease-coordinated worker fleet (``fleet``, :mod:`repro.service.fleet`) —
 selected per scheduler via the ``backend`` argument (every CLI entry point
 exposes it as ``--backend``).  The backends own retry and timeout policy;
-queue and metrics bookkeeping lives in :mod:`repro.service.planning`;
-:class:`JobQueue`, :class:`QueuedJob`,
+metrics bookkeeping lives in :mod:`repro.service.planning`;
 :class:`JobTimeoutError`, :class:`ServiceMetrics`, and
 :data:`LATENCY_WINDOW` are re-exported here for compatibility.
 
@@ -73,14 +72,14 @@ from ..obs.trace import (TRACER, new_trace_id, span as _span,
 from ..utils.logging import get_logger
 from .backends import ExecutionBackend, create_backend
 from .fingerprint import digest_config, fingerprint_state_dict, scan_key
-from .planning import (CachePlanner, JobQueue, JobTimeoutError, LATENCY_WINDOW,
-                       QueuedJob, ServiceMetrics)
+from .planning import (CachePlanner, JobTimeoutError, LATENCY_WINDOW,
+                       ServiceMetrics)
 from .records import ScanRecord, ScanRequest
 from .store import ResultStore
 
 __all__ = ["ResolvedScan", "ScanScheduler", "resolve_request",
            "execute_resolved", "execute_mega_group", "build_request_detector",
-           "JobQueue", "QueuedJob", "JobTimeoutError", "ServiceMetrics",
+           "JobTimeoutError", "ServiceMetrics",
            "activation_cache_bytes"]
 
 _LOG = get_logger("repro.service.scheduler")
@@ -518,11 +517,11 @@ class ScanScheduler:
                  retries: Optional[int] = None) -> List[_ResultT]:
         """Apply a module-level ``fn`` to every payload, preserving order.
 
-        Dispatch happens through the scheduler's execution backend: every
-        payload goes through the prioritized planning queue (all at
-        priority 0 here, so plain FIFO) with the scheduler's retry budget;
-        process-based backends additionally enforce ``timeout`` seconds of
-        wall clock per job.  A job that exhausts its retries re-raises its
+        Dispatch happens through the scheduler's execution backend: the
+        payloads run first in, first out, a failed job retrying behind the
+        rest while the scheduler's retry budget lasts; process-based
+        backends additionally enforce ``timeout`` seconds of wall clock per
+        job.  A job that exhausts its retries re-raises its
         last error (:class:`JobTimeoutError` for timeouts and expired fleet
         leases), failing the batch.
 
@@ -536,7 +535,7 @@ class ScanScheduler:
             retries: Retry budget override (default: ``job_retries``).
 
         Returns:
-            ``[fn(p) for p in payloads]``, computed queue-driven.
+            ``[fn(p) for p in payloads]``.
         """
         timeout = self.job_timeout if timeout is None else timeout
         retries = self.job_retries if retries is None else int(retries)

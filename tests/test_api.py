@@ -4,13 +4,12 @@ Every suite here drives a *real* server on an ephemeral loopback port
 with stdlib ``urllib`` clients — submit -> poll -> result round trips,
 error contracts, cache-hit resubmits, concurrent multi-tenant clients
 with CLI verdict parity, strategy routing over the wire, and the
-``/metrics`` exposition.  The :class:`repro.service.JobQueue` invariants
-the API's multi-tenant queueing leans on are pinned separately with a
-hypothesis state-machine-style fuzz plus a threaded stress test.
+``/metrics`` exposition.  The dispatch order of staged jobs (priority,
+then submit order) and ``close(drain=True)`` without a dispatcher are
+pinned on servers that run no scan.
 """
 
 import functools
-import heapq
 import json
 import os
 import threading
@@ -20,14 +19,11 @@ import urllib.request
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.models import build_model
 from repro.nn.serialization import save_model
 from repro.obs.metrics import parse_prometheus_text
-from repro.service import (JobQueue, ScanRequest, ScanScheduler,
-                           execute_resolved, open_store)
+from repro.service import (ScanRequest, ScanScheduler, execute_resolved,
+                           open_store)
 from repro.service.api import ApiServer
 from repro.service.cli import main as cli_main
 
@@ -471,105 +467,40 @@ class TestStrategyOverApi:
 
 
 # --------------------------------------------------------------------- #
-# JobQueue invariants the API's queueing leans on
+# Queue order and shutdown
 # --------------------------------------------------------------------- #
-#: One fuzzed op: (op kind selector, priority for pushes).
-_OPS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),
-                min_size=1, max_size=60)
+class TestQueueOrder:
+    def test_staged_jobs_run_by_priority_then_submit_order(self, tmp_path):
+        api = ApiServer(str(tmp_path / "store"), port=0)
+        ran = []
+        api._execute = lambda job: ran.append(job.job_id) or {}
+        request = ScanRequest(checkpoint=str(tmp_path / "m.npz"))
+        # Staged before the dispatcher starts, so all three are queued when
+        # the first one is taken.
+        late = api.submit("scan", request, priority=1)
+        first = api.submit("scan", request, priority=0)
+        second = api.submit("scan", request, priority=0)
+        staged = api.queue.qsize()
+        api.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while len(ran) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            api.close()
+        assert staged == 3
+        assert ran == [first.job_id, second.job_id, late.job_id]
+        assert all(api.job(job_id).status == "done" for job_id in ran)
+        assert api.queue.empty()
 
-
-class TestJobQueueFuzz:
-    @settings(max_examples=60, deadline=None)
-    @given(ops=_OPS, thread_safe=st.booleans())
-    def test_random_interleavings_stay_prioritized_fifo(self, ops,
-                                                        thread_safe):
-        """Push/pop/requeue interleavings vs a reference model.
-
-        The model mirrors the contract: pops return the lowest priority
-        first and FIFO within a priority; a requeued job keeps its
-        priority, goes behind already-queued same-priority peers, and
-        carries ``attempts + 1``.
-        """
-        queue = JobQueue(thread_safe=thread_safe)
-        model = []  # heap of (priority, seq, payload, attempts)
-        seq = 0
-        popped = []  # jobs available to requeue
-        next_payload = 0
-        for op, priority in ops:
-            if op == 0:  # push
-                queue.push(next_payload, priority=priority)
-                heapq.heappush(model, (priority, seq, next_payload, 0))
-                seq += 1
-                next_payload += 1
-            elif op == 1 and model:  # pop
-                job = queue.pop()
-                want = heapq.heappop(model)
-                assert (job.priority, job.payload, job.attempts) == \
-                    (want[0], want[2], want[3])
-                popped.append(job)
-            elif op == 2 and popped:  # requeue a previously popped job
-                job = popped.pop(priority % len(popped))
-                queue.requeue(job)
-                heapq.heappush(model, (job.priority, seq, job.payload,
-                                       job.attempts + 1))
-                seq += 1
-            assert len(queue) == len(model)
-        while model:
-            job = queue.pop()
-            want = heapq.heappop(model)
-            assert (job.priority, job.payload, job.attempts) == \
-                (want[0], want[2], want[3])
-        assert not queue
-
-    def test_threaded_producers_and_consumers_lose_nothing(self):
-        queue = JobQueue(thread_safe=True)
-        producers, per_producer = 4, 50
-        total = producers * per_producer
-        consumed = []
-        consumed_lock = threading.Lock()
-
-        def produce(producer_id):
-            for i in range(per_producer):
-                queue.push((producer_id, i), priority=i % 3)
-
-        def consume():
-            while True:
-                with consumed_lock:
-                    if len(consumed) >= total:
-                        return
-                try:
-                    job = queue.pop(block=True, timeout=0.2)
-                except IndexError:
-                    continue
-                with consumed_lock:
-                    consumed.append(job.payload)
-
-        threads = ([threading.Thread(target=produce, args=(p,))
-                    for p in range(producers)]
-                   + [threading.Thread(target=consume) for _ in range(4)])
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert sorted(consumed) == sorted(
-            (p, i) for p in range(producers) for i in range(per_producer))
-        assert not queue
-
-    def test_blocking_pop_wakes_on_push(self):
-        queue = JobQueue(thread_safe=True)
-        got = []
-
-        def waiter():
-            got.append(queue.pop(block=True, timeout=5.0).payload)
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.05)
-        queue.push("wake")
-        thread.join(timeout=5)
-        assert got == ["wake"]
-
-    def test_blocking_pop_times_out_empty(self):
-        queue = JobQueue(thread_safe=True)
-        with pytest.raises(IndexError):
-            queue.pop(block=True, timeout=0.05)
+    def test_close_drain_returns_without_a_dispatcher(self, tmp_path):
+        api = ApiServer(str(tmp_path / "store"), port=0)
+        api.start(dispatch=False)
+        request = ScanRequest(checkpoint=str(tmp_path / "m.npz"))
+        job = api.submit("scan", request)
+        closer = threading.Thread(target=api.close, kwargs={"drain": True},
+                                  daemon=True)
+        closer.start()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive(), "close(drain=True) hung on the queue"
+        assert api.job(job.job_id).status == "queued"

@@ -1,4 +1,4 @@
-"""Tests for the watch daemon: watcher, job queue, timeouts/retries, stats.
+"""Tests for the watch daemon: watcher, poll order, timeouts/retries, stats.
 
 The timeout tests use real child processes (the daemon's kill path is the
 feature under test); the end-to-end smoke runs a real tiny scan through
@@ -20,7 +20,6 @@ from repro.nn.serialization import save_model
 from repro.service import (
     CheckpointWatcher,
     DaemonConfig,
-    JobQueue,
     JobTimeoutError,
     PoolBackend,
     RepairRecord,
@@ -160,31 +159,7 @@ def _daemon(tmp_path, **overrides):
 
 
 # ---------------------------------------------------------------------- #
-# Job queue
-# ---------------------------------------------------------------------- #
-class TestJobQueue:
-    def test_priority_then_fifo(self):
-        queue = JobQueue()
-        queue.push("late-low", priority=1)
-        queue.push("first-high", priority=0)
-        queue.push("second-high", priority=0)
-        assert [queue.pop().payload for _ in range(3)] == [
-            "first-high", "second-high", "late-low"]
-
-    def test_requeue_goes_behind_peers_and_counts_attempts(self):
-        queue = JobQueue()
-        first = queue.push("flaky", priority=0)
-        queue.push("steady", priority=0)
-        popped = queue.pop()
-        assert popped is first
-        retried = queue.requeue(popped)
-        assert retried.attempts == 1
-        assert queue.pop().payload == "steady"  # retry waits its turn
-        assert queue.pop().attempts == 1
-
-
-# ---------------------------------------------------------------------- #
-# Scheduler run_jobs: timeout + retries through the shared queue
+# Scheduler run_jobs: timeout + retries through the backend
 # ---------------------------------------------------------------------- #
 class TestRunJobsRetries:
     def test_serial_retry_recovers(self, tmp_path):
@@ -450,10 +425,42 @@ class TestAutoRepair:
         rerun = self._auto_daemon(tmp_path, monkeypatch)
         rerun.run(max_iterations=2)
         stats = rerun.stats()
-        # scan hit re-enqueues the repair, which is itself a hit
+        # the scan hit runs the repair again, which is itself a hit
         assert stats["cache_hits"] == 2 and stats["cache_misses"] == 0
         assert stats["repairs_completed"] == 0  # nothing recomputed
         assert len(ShardedResultStore(str(tmp_path / "store"))) == 2
+
+    def test_poll_scans_detector_by_detector_then_repairs(self, tmp_path,
+                                                         monkeypatch):
+        ran = []
+
+        def scan(resolved):
+            request = resolved.request
+            ran.append(("scan", os.path.basename(request.checkpoint),
+                        request.detector))
+            return _fake_backdoored_scan(resolved)
+
+        def repair(resolved):
+            request = resolved.request.scan
+            ran.append(("repair", os.path.basename(request.checkpoint),
+                        request.detector))
+            return _fake_repair(resolved)
+
+        _swap_workers(monkeypatch, scan=scan, repair=repair)
+        daemon = _daemon(tmp_path, detectors=("nc", "usb"), backend="inline",
+                         auto_repair=True,
+                         repair_options={"strategy": "unlearn",
+                                         "rescan": False})
+        _save_tiny(tmp_path / "drop" / "a.npz", seed=1)
+        _save_tiny(tmp_path / "drop" / "b.npz", seed=2)
+        assert daemon.run_once() == 8
+        cells = [("a.npz", "nc"), ("b.npz", "nc"), ("a.npz", "usb"),
+                 ("b.npz", "usb")]
+        assert ran == ([("scan",) + cell for cell in cells]
+                       + [("repair",) + cell for cell in cells])
+        stats = json.loads(open(daemon.stats_path).read())
+        assert stats["queue_depth"] == 0
+        assert stats["repairs_completed"] == 4 and stats["failures"] == 0
 
     def test_repaired_outputs_are_not_reingested(self, tmp_path):
         # Regression: the repair pipeline writes *.repaired-<digest>.npz

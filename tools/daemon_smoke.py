@@ -2,12 +2,14 @@
 """End-to-end smoke test of the watch daemon, exercised through the real CLI.
 
 Creates a temp drop directory, saves one (untrained, tiny) checkpoint into
-it, runs ``python -m repro watch`` for a few bounded iterations with a job
-timeout and retry budget, then asserts:
+it, runs ``python -m repro watch --detectors usb,nc`` for a few bounded
+iterations with a job timeout and retry budget, so one poll runs two jobs
+in order, then asserts:
 
-1. a verdict landed in the sharded result store,
-2. the stats endpoint file exists with the documented metrics fields, and
-3. ``python -m repro report`` surfaces both the record and the metrics.
+1. both verdicts landed in the sharded result store,
+2. the stats endpoint file exists with the documented metrics fields and
+   counts two scans served, no failure and an empty queue, and
+3. ``python -m repro report`` surfaces both the records and the metrics.
 
 Run by ``make daemon-smoke`` (and CI).  Exits non-zero on any failure.
 """
@@ -49,7 +51,7 @@ def main() -> int:
                              "image_size": 12})
 
         rc = cli_main([
-            "watch", drop, "--store", store_path, "--detectors", "usb",
+            "watch", drop, "--store", store_path, "--detectors", "usb,nc",
             "--poll-interval", "0.1", "--settle-polls", "1",
             "--max-iterations", "4", "--job-timeout", "300", "--retries", "1",
             "--classes", "0,1,2", "--clean-budget", "10",
@@ -60,14 +62,16 @@ def main() -> int:
 
         store = ShardedResultStore(store_path)
         records = store.records()
-        if len(records) != 1:
-            print(f"FAIL: expected 1 store record, found {len(records)}",
+        if len(records) != 2:
+            print(f"FAIL: expected 2 store records, found {len(records)}",
                   file=sys.stderr)
             return 1
-        record = records[0]
-        if record.detector != "USB" or not record.checkpoint.endswith(
-                "candidate.npz"):
-            print(f"FAIL: unexpected record {record.as_row()}", file=sys.stderr)
+        if sorted(record.detector for record in records) != ["NC", "USB"] or \
+                not all(record.checkpoint.endswith("candidate.npz")
+                        for record in records):
+            print(f"FAIL: unexpected records "
+                  f"{[record.as_row() for record in records]}",
+                  file=sys.stderr)
             return 1
 
         stats_path = os.path.join(store_path, "stats.json")
@@ -79,7 +83,8 @@ def main() -> int:
         if missing:
             print(f"FAIL: stats missing fields {missing}", file=sys.stderr)
             return 1
-        if stats["scans_served"] != 1 or stats["failures"] != 0:
+        if stats["scans_served"] != 2 or stats["failures"] != 0 or \
+                stats["queue_depth"] != 0:
             print(f"FAIL: unexpected stats {stats}", file=sys.stderr)
             return 1
 
@@ -88,8 +93,8 @@ def main() -> int:
             print(f"FAIL: report exited {rc}", file=sys.stderr)
             return 1
 
-    print("daemon smoke OK: checkpoint scanned, verdict stored, "
-          "metrics published.")
+    print("daemon smoke OK: checkpoint scanned by two detectors, verdicts "
+          "stored, metrics published.")
     return 0
 
 
