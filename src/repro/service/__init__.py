@@ -8,9 +8,10 @@ The service layer turns the in-process detectors into throughput:
   the picklable/JSON-safe units of work and result;
 * :mod:`repro.service.locks` — advisory per-shard file locks and atomic
   file replacement, the multi-writer primitives;
-* :mod:`repro.service.store` — result stores: the legacy single-file JSONL
-  :class:`ResultStore` and the sharded, concurrent-writer
-  :class:`ShardedResultStore` (pick via :func:`open_store`), both making
+* :mod:`repro.service.store` — result stores: the sharded,
+  concurrent-writer :class:`ShardedResultStore`, which opens without
+  replaying and reads one shard per cache hit, and the legacy single-file
+  JSONL :class:`ResultStore` (pick via :func:`open_store`), both making
   repeat scans cache hits and both supporting ``compact`` / ``merge``;
 * :mod:`repro.service.planning` — the backend-independent planning core:
   :class:`JobTimeoutError`, :class:`ServiceMetrics`, and the shared
@@ -46,110 +47,58 @@ The service layer turns the in-process detectors into throughput:
 * :mod:`repro.service.cli` — the ``python -m repro`` command line
   (``scan`` / ``grid`` / ``repair`` / ``report`` / ``experiment`` /
   ``watch`` / ``serve`` / ``store compact`` / ``store merge``).
+
+Importing the package loads none of these: each name in ``__all__``
+resolves from its submodule on first access (PEP 562), so a one-shot
+command imports only the modules it runs.
 """
 
-from .api import ApiJob, ApiServer
+import importlib
+from typing import Any, Dict
 
-from .backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    InlineBackend,
-    PoolBackend,
-    create_backend,
-)
-from .daemon import CheckpointWatcher, DaemonConfig, WatchDaemon
-from .fleet import (
-    FleetBackend,
-    FleetQueue,
-    FleetWorker,
-    LeaseLostError,
-    fleet_snapshot,
-    run_worker,
-)
-from .fingerprint import (
-    digest_config,
-    fingerprint_checkpoint,
-    fingerprint_model,
-    fingerprint_state_dict,
-    scan_key,
-)
-from .locks import FileLock, LockTimeout, atomic_write
-from .records import RepairRecord, ScanRecord, ScanRequest, record_from_dict
-from .routing import (
-    STRATEGIES,
-    RoutingPolicy,
-    TriageResult,
-    escalation_reason,
-    record_max_anomaly,
-    route_scan,
-)
-from .repair import (
-    RepairRequest,
-    ResolvedRepair,
-    atomic_save_model,
-    execute_repair,
-    resolve_repair,
-    run_repairs,
-)
-from .scheduler import (
-    JobTimeoutError,
-    ResolvedScan,
-    ScanScheduler,
-    ServiceMetrics,
-    execute_resolved,
-    resolve_request,
-)
-from .store import ResultStore, ShardedResultStore, open_store, stream_records
+#: Public name -> the submodule that defines it, in ``__all__`` order.
+#: Importing one submodule, as every ``python -m repro`` command does, then
+#: does not load the HTTP server, the fleet, the daemon or the repair
+#: pipeline with it.
+_EXPORTS: Dict[str, str] = {
+    "BACKEND_NAMES": "backends", "ExecutionBackend": "backends",
+    "InlineBackend": "backends", "PoolBackend": "backends",
+    "FleetBackend": "fleet", "FleetQueue": "fleet", "FleetWorker": "fleet",
+    "LeaseLostError": "fleet",
+    "create_backend": "backends",
+    "fleet_snapshot": "fleet", "run_worker": "fleet",
+    "stream_records": "store",
+    "digest_config": "fingerprint", "fingerprint_checkpoint": "fingerprint",
+    "fingerprint_model": "fingerprint",
+    "fingerprint_state_dict": "fingerprint", "scan_key": "fingerprint",
+    "ScanRecord": "records", "ScanRequest": "records",
+    "RepairRecord": "records",
+    "RepairRequest": "repair", "ResolvedRepair": "repair",
+    "record_from_dict": "records",
+    "resolve_repair": "repair", "execute_repair": "repair",
+    "run_repairs": "repair", "atomic_save_model": "repair",
+    "ResolvedScan": "scheduler", "ScanScheduler": "scheduler",
+    "ServiceMetrics": "scheduler", "JobTimeoutError": "scheduler",
+    "execute_resolved": "scheduler", "resolve_request": "scheduler",
+    "ResultStore": "store", "ShardedResultStore": "store",
+    "open_store": "store",
+    "FileLock": "locks", "LockTimeout": "locks", "atomic_write": "locks",
+    "CheckpointWatcher": "daemon", "DaemonConfig": "daemon",
+    "WatchDaemon": "daemon",
+    "STRATEGIES": "routing", "RoutingPolicy": "routing",
+    "TriageResult": "routing", "route_scan": "routing",
+    "record_max_anomaly": "routing", "escalation_reason": "routing",
+    "ApiJob": "api", "ApiServer": "api",
+}
 
-__all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "InlineBackend",
-    "PoolBackend",
-    "FleetBackend",
-    "FleetQueue",
-    "FleetWorker",
-    "LeaseLostError",
-    "create_backend",
-    "fleet_snapshot",
-    "run_worker",
-    "stream_records",
-    "digest_config",
-    "fingerprint_checkpoint",
-    "fingerprint_model",
-    "fingerprint_state_dict",
-    "scan_key",
-    "ScanRecord",
-    "ScanRequest",
-    "RepairRecord",
-    "RepairRequest",
-    "ResolvedRepair",
-    "record_from_dict",
-    "resolve_repair",
-    "execute_repair",
-    "run_repairs",
-    "atomic_save_model",
-    "ResolvedScan",
-    "ScanScheduler",
-    "ServiceMetrics",
-    "JobTimeoutError",
-    "execute_resolved",
-    "resolve_request",
-    "ResultStore",
-    "ShardedResultStore",
-    "open_store",
-    "FileLock",
-    "LockTimeout",
-    "atomic_write",
-    "CheckpointWatcher",
-    "DaemonConfig",
-    "WatchDaemon",
-    "STRATEGIES",
-    "RoutingPolicy",
-    "TriageResult",
-    "route_scan",
-    "record_max_anomaly",
-    "escalation_reason",
-    "ApiJob",
-    "ApiServer",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve a public name from its submodule on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

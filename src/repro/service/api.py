@@ -194,8 +194,12 @@ class ApiServer:
                  backend: Optional[str] = None) -> None:
         self.store_path = str(store_path)
         self.span_sink = sidecar_path(self.store_path, SPANS_NAME)
+        store = open_store(self.store_path)
+        # A long-lived server replays every shard once, here, so that no
+        # request pays for a shard's first read.
+        len(store)
         self.scheduler = ScanScheduler(
-            store=open_store(self.store_path), workers=workers,
+            store=store, workers=workers,
             job_retries=job_retries, telemetry=telemetry,
             span_sink=self.span_sink, backend=backend)
         #: ``(priority, sequence, job_id)`` of every job not yet dispatched.
@@ -206,6 +210,7 @@ class ApiServer:
         self._sequence = 0
         self._stop = threading.Event()
         self._dispatcher: Optional[threading.Thread] = None
+        self._listener: Optional[threading.Thread] = None
         self._registry = MetricsRegistry()
         self._registry_lock = threading.Lock()
         self._server = ThreadingHTTPServer((host, int(port)), _Handler)
@@ -238,9 +243,9 @@ class ApiServer:
                                                 name="api-dispatcher",
                                                 daemon=True)
             self._dispatcher.start()
-        listener = threading.Thread(target=self._server.serve_forever,
-                                    name="api-listener", daemon=True)
-        listener.start()
+        self._listener = threading.Thread(target=self._server.serve_forever,
+                                          name="api-listener", daemon=True)
+        self._listener.start()
         _LOG.info("serving on http://%s:%d (store: %s)", self.host,
                   self.port, self.store_path)
         return self
@@ -264,7 +269,10 @@ class ApiServer:
                 dispatcher runs (the in-flight job always completes either
                 way); without one, queued jobs stay queued.
         """
-        self._server.shutdown()
+        # ``shutdown()`` waits for a ``serve_forever`` loop, so it would
+        # block forever on a server whose listener never started.
+        if self._listener is not None:
+            self._server.shutdown()
         self._server.server_close()
         if drain:
             while self._dispatcher is not None and \

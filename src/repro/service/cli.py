@@ -8,7 +8,7 @@ Subcommands::
     python -m repro grid ckpt_a.npz ckpt_b.npz --detectors usb,nc --workers 2
     python -m repro repair checkpoint.npz --strategy both \
         --max-accuracy-drop 3
-    python -m repro report --store scan_results.jsonl
+    python -m repro report --store scan_results/
     python -m repro experiment --table table5 --scale bench \
         --scenarios all_to_one,source_conditional,all_to_all
     python -m repro watch drop_dir/ --store scans/ --detectors usb,nc \
@@ -58,12 +58,17 @@ with ``REPRO_TELEMETRY=0``.  The global ``--log-level`` flag (or
 ``REPRO_LOG_LEVEL``) controls the shared ``repro`` logger.
 
 All commands share one result store (``--store``).  The default is the
-legacy single-file ``scan_results.jsonl``; point ``--store`` at a directory
-(or any extension-less path) to get the sharded multi-writer layout that
-concurrent schedulers and daemons can write simultaneously.  A repeated scan
-of an identical (weights, detector, config, scenario) tuple is served from
-cache and labelled as such — the scenario is part of the cache key, so
-verdicts never collide across scenarios.
+sharded multi-writer directory ``scan_results/``, which concurrent
+schedulers and daemons can write simultaneously and which a cache hit reads
+one shard of; a path ending in ``.jsonl`` opens the legacy single-file
+layout instead.  A repeated scan of an identical (weights, detector,
+config, scenario) tuple is served from cache and labelled as such — the
+scenario is part of the cache key, so verdicts never collide across
+scenarios.
+
+Each command imports the modules it runs when it runs: ``scan`` never
+loads the HTTP server (``serve``), the fleet (``worker`` and ``--backend
+fleet``), the daemon (``watch``) or the repair pipeline (``repair``).
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..attacks.base import SCENARIO_ALL_TO_ONE, SCENARIOS
 from ..core.detection import INVERSION_MODES
@@ -85,15 +90,15 @@ from ..obs.render import (format_trace_summaries, render_trace,
 from ..obs.trace import read_spans
 from ..utils.logging import set_log_level
 from .backends import BACKEND_NAMES
-from .daemon import DaemonConfig, WatchDaemon
-from .fleet import fleet_snapshot, run_worker
 from .locks import atomic_write
 from .records import KNOWN_DETECTORS, RepairRecord, ScanRecord, ScanRequest
-from .repair import RepairRequest, run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
 from .scheduler import ScanScheduler
 from .store import (SPANS_NAME, STATS_NAME, open_store, sidecar_path,
                     stream_records)
+
+if TYPE_CHECKING:
+    from .repair import RepairRequest
 
 #: Repair strategies the CLI offers (mirrors repro.mitigation.STRATEGIES
 #: without importing the mitigation package at CLI-import time).
@@ -101,7 +106,7 @@ REPAIR_STRATEGIES = ("unlearn", "prune", "both")
 
 __all__ = ["build_parser", "main"]
 
-DEFAULT_STORE = "scan_results.jsonl"
+DEFAULT_STORE = "scan_results"
 
 
 def _add_scan_options(parser: argparse.ArgumentParser) -> None:
@@ -170,9 +175,10 @@ def _add_repair_options(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """Attach the store/worker/output flags shared by most commands."""
     parser.add_argument("--store", default=DEFAULT_STORE,
-                        help="Result store: a .jsonl file (single-writer) or "
-                             "a directory for the sharded multi-writer "
-                             f"layout (default: {DEFAULT_STORE}).")
+                        help="Result store: a directory for the sharded "
+                             "multi-writer layout (default: "
+                             f"{DEFAULT_STORE}/), or a .jsonl file for the "
+                             "legacy single-writer one.")
     parser.add_argument("--no-store", action="store_true",
                         help="Disable the cache: always recompute, never persist.")
     parser.add_argument("--workers", type=int, default=0,
@@ -516,8 +522,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"  class {cls}: L1={detection.per_class_l1[cls]:10.2f}  "
                   f"anomaly={detection.anomaly_indices.get(cls, 0.0):6.2f}{flag}")
     if not args.no_store:
-        print(f"  store: {args.store} ({len(scheduler.store)} record(s); "
-              f"hits={scheduler.cache_hits} misses={scheduler.cache_misses})")
+        print(f"  store: {args.store} (hits={scheduler.cache_hits} "
+              f"misses={scheduler.cache_misses})")
     trace_id = (record.telemetry or {}).get("trace_id")
     if trace_id:
         print(f"  trace: {trace_id} "
@@ -546,6 +552,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _repair_request_from_args(args: argparse.Namespace,
                               checkpoint: str) -> RepairRequest:
     """Build one :class:`RepairRequest` from parsed repair-option flags."""
+    from .repair import RepairRequest
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
     return RepairRequest(
@@ -562,6 +569,7 @@ def _repair_request_from_args(args: argparse.Namespace,
 
 def _cmd_repair(args: argparse.Namespace) -> int:
     """``repair``: detect -> repair -> verify one or more checkpoints."""
+    from .repair import run_repairs
     requests = [_repair_request_from_args(args, checkpoint)
                 for checkpoint in args.checkpoints]
     scheduler = _make_scheduler(args)
@@ -590,8 +598,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
             detail.append("nothing flagged — no repair applied")
         print(f"  {record.checkpoint}: {'; '.join(detail)}")
     if not args.no_store:
-        print(f"store: {args.store} ({len(scheduler.store)} record(s); "
-              f"hits={scheduler.cache_hits} misses={scheduler.cache_misses})")
+        print(f"store: {args.store} (hits={scheduler.cache_hits} "
+              f"misses={scheduler.cache_misses})")
     return 0
 
 
@@ -652,6 +660,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     a store index first, so reporting on a large store is bounded by its
     largest shard, not its total size.
     """
+    from .fleet import fleet_snapshot
     scans: List[ScanRecord] = []
     repairs: List[RepairRecord] = []
     detector = args.detector.lower() if args.detector else None
@@ -701,6 +710,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     """``watch``: run the drop-directory daemon (see :mod:`..service.daemon`)."""
+    from .daemon import DaemonConfig, WatchDaemon
     detectors = [d.strip() for d in args.detectors.split(",") if d.strip()]
     if not detectors:
         print("watch: no detectors given.", file=sys.stderr)
@@ -772,6 +782,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """``metrics``: Prometheus text exposition of the store + daemon stats."""
+    from .fleet import fleet_snapshot
     store = open_store(args.store)
     stats = _load_stats(args)
     if stats is not None:
@@ -813,6 +824,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     exactly one live worker at a time, and a worker that dies mid-job
     forfeits its lease for any surviving reader to requeue.
     """
+    from .fleet import run_worker
     print(f"worker draining fleet queue of {args.store} "
           f"(lease: {args.lease_seconds:.0f}s) — Ctrl-C to exit")
     try:

@@ -16,9 +16,12 @@ Two implementations share one interface (``lookup`` / ``add`` / ``records`` /
   :class:`~repro.service.locks.FileLock` and issues one ``O_APPEND`` write
   of the full line, so **concurrent writers** (multiple schedulers, multiple
   ``python -m repro`` invocations, the watch daemon) share one store without
-  lost or torn records.  Readers pick up other writers' appends lazily: a
-  ``lookup`` miss re-replays the one shard that could hold the key, keyed on
-  its (mtime, size) signature.
+  lost or torn records.  Opening reads only the manifest and replays no
+  shard.  A ``lookup`` replays the one shard its key lives in on first
+  touch, and again on a miss once that shard's (mtime, size) signature
+  changed, so a cache hit reads one shard and other writers' appends still
+  become visible.  ``records()`` / ``len()`` (and ``compact`` / ``merge``)
+  replay every changed shard.
 
 :func:`open_store` picks the right implementation from the path (existing
 directory or extension-less path -> sharded; ``*.jsonl`` file -> legacy), so
@@ -273,19 +276,24 @@ class ShardedResultStore:
         <path>/stats.json            # daemon stats endpoint (optional)
 
     Appends take the shard's :class:`~repro.service.locks.FileLock` and issue
-    one ``O_APPEND`` write, so any number of processes can write one store;
-    reads re-replay a shard only when its (mtime, size) signature changed.
+    one ``O_APPEND`` write, so any number of processes can write one store.
+    Opening replays nothing: :meth:`lookup` replays its key's shard on first
+    touch, so a cache hit costs one shard whatever the store's size.
+    :meth:`records` and ``len()`` replay every shard whose (mtime, size)
+    signature changed since it was last read, and list records shard by
+    shard in name order (the order :func:`stream_records` yields).
     """
 
     def __init__(self, path: str, shard_width: int = DEFAULT_SHARD_WIDTH,
                  lock_timeout: Optional[float] = 30.0) -> None:
         self.path = os.fspath(path)
         self.lock_timeout = lock_timeout
-        self._index: Dict[str, StoreRecord] = {}
+        #: shard file name -> {key: latest record} for every shard read or
+        #: written by this handle.
+        self._shards: Dict[str, Dict[str, StoreRecord]] = {}
         #: shard file name -> (mtime_ns, size) signature at last replay.
         self._shard_state: Dict[str, Tuple[int, int]] = {}
         self.shard_width = self._load_or_init_manifest(int(shard_width))
-        self.refresh()
 
     # ------------------------------------------------------------------ #
     # Layout helpers
@@ -356,12 +364,13 @@ class ShardedResultStore:
         signature = self._signature(path)
         if signature is None or self._shard_state.get(name) == signature:
             return
+        index = self._shards.setdefault(name, {})
         for record in _iter_jsonl_records(path):
-            self._index[record.key] = record
+            index[record.key] = record
         self._shard_state[name] = signature
 
     def refresh(self) -> None:
-        """Pick up appends from other writers: re-replay every changed shard."""
+        """Replay every shard not read yet or changed since (other writers)."""
         for name in self.shard_names():
             self._replay_shard(name)
 
@@ -371,14 +380,17 @@ class ShardedResultStore:
     def lookup(self, key: str) -> Optional[StoreRecord]:
         """Latest record stored under ``key``, or ``None``.
 
-        A miss re-checks the one shard that could hold the key, so records
-        appended by concurrent writers become visible without a full reload.
+        The first lookup in a shard replays that shard; later ones answer
+        from memory.  A miss re-checks the one shard that could hold the
+        key, so records appended by concurrent writers become visible
+        without a full reload.
         """
-        record = self._index.get(key)
+        name = self.shard_name(key)
+        record = self._shards.get(name, {}).get(key)
         if record is not None:
             return record
-        self._replay_shard(self.shard_name(key))
-        return self._index.get(key)
+        self._replay_shard(name)
+        return self._shards.get(name, {}).get(key)
 
     def __contains__(self, key: str) -> bool:
         """True when ``key`` has a stored record (refreshing its shard)."""
@@ -387,12 +399,13 @@ class ShardedResultStore:
     def __len__(self) -> int:
         """Number of distinct keys across all shards (after a refresh)."""
         self.refresh()
-        return len(self._index)
+        return sum(len(index) for index in self._shards.values())
 
     def records(self) -> List[StoreRecord]:
         """All records (one per key, latest wins) after a full refresh."""
         self.refresh()
-        return list(self._index.values())
+        return [record for name in sorted(self._shards)
+                for record in self._shards[name].values()]
 
     def scan_records(self) -> List[ScanRecord]:
         """Only the :class:`ScanRecord` entries of :meth:`records`."""
@@ -423,7 +436,7 @@ class ShardedResultStore:
         os.makedirs(self.path, exist_ok=True)
         with self._shard_lock(name):
             _append_line(path, _encode(record))
-        self._index[record.key] = record
+        self._shards.setdefault(name, {})[record.key] = record
 
     def add_all(self, records: Iterable[StoreRecord]) -> None:
         """Append every record in ``records`` (see :meth:`add`)."""
@@ -458,7 +471,7 @@ class ShardedResultStore:
                 atomic_write(path, b"".join(_encode(r) for r in latest.values()
                                             ).decode("utf-8"))
                 signature = self._signature(path)
-            self._index.update(latest)
+            self._shards.setdefault(name, {}).update(latest)
             if signature is not None:
                 self._shard_state[name] = signature
             totals["lines_before"] += lines
@@ -530,12 +543,12 @@ def stream_records(path: Union[str, os.PathLike]) -> Iterator[StoreRecord]:
     calling ``records()`` — one record per key, latest line wins — but the
     working set is bounded by the *largest shard* instead of the whole
     store: read-only consumers (``repro report``, ad-hoc scripts) never pay
-    for the in-memory index the caching stores build on open.
+    for the in-memory index ``records()`` builds.
 
     Per-shard deduplication is sufficient because a record's shard is
     addressed by its key's fingerprint prefix: a key never spans shards,
-    and replaying shards in sorted name order reproduces the index's
-    insertion order exactly.  A missing store yields nothing.
+    and ``records()`` also lists shards in sorted name order.  A missing
+    store yields nothing.
 
     Args:
         path: Store directory (sharded layout) or JSONL file (legacy).

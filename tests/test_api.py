@@ -5,8 +5,9 @@ with stdlib ``urllib`` clients — submit -> poll -> result round trips,
 error contracts, cache-hit resubmits, concurrent multi-tenant clients
 with CLI verdict parity, strategy routing over the wire, and the
 ``/metrics`` exposition.  The dispatch order of staged jobs (priority,
-then submit order) and ``close(drain=True)`` without a dispatcher are
-pinned on servers that run no scan.
+then submit order), ``close(drain=True)`` without a dispatcher and
+``close()`` on a server that never started are pinned on servers that run
+no scan.
 """
 
 import functools
@@ -504,3 +505,12 @@ class TestQueueOrder:
         closer.join(timeout=5.0)
         assert not closer.is_alive(), "close(drain=True) hung on the queue"
         assert api.job(job.job_id).status == "queued"
+
+    def test_close_returns_on_a_server_that_never_started(self, tmp_path):
+        api = ApiServer(str(tmp_path / "store"), port=0)
+        closer = threading.Thread(target=api.close, daemon=True)
+        closer.start()
+        closer.join(timeout=3.0)
+        assert not closer.is_alive(), "close() hung on an unstarted server"
+        # The listening socket is released even though no loop ever ran.
+        assert api._server.socket.fileno() == -1

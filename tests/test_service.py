@@ -535,7 +535,7 @@ class TestCLI:
         assert cli_main(args) == 0
         second = capsys.readouterr().out
         assert "cache hit" in second
-        assert (tmp_path / "scan_results.jsonl").exists()
+        assert (tmp_path / "scan_results" / "store.json").exists()
 
     def test_grid_and_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
