@@ -7,7 +7,7 @@ TIER1_TIMEOUT ?= 120
 # Budget for the scenario-matrix smoke run (seconds).
 SCENARIOS_TIMEOUT ?= 300
 
-.PHONY: test tier1 lint lint-baseline bench bench-detection kernel-bench examples examples-smoke scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke
+.PHONY: test tier1 lint lint-baseline import-check bench bench-detection kernel-bench examples examples-smoke scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke
 
 ## Tier-1 unit suite (tests/ only; benchmarks/ are excluded via pytest.ini).
 test: tier1
@@ -45,6 +45,13 @@ scenarios:
 ## not covered by an inline suppression or tools/lint_baseline.json.
 lint:
 	$(PYTHON) -m repro.analysis
+
+## Import check: import every repro module on its own in a fresh
+## interpreter, so an import cycle or an order-dependent import (lazy
+## package exports, function-level imports) fails here.  CI runs it in the
+## docs-and-daemon job.
+import-check:
+	$(PYTHON) tools/import_check.py
 
 ## Regenerate the lint baseline in place, keeping existing justifications.
 ## New entries get a TODO justification that must be filled in by hand.

@@ -19,10 +19,19 @@ The package is organized as follows:
 * :mod:`repro.analysis` — repro-lint: AST-based static checks enforcing the
   project's RNG, digest, lock, telemetry, and exception disciplines.
 * :mod:`repro.utils` — SSIM, image helpers, RNG management.
+
+Importing ``repro`` loads no subpackage: ``repro.nn`` resolves on first
+access, and ``repro.nn``, ``repro.core``, ``repro.attacks`` and
+``repro.service`` resolve each public name from its submodule the same way
+(:mod:`repro._lazy`).  A cached ``python -m repro scan`` therefore compiles
+only what a cache hit runs; the inversion stack loads when a miss is
+dispatched (:func:`repro.service.scheduler.load_inversion_stack`).
 """
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-from . import nn
-
 __all__ = ["nn", "__version__"]
+
+__getattr__ = lazy_exports(__name__, {"nn": "nn"})

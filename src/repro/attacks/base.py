@@ -36,12 +36,14 @@ target)`` pair grid a scenario-aware detector scan should sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..data.dataset import Dataset
-from ..nn.layers import Module
+
+if TYPE_CHECKING:
+    from ..nn.layers import Module
 
 __all__ = [
     "SCENARIO_ALL_TO_ONE",

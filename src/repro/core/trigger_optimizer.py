@@ -33,6 +33,7 @@ from ..nn.layers import Module
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, enable_grad, no_grad
 from ..utils.ssim import ssim_tensor
+from .configs import TriggerOptimizationConfig
 
 __all__ = ["TriggerOptimizationConfig", "TriggerOptimizationResult",
            "TriggerMaskOptimizer", "BatchedTriggerMaskOptimizer",
@@ -57,49 +58,6 @@ def blend_images(images: np.ndarray, pattern: np.ndarray,
     """
     blended = images * (1.0 - mask) + pattern * mask
     return np.clip(blended, 0.0, 1.0).astype(np.float32)
-
-
-@dataclass
-class TriggerOptimizationConfig:
-    """Weights and schedule of the trigger/mask optimization."""
-
-    #: Number of optimization iterations (m = 500 in the paper; scaled down by
-    #: the experiment presets).
-    iterations: int = 200
-    learning_rate: float = 0.1
-    betas: Tuple[float, float] = (0.5, 0.9)
-    batch_size: int = 32
-    #: Weight of the SSIM similarity term (1.0 for USB, 0.0 for NC/TABOR).
-    ssim_weight: float = 1.0
-    #: Weight of the mask L1 term.
-    mask_l1_weight: float = 0.01
-    #: TABOR: weight of the total-variation smoothness penalty on the mask.
-    mask_tv_weight: float = 0.0
-    #: TABOR: weight of the penalty on pattern mass outside the mask.
-    outside_pattern_weight: float = 0.0
-    #: Joint (pool) engine only: freeze a class early once its trigger success
-    #: rate reaches this threshold (``None`` disables early stop, keeping joint
-    #: results aligned with the sequential per-class runs).  Success is
-    #: tracked *incrementally* from the blended-batch logits every iteration
-    #: already computes, so a converged class is frozen at its exact
-    #: convergence iteration instead of burning steps until the next periodic
-    #: full-set evaluation.
-    early_stop_success: Optional[float] = None
-    #: Retained for config compatibility: earlier revisions sampled the
-    #: early-stop success check every this many iterations.  The incremental
-    #: per-iteration tracking made the cadence knob a no-op.
-    early_stop_check_every: int = 25
-
-    def __post_init__(self) -> None:
-        if self.iterations <= 0:
-            raise ValueError("iterations must be positive.")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive.")
-        if self.early_stop_success is not None and not (
-                0.0 < self.early_stop_success <= 1.0):
-            raise ValueError("early_stop_success must be in (0, 1].")
-        if self.early_stop_check_every <= 0:
-            raise ValueError("early_stop_check_every must be positive.")
 
 
 @dataclass

@@ -25,39 +25,12 @@ import numpy as np
 
 from ..nn.layers import Module
 from ..nn.tensor import Tensor, no_grad
+from .configs import TargetedUAPConfig
 from .deepfool import targeted_deepfool_step
 
 __all__ = ["TargetedUAPConfig", "UAPResult", "project_perturbation",
            "targeted_error_rate", "generate_targeted_uap",
            "generate_targeted_uaps"]
-
-
-@dataclass
-class TargetedUAPConfig:
-    """Hyperparameters of the targeted UAP search (paper's Alg. 1)."""
-
-    #: Desired targeted error rate θ: stop once this fraction of X maps to t.
-    desired_error_rate: float = 0.6
-    #: Norm used for the projection of v ("l2" or "linf").
-    norm: str = "linf"
-    #: Radius δ of the projection ball.
-    radius: float = 0.3
-    #: Maximum number of sweeps over X.
-    max_passes: int = 5
-    #: DeepFool overshoot.
-    overshoot: float = 0.02
-    #: Mini-batch size for the batched DeepFool steps.
-    batch_size: int = 64
-    clip_min: float = 0.0
-    clip_max: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.desired_error_rate <= 1.0:
-            raise ValueError("desired_error_rate must be in (0, 1].")
-        if self.norm not in ("l2", "linf"):
-            raise ValueError("norm must be 'l2' or 'linf'.")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive.")
 
 
 @dataclass

@@ -28,7 +28,6 @@ the two stages for one class; ``detect`` calls it per class under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -37,31 +36,13 @@ from ..data.dataset import Dataset
 from ..nn.layers import Module
 from ..obs.metrics import PROFILER
 from ..obs.trace import span as _span
+from .configs import USBConfig
 from .detection import ReversedTrigger, TriggerReverseEngineeringDetector
 from .mega import _forward_logits
-from .trigger_optimizer import TriggerMaskOptimizer, TriggerOptimizationConfig
-from .uap import (
-    TargetedUAPConfig,
-    UAPResult,
-    generate_targeted_uap,
-    generate_targeted_uaps,
-)
+from .trigger_optimizer import TriggerMaskOptimizer
+from .uap import UAPResult, generate_targeted_uap, generate_targeted_uaps
 
 __all__ = ["USBConfig", "USBDetector"]
-
-
-@dataclass
-class USBConfig:
-    """End-to-end configuration of the USB detector."""
-
-    uap: TargetedUAPConfig = field(default_factory=TargetedUAPConfig)
-    optimization: TriggerOptimizationConfig = field(
-        default_factory=lambda: TriggerOptimizationConfig(ssim_weight=1.0,
-                                                          mask_l1_weight=0.01))
-    #: MAD anomaly-index threshold above which a class is flagged.
-    anomaly_threshold: float = 2.0
-    #: If True, skip Alg. 1 and start Alg. 2 from a random point (ablation).
-    random_init: bool = False
 
 
 class USBDetector(TriggerReverseEngineeringDetector):

@@ -10,27 +10,17 @@ initialization addresses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
+from ..core.configs import NeuralCleanseConfig
 from ..core.detection import ReversedTrigger, TriggerReverseEngineeringDetector
-from ..core.trigger_optimizer import TriggerMaskOptimizer, TriggerOptimizationConfig
+from ..core.trigger_optimizer import TriggerMaskOptimizer
 from ..data.dataset import Dataset
 from ..nn.layers import Module
 
 __all__ = ["NeuralCleanseConfig", "NeuralCleanseDetector"]
-
-
-@dataclass
-class NeuralCleanseConfig:
-    """Configuration of the Neural Cleanse baseline."""
-
-    optimization: TriggerOptimizationConfig = field(
-        default_factory=lambda: TriggerOptimizationConfig(ssim_weight=0.0,
-                                                          mask_l1_weight=0.01))
-    anomaly_threshold: float = 2.0
 
 
 class NeuralCleanseDetector(TriggerReverseEngineeringDetector):

@@ -9,31 +9,17 @@ shares NC's failure mode on non-patch (IAD) triggers in the paper's Table 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
+from ..core.configs import TaborConfig
 from ..core.detection import ReversedTrigger, TriggerReverseEngineeringDetector
-from ..core.trigger_optimizer import TriggerMaskOptimizer, TriggerOptimizationConfig
+from ..core.trigger_optimizer import TriggerMaskOptimizer
 from ..data.dataset import Dataset
 from ..nn.layers import Module
 
 __all__ = ["TaborConfig", "TaborDetector"]
-
-
-@dataclass
-class TaborConfig:
-    """Configuration of the TABOR baseline."""
-
-    optimization: TriggerOptimizationConfig = field(
-        default_factory=lambda: TriggerOptimizationConfig(
-            ssim_weight=0.0,
-            mask_l1_weight=0.01,
-            mask_tv_weight=0.002,
-            outside_pattern_weight=0.002,
-        ))
-    anomaly_threshold: float = 2.0
 
 
 class TaborDetector(TriggerReverseEngineeringDetector):

@@ -16,10 +16,17 @@ Thread tuning is not done on import: :mod:`repro.nn.blas` exposes
 ``share_cores(n)``, which executors running side by side on one host
 (``pool`` children, fleet workers) call to shrink their OpenBLAS pool to
 one ``n``-th of the cores.  Single-process paths keep the full pool.
+
+Importing the package loads none of its submodules: each name in
+``__all__`` resolves from the submodule that defines it on first access
+(:mod:`repro._lazy`), so reading a checkpoint
+(:mod:`repro.nn.serialization`) does not compile the autograd kernels.
 """
 
 import ctypes as _ctypes
 import os as _os
+
+from .._lazy import lazy_exports
 
 
 def _tune_allocator() -> bool:
@@ -38,88 +45,28 @@ def _tune_allocator() -> bool:
 
 _ALLOCATOR_TUNED = _tune_allocator()
 
-from . import functional
-from . import init
-from .layers import (
-    AdaptiveAvgPool2d,
-    AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    Identity,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    SiLU,
-    Tanh,
-)
-from .losses import CrossEntropyLoss, MSELoss, NLLLoss
-from .optim import SGD, Adam, Optimizer
-from .serialization import (
-    CheckpointMismatchError,
-    load_checkpoint,
-    load_model,
-    load_state_dict,
-    save_model,
-    save_state_dict,
-    validate_state_dict,
-)
-from .tensor import (
-    Tensor,
-    concatenate,
-    enable_grad,
-    is_grad_enabled,
-    no_grad,
-    stack,
-    where,
-)
+#: Public name -> the submodule that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "functional": "functional", "init": "init",
+    "Tensor": "tensor", "concatenate": "tensor", "stack": "tensor",
+    "where": "tensor", "no_grad": "tensor", "enable_grad": "tensor",
+    "is_grad_enabled": "tensor",
+    "Module": "layers", "Parameter": "layers", "Sequential": "layers",
+    "Linear": "layers", "Conv2d": "layers", "BatchNorm1d": "layers",
+    "BatchNorm2d": "layers", "ReLU": "layers", "LeakyReLU": "layers",
+    "SiLU": "layers", "Sigmoid": "layers", "Tanh": "layers",
+    "MaxPool2d": "layers", "AvgPool2d": "layers",
+    "AdaptiveAvgPool2d": "layers", "Flatten": "layers", "Dropout": "layers",
+    "Identity": "layers",
+    "CrossEntropyLoss": "losses", "MSELoss": "losses", "NLLLoss": "losses",
+    "Optimizer": "optim", "SGD": "optim", "Adam": "optim",
+    "save_model": "serialization", "load_model": "serialization",
+    "load_checkpoint": "serialization",
+    "validate_state_dict": "serialization",
+    "CheckpointMismatchError": "serialization",
+    "save_state_dict": "serialization", "load_state_dict": "serialization",
+}
 
-__all__ = [
-    "functional",
-    "init",
-    "Tensor",
-    "concatenate",
-    "stack",
-    "where",
-    "no_grad",
-    "enable_grad",
-    "is_grad_enabled",
-    "Module",
-    "Parameter",
-    "Sequential",
-    "Linear",
-    "Conv2d",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "ReLU",
-    "LeakyReLU",
-    "SiLU",
-    "Sigmoid",
-    "Tanh",
-    "MaxPool2d",
-    "AvgPool2d",
-    "AdaptiveAvgPool2d",
-    "Flatten",
-    "Dropout",
-    "Identity",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "NLLLoss",
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "save_model",
-    "load_model",
-    "load_checkpoint",
-    "validate_state_dict",
-    "CheckpointMismatchError",
-    "save_state_dict",
-    "load_state_dict",
-]
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -23,6 +23,10 @@ import functools
 import os
 from typing import Any, List, NamedTuple, Optional
 
+# Maps NumPy's OpenBLAS into the process, so a caller that imports this
+# module before anything else imports NumPy still finds the library.
+import numpy  # noqa: F401
+
 __all__ = ["share_cores", "threads"]
 
 #: (setter, getter) symbol pairs: the reference build, then NumPy's wheels.

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .layers import Module
+if TYPE_CHECKING:
+    from .layers import Module
 
 __all__ = [
     "METADATA_KEY",

@@ -49,12 +49,13 @@ The service layer turns the in-process detectors into throughput:
   ``watch`` / ``serve`` / ``store compact`` / ``store merge``).
 
 Importing the package loads none of these: each name in ``__all__``
-resolves from its submodule on first access (PEP 562), so a one-shot
-command imports only the modules it runs.
+resolves from its submodule on first access (PEP 562, :mod:`repro._lazy`),
+so a one-shot command imports only the modules it runs.
 """
 
-import importlib
-from typing import Any, Dict
+from typing import Dict
+
+from .._lazy import lazy_exports
 
 #: Public name -> the submodule that defines it, in ``__all__`` order.
 #: Importing one submodule, as every ``python -m repro`` command does, then
@@ -93,12 +94,4 @@ _EXPORTS: Dict[str, str] = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str) -> Any:
-    """Resolve a public name from its submodule on first access."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)

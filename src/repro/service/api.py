@@ -60,7 +60,7 @@ from .fleet import fleet_snapshot
 from .records import ScanRequest
 from .repair import RepairRequest, run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
-from .scheduler import ScanScheduler, _utc_now
+from .scheduler import ScanScheduler, _utc_now, load_inversion_stack
 from .store import SPANS_NAME, open_store, sidecar_path
 
 __all__ = ["ApiJob", "ApiServer", "DEFAULT_TENANT"]
@@ -195,9 +195,11 @@ class ApiServer:
         self.store_path = str(store_path)
         self.span_sink = sidecar_path(self.store_path, SPANS_NAME)
         store = open_store(self.store_path)
-        # A long-lived server replays every shard once, here, so that no
-        # request pays for a shard's first read.
+        # A long-lived server replays every shard once and imports what a
+        # miss runs, here, so that no request pays for a shard's first read
+        # or for the first miss's imports.
         len(store)
+        load_inversion_stack()
         self.scheduler = ScanScheduler(
             store=store, workers=workers,
             job_retries=job_retries, telemetry=telemetry,

@@ -81,9 +81,8 @@ import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..attacks.base import SCENARIO_ALL_TO_ONE, SCENARIOS
-from ..core.detection import INVERSION_MODES
+from ..core.configs import INVERSION_MODES
 from ..data import DATASET_SPECS
-from ..models import MODEL_BUILDERS
 from ..obs.metrics import build_service_registry, summarize_telemetry
 from ..obs.render import (format_trace_summaries, render_trace,
                           summarize_traces)
@@ -109,10 +108,27 @@ __all__ = ["build_parser", "main"]
 DEFAULT_STORE = "scan_results"
 
 
+def _model_name(name: str) -> str:
+    """``--model``'s type: a registered architecture name.
+
+    argparse calls it only when the flag is given, so a command without
+    ``--model`` never imports the architectures.
+    """
+    from ..models import MODEL_BUILDERS
+
+    if name not in MODEL_BUILDERS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(sorted(MODEL_BUILDERS))})")
+    return name
+
+
 def _add_scan_options(parser: argparse.ArgumentParser) -> None:
     """Attach the scan-budget/scenario flags shared by scan-like commands."""
-    parser.add_argument("--model", choices=sorted(MODEL_BUILDERS),
-                        help="Architecture to rebuild (default: checkpoint metadata).")
+    parser.add_argument("--model", type=_model_name,
+                        help="Architecture to rebuild, a name in "
+                             "repro.models.MODEL_BUILDERS (default: "
+                             "checkpoint metadata).")
     parser.add_argument("--dataset", choices=sorted(DATASET_SPECS),
                         help="Dataset family for the clean set (default: metadata).")
     parser.add_argument("--image-size", type=int, default=None,
@@ -743,7 +759,14 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    """``store compact`` / ``store merge``: in-place store maintenance."""
+    """``store compact`` / ``store merge``: in-place store maintenance.
+
+    ``compact`` on a path that holds no store fails instead of creating an
+    empty one; ``merge`` creates its destination.
+    """
+    if args.store_command == "compact" and not os.path.exists(args.store):
+        print(f"no store at {args.store}", file=sys.stderr)
+        return 1
     store = open_store(args.store)
     if args.store_command == "compact":
         result = store.compact()
@@ -781,9 +804,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    """``metrics``: Prometheus text exposition of the store + daemon stats."""
+    """``metrics``: Prometheus text exposition of the store + daemon stats.
+
+    Records are streamed as ``report`` streams them, so a path that holds
+    no store renders a zeroed exposition and creates nothing.
+    """
     from .fleet import fleet_snapshot
-    store = open_store(args.store)
     stats = _load_stats(args)
     if stats is not None:
         stats = {k: v for k, v in stats.items() if k != "_path"}
@@ -791,7 +817,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if fleet is not None:
         stats = dict(stats or {})
         stats["fleet"] = fleet
-    rows = [record.to_dict() for record in store.scan_records()]
+    rows = [record.to_dict() for record in stream_records(args.store)
+            if isinstance(record, ScanRecord)]
     text = build_service_registry(rows, stats).render()
     if args.output:
         atomic_write(args.output, text)

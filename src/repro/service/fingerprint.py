@@ -19,12 +19,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 import numpy as np
 
-from ..nn.layers import Module
 from ..nn.serialization import load_state_dict
+
+if TYPE_CHECKING:
+    from ..nn.layers import Module
 
 __all__ = [
     "fingerprint_state_dict",

@@ -60,7 +60,8 @@ from .backends import ExecutionBackend
 from .planning import JobTimeoutError, ServiceMetrics
 from .records import ScanRequest, record_from_dict
 from .repair import RepairRequest, ResolvedRepair, execute_repair
-from .scheduler import ResolvedScan, execute_mega_group, execute_resolved
+from .scheduler import (ResolvedScan, execute_mega_group, execute_resolved,
+                        load_inversion_stack)
 from .store import _append_line, sidecar_path
 from .locks import FileLock
 
@@ -815,6 +816,9 @@ class FleetWorker:
 
     def run(self) -> int:
         """Serve the queue until ``max_jobs`` / ``idle_timeout``; returns jobs run."""
+        # Import what a job runs before going live, so the first job does
+        # not pay for it.
+        load_inversion_stack()
         self.queue.announce(self.worker_id, os.getpid(), ttl=self._ttl)
         _LOG.info("%s: serving fleet at %s (lease %.1fs, heartbeat %.1fs).",
                   self.worker_id, self.queue.path, self.lease_seconds,

@@ -5,7 +5,7 @@ which detector, and every budget knob that affects the outcome — so it can
 be shipped to a worker process, digested into a cache key, and replayed
 byte-for-byte later.  A :class:`ScanRecord` is the persisted outcome: the
 verdict plus the compact detection summary
-(:meth:`repro.core.detection.DetectionResult.to_compact_dict`), JSON-safe by
+(:meth:`repro.core.results.DetectionResult.to_compact_dict`), JSON-safe by
 construction so the result store can keep it as one JSONL line.
 
 Repair jobs (``python -m repro repair``) persist a :class:`RepairRecord`
@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..attacks.base import SCENARIO_ALL_TO_ONE, SCENARIOS
-from ..core.detection import INVERSION_MODES, DetectionResult
+from ..core.configs import INVERSION_MODES
+
+if TYPE_CHECKING:
+    from ..core.results import DetectionResult
 
 __all__ = ["ScanRequest", "ScanRecord", "RepairRecord", "record_from_dict"]
 
@@ -173,6 +176,8 @@ class ScanRecord:
 
     def to_detection_result(self) -> DetectionResult:
         """Rehydrate the (compact) :class:`DetectionResult` for this record."""
+        from ..core.results import DetectionResult
+
         return DetectionResult.from_compact_dict(self.detection)
 
     def to_dict(self) -> Dict[str, Any]:

@@ -35,6 +35,11 @@ metrics bookkeeping lives in :mod:`repro.service.planning`;
 :class:`JobTimeoutError`, :class:`ServiceMetrics`, and
 :data:`LATENCY_WINDOW` are re-exported here for compatibility.
 
+**Imports.**  A cache hit runs only resolution and the store lookup, so
+this module imports the architectures, detectors and inversion engines
+only where a miss runs; :func:`load_inversion_stack` imports them all at
+once, before a batch dispatches its misses.
+
 **Metrics.**  Every scheduler carries a :class:`ServiceMetrics` accumulator
 (scans served, cache-hit ratio, p50/p95 scan latency, failures, retries)
 whose :meth:`ServiceMetrics.snapshot` is what the daemon publishes to its
@@ -49,22 +54,17 @@ from contextlib import contextmanager
 from dataclasses import (dataclass, field as dataclass_field,
                          replace as dataclass_replace)
 from datetime import datetime, timezone
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, TypeVar, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple, TypeVar, Union)
 
 import numpy as np
 
 from ..attacks.base import SCENARIO_ALL_TO_ONE, scan_pairs_for
-from ..core.detection import detect_mega_fleet
-from ..core.mega import CleanActivationCache
-from ..core.trigger_optimizer import TriggerOptimizationConfig
-from ..core.uap import TargetedUAPConfig
-from ..core.usb import USBConfig
+from ..core.configs import (NeuralCleanseConfig, TaborConfig,
+                            TargetedUAPConfig, TriggerOptimizationConfig,
+                            USBConfig)
 from ..data import DATASET_SPECS, load_dataset, stratified_sample
 from ..data.dataset import Dataset
-from ..defenses import NeuralCleanseConfig, TaborConfig, build_detector
-from ..models import build_model
-from ..nn.layers import Module
 from ..nn.serialization import load_checkpoint, validate_state_dict
 from ..obs.metrics import PROFILER
 from ..obs.trace import (TRACER, new_trace_id, span as _span,
@@ -77,9 +77,12 @@ from .planning import (CachePlanner, JobTimeoutError, LATENCY_WINDOW,
 from .records import ScanRecord, ScanRequest
 from .store import ResultStore
 
+if TYPE_CHECKING:
+    from ..nn.layers import Module
+
 __all__ = ["ResolvedScan", "ScanScheduler", "resolve_request",
            "execute_resolved", "execute_mega_group", "build_request_detector",
-           "JobTimeoutError", "ServiceMetrics",
+           "load_inversion_stack", "JobTimeoutError", "ServiceMetrics",
            "activation_cache_bytes"]
 
 _LOG = get_logger("repro.service.scheduler")
@@ -144,9 +147,25 @@ def _detector_config(request: ScanRequest):
     raise ValueError(f"Unknown detector '{request.detector}'.")
 
 
+def load_inversion_stack() -> None:
+    """Import what a cache miss runs: architectures, detectors, engines.
+
+    Resolving a request and serving a hit need none of it, so this module
+    imports it only here and where a miss runs.  A batch calls this before
+    it dispatches misses, so ``pool`` children forked afterwards inherit
+    the compiled modules instead of each compiling them; long-lived
+    processes (``serve``, ``worker``) call it at start.  Importing is
+    idempotent: later calls cost a dictionary lookup each.
+    """
+    from .. import defenses, models  # noqa: F401
+    from ..core import detection, mega  # noqa: F401
+
+
 def build_request_detector(request: ScanRequest, clean_data: Dataset,
                            rng: np.random.Generator):
     """Instantiate the detector a request asks for."""
+    from ..defenses import build_detector
+
     return build_detector(request.detector, clean_data,
                           _detector_config(request), rng=rng)
 
@@ -249,6 +268,8 @@ def _prepare_scan(resolved: ResolvedScan) -> _ScanSetup:
     this sequence, so their detection passes reproduce the same verdict for
     the same request.
     """
+    from ..models import build_model
+
     request = resolved.request
     spec = DATASET_SPECS[resolved.dataset]
     rng = np.random.default_rng(request.seed)
@@ -402,6 +423,9 @@ def execute_mega_group(group: Sequence[ResolvedScan]) -> List[ScanRecord]:
     per-request records still carry their own iteration counts, and
     summing pool stats across the group would double-count.
     """
+    from ..core.detection import detect_mega_fleet
+    from ..core.mega import CleanActivationCache
+
     items = list(group)
     if not items:
         return []
@@ -672,6 +696,7 @@ class ScanScheduler:
                           "via the %s backend.", len(pending), len(resolved),
                           sum(r is not None for r in results),
                           self.backend.name)
+                load_inversion_stack()
                 fresh = execute([item for _, item in pending])
                 for (index, _), record in zip(pending, fresh):
                     # Stitch spans recorded in another process; inline

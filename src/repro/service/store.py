@@ -548,7 +548,7 @@ def stream_records(path: Union[str, os.PathLike]) -> Iterator[StoreRecord]:
     Per-shard deduplication is sufficient because a record's shard is
     addressed by its key's fingerprint prefix: a key never spans shards,
     and ``records()`` also lists shards in sorted name order.  A missing
-    store yields nothing.
+    store, directory or file, yields nothing.
 
     Args:
         path: Store directory (sharded layout) or JSONL file (legacy).
@@ -560,7 +560,8 @@ def stream_records(path: Union[str, os.PathLike]) -> Iterator[StoreRecord]:
     text = os.fspath(path)
     if os.path.isdir(text) or text.endswith(os.sep):
         root = text.rstrip(os.sep)
-        names = sorted(entry for entry in os.listdir(root)
+        names = sorted(entry for entry in (os.listdir(root)
+                                           if os.path.isdir(root) else ())
                        if entry.startswith("shard-")
                        and entry.endswith(".jsonl"))
         for name in names:

@@ -10,16 +10,20 @@ Two flavours are provided:
 Both use a uniform (box) filter window, which is the common implementation
 choice when a Gaussian window is not required; the paper does not specify the
 window type and the detection behaviour is insensitive to it.
+
+:mod:`repro.utils` re-exports both, and every service command imports
+that package, so this module imports ``repro.nn`` only inside the
+functions that run on it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from ..nn import functional as F
-from ..nn.tensor import Tensor
+if TYPE_CHECKING:
+    from ..nn.tensor import Tensor
 
 __all__ = ["ssim", "ssim_tensor", "ssim_x_stats"]
 
@@ -75,6 +79,8 @@ def ssim(x: np.ndarray, y: np.ndarray, window: int = 7,
 
 def _box_transpose(z: np.ndarray, window: int) -> np.ndarray:
     """Adjoint of the mean box filter: scatter each window value back."""
+    from ..nn import functional as F
+
     pad = window - 1
     padded = F._pad2d_zeros(z, pad, pad, pad, pad)
     return F._box_sum_valid(padded, window) / (window * window)
@@ -88,6 +94,8 @@ def ssim_x_stats(x: np.ndarray, window: int = 7
     so callers looping over the same clean batch (the batched trigger engine)
     compute them once and pass them to :func:`ssim_tensor` via ``x_stats``.
     """
+    from ..nn import functional as F
+
     window = min(window, x.shape[2], x.shape[3])
     area = window * window
     return (F._box_sum_valid(x, window) / area,
@@ -108,6 +116,9 @@ def ssim_tensor(x: Tensor, y: Tensor, window: int = 7,
     per differentiated input) instead of unrolling ~70 elementwise tape ops —
     this keeps the USB loss cheap even on ``(K·B, C, H, W)`` mega-batches.
     """
+    from ..nn import functional as F
+    from ..nn.tensor import Tensor
+
     if x.data.shape != y.data.shape:
         raise ValueError("SSIM inputs must share a shape.")
     window = min(window, x.data.shape[2], x.data.shape[3])

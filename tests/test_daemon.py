@@ -574,3 +574,10 @@ class TestWatchCli:
         assert cli_main(["scan", str(drop / "model.npz"), "--store", "merged"]
                         + args) == 0
         assert "cache hit" in capsys.readouterr().out
+
+    def test_store_compact_on_a_missing_store_fails(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["store", "compact", "--store", "typo_dir"]) == 1
+        assert "no store at typo_dir" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []

@@ -292,6 +292,14 @@ class TestObservabilityCLI:
                          "--output", "out.prom"]) == 0
         parse_prometheus_text(open("out.prom").read())
 
+    def test_metrics_on_a_missing_store_creates_nothing(self, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for store in ("typo_store", "typo_dir/", "typo.jsonl"):
+            assert cli_main(["metrics", "--store", store]) == 0
+            parse_prometheus_text(capsys.readouterr().out)
+        assert os.listdir(tmp_path) == []
+
     def test_no_telemetry_flag_suppresses_sidecars(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.chdir(tmp_path)

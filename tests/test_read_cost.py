@@ -1,9 +1,12 @@
 """Reads cost what they read: a cache hit replays one shard, a command
-imports only its own modules.
+imports only its own modules, and a cold hit compiles none of the
+inversion stack.
 
 Decoded store lines are counted by wrapping
 ``repro.service.store._iter_jsonl_records``, the one function every replay
 reads through, so each test states exactly which shards a call read.
+Import tests run in a fresh interpreter, because this process has long
+imported everything.
 """
 
 import collections
@@ -16,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.models import build_model
+from repro.models import MODEL_BUILDERS, build_model
 from repro.nn.serialization import save_model
 from repro.service import ScanRecord, ShardedResultStore, open_store
 from repro.service import store as store_module
@@ -33,6 +36,18 @@ TINY_FLAGS = ["--detector", "usb", "--classes", "0,1,2", "--iterations", "2",
 HEAVY_MODULES = ("http.server", "repro.service.api", "repro.service.fleet",
                  "repro.service.daemon", "repro.service.repair",
                  "repro.mitigation")
+#: Modules only a cache miss runs: the autograd kernels, the inversion
+#: engines, the detectors, the architectures and the attacks.
+MISS_MODULES = ("repro.nn.functional", "repro.nn.tensor", "repro.nn.layers",
+                "repro.core.detection", "repro.core.mega", "repro.core.uap",
+                "repro.core.trigger_optimizer", "repro.core.usb",
+                "repro.models", "repro.defenses", "repro.attacks.badnet",
+                "repro.mitigation")
+#: What ``scheduler.load_inversion_stack`` imports.
+STACK_MODULES = ("repro.core.detection", "repro.core.mega", "repro.models",
+                 "repro.defenses")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def _record(i):
@@ -49,6 +64,23 @@ def _pad(path):
     store = ShardedResultStore(path)
     store.add_all(_record(i) for i in range(PADDING))
     return store
+
+
+def _save_checkpoint(path):
+    save_model(build_model("basic_cnn", num_classes=10, in_channels=3,
+                           image_size=12, rng=np.random.default_rng(5)),
+               path, metadata={"model": "basic_cnn", "dataset": "cifar10",
+                               "image_size": 12})
+    return path
+
+
+def _run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter; its last stdout line as JSON."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def _shard_lines(store, key):
@@ -170,3 +202,119 @@ def test_cli_import_loads_only_what_every_command_needs():
                          capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     assert result == {"loaded": [], "missing": []}
+
+
+#: ``repro scan`` through ``cli.main``: the hit given on the command line,
+#: as JSON and as text, then the same scan with another seed, a miss.
+COLD_HIT = """
+import contextlib, io, json, sys
+from repro.service.cli import main
+
+def scan(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+hit = json.loads(scan(sys.argv[1:] + ["--json"]))[0]
+text = scan(sys.argv[1:])
+loaded = [m for m in sys.modules if m == "repro" or m.startswith("repro.")]
+miss = json.loads(scan(sys.argv[1:] + ["--seed", "1", "--json"]))[0]
+print(json.dumps({"hit": hit["cache_hit"], "text": text,
+                  "loaded": sorted(loaded), "miss": miss["cache_hit"],
+                  "keys": [hit["key"], miss["key"]]}))
+"""
+
+
+def test_cold_cache_hit_loads_none_of_the_miss_path(tmp_path, capsys):
+    store_path = str(tmp_path / "store")
+    checkpoint = _save_checkpoint(str(tmp_path / "m.npz"))
+    args = ["scan", checkpoint, "--store", store_path, *TINY_FLAGS]
+    assert cli_main(args + ["--json"]) == 0
+    [computed] = json.loads(capsys.readouterr().out)
+    assert not computed["cache_hit"]
+
+    result = _run_fresh(COLD_HIT, *args)
+    assert result["hit"] is True
+    assert "(cache hit)" in result["text"] and "class 2: L1=" in result["text"]
+    assert [m for m in MISS_MODULES if m in result["loaded"]] == []
+    assert len(result["loaded"]) <= 35, result["loaded"]
+    # The same process still computes a miss, under its own key.
+    assert result["miss"] is False
+    assert result["keys"][0] == computed["key"] != result["keys"][1]
+
+
+def test_unknown_model_exits_2_and_names_the_models(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["scan", "m.npz", "--model", "bogus"])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err
+    assert "--model" in error and "bogus" in error
+    assert all(name in error for name in MODEL_BUILDERS)
+
+
+#: A two-scan ``pool`` batch whose job function first notes whether the
+#: inversion stack was already imported in its (forked) child.
+POOL_BATCH = """
+import json, os, sys
+from repro.service import scheduler as scheduler_module
+from repro.service import ScanRequest, ScanScheduler
+
+stack = %r
+original = scheduler_module.execute_resolved
+
+def probed(resolved):
+    preloaded = all(m in sys.modules for m in stack)
+    record = original(resolved)
+    record.extra["preloaded"] = float(preloaded)
+    return record
+
+scheduler_module.execute_resolved = probed
+before = [m for m in stack if m in sys.modules]
+records = ScanScheduler(workers=2, telemetry=False).scan([
+    ScanRequest(checkpoint=sys.argv[1], detector=detector, classes=(0, 1, 2),
+                iterations=2, clean_budget=10, samples_per_class=3)
+    for detector in ("usb", "nc")])
+print(json.dumps({"before": before, "parent": os.getpid(),
+                  "jobs": [[r.cache_hit, r.worker_pid, r.extra["preloaded"]]
+                           for r in records]}))
+"""
+
+#: A fleet worker that serves an empty queue once, noting at its first
+#: ``announce`` whether the inversion stack was imported.
+FLEET_WORKER = """
+import json, sys
+from repro.service.fleet import FleetWorker
+
+stack = %r
+before = [m for m in stack if m in sys.modules]
+worker = FleetWorker(sys.argv[1], poll_interval=0.01, idle_timeout=0.0)
+seen = []
+announce = worker.queue.announce
+
+def probed(*args, **kwargs):
+    seen.append(all(m in sys.modules for m in stack))
+    return announce(*args, **kwargs)
+
+worker.queue.announce = probed
+worker.run()
+print(json.dumps({"before": before, "seen": seen}))
+"""
+
+
+class TestStackLoadsOncePerProcess:
+    def test_pool_children_inherit_the_stack(self, tmp_path):
+        checkpoint = _save_checkpoint(str(tmp_path / "m.npz"))
+        result = _run_fresh(POOL_BATCH % (STACK_MODULES,), checkpoint)
+        assert result["before"] == []
+        assert len(result["jobs"]) == 2
+        for cache_hit, worker_pid, preloaded in result["jobs"]:
+            assert not cache_hit and worker_pid != result["parent"]
+            assert preloaded == 1.0
+
+    def test_fleet_worker_loads_the_stack_before_it_announces(self,
+                                                              tmp_path):
+        result = _run_fresh(FLEET_WORKER % (STACK_MODULES,),
+                            str(tmp_path / "store"))
+        assert result["before"] == []
+        assert result["seen"][0] is True
