@@ -1,8 +1,9 @@
 """Backdoor attacks: BadNet, Latent Backdoor, Input-Aware Dynamic, Blended.
 
-:mod:`repro.attacks.base` holds the attack interface and the scenario
-axis (:class:`TargetSpec`, ``SCENARIOS``), which the scanning service reads
-for every request; the attack implementations only build backdoored
+:mod:`repro.attacks.scenarios` holds the scenario axis (``SCENARIOS``,
+:func:`scan_pairs_for`), which the scanning service reads for every
+request, and :mod:`repro.attacks.base` the attack interface
+(:class:`TargetSpec`); the attack implementations only build backdoored
 models (experiments, the benchmark zoo).  Importing the package loads none
 of them: each name in ``__all__`` resolves from its submodule on first
 access (:mod:`repro._lazy`).
@@ -13,9 +14,10 @@ from .._lazy import lazy_exports
 #: Public name -> the submodule that defines it, in ``__all__`` order.
 _EXPORTS = {
     "BackdoorAttack": "base", "PoisonSummary": "base", "TargetSpec": "base",
-    "SCENARIOS": "base", "SCENARIO_ALL_TO_ONE": "base",
-    "SCENARIO_SOURCE_CONDITIONAL": "base", "SCENARIO_ALL_TO_ALL": "base",
-    "SCENARIO_CLEAN_LABEL": "base", "scan_pairs_for": "base",
+    "SCENARIOS": "scenarios", "SCENARIO_ALL_TO_ONE": "scenarios",
+    "SCENARIO_SOURCE_CONDITIONAL": "scenarios",
+    "SCENARIO_ALL_TO_ALL": "scenarios", "SCENARIO_CLEAN_LABEL": "scenarios",
+    "scan_pairs_for": "scenarios",
     "poison_indices": "base", "BadNetAttack": "badnet",
     "BlendedAttack": "blended", "LatentBackdoorAttack": "latent",
     "InputAwareDynamicAttack": "iad", "TriggerGenerator": "iad",

@@ -30,7 +30,10 @@ A :class:`TargetSpec` describes *which* samples an attack victimizes and
 
 The spec owns the victim mask, the expected-label mapping used by the ASR
 evaluation, the poisoning-candidate selection, and the per-``(source,
-target)`` pair grid a scenario-aware detector scan should sweep.
+target)`` pair grid a scenario-aware detector scan should sweep.  The
+scenario names and that grid (:func:`scan_pairs_for`) live in the
+NumPy-free :mod:`repro.attacks.scenarios`, which the scanning service reads;
+this module re-exports them.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.dataset import Dataset
+from .scenarios import (SCENARIO_ALL_TO_ALL, SCENARIO_ALL_TO_ONE,
+                        SCENARIO_CLEAN_LABEL, SCENARIO_SOURCE_CONDITIONAL,
+                        SCENARIOS, scan_pairs_for)
 
 if TYPE_CHECKING:
     from ..nn.layers import Module
@@ -57,41 +63,6 @@ __all__ = [
     "PoisonSummary",
     "poison_indices",
 ]
-
-SCENARIO_ALL_TO_ONE = "all_to_one"
-SCENARIO_SOURCE_CONDITIONAL = "source_conditional"
-SCENARIO_ALL_TO_ALL = "all_to_all"
-SCENARIO_CLEAN_LABEL = "clean_label"
-
-#: Every scenario kind the harness understands, in taxonomy order.
-SCENARIOS: Tuple[str, ...] = (
-    SCENARIO_ALL_TO_ONE,
-    SCENARIO_SOURCE_CONDITIONAL,
-    SCENARIO_ALL_TO_ALL,
-    SCENARIO_CLEAN_LABEL,
-)
-
-
-def scan_pairs_for(kind: str, classes: Sequence[int],
-                   source_classes: Optional[Sequence[int]] = None
-                   ) -> List[Tuple[Optional[int], int]]:
-    """Per-``(source, target)`` grid a detector should sweep for ``kind``.
-
-    ``classes`` are the candidate target classes under scan.  A source of
-    ``None`` means "optimize the trigger over clean data from all classes"
-    (the classic unconditional scan).  Conditional scenarios expand to the
-    full (source, target) grid over the candidate classes — restricted to
-    ``source_classes`` when the caller knows (or suspects) the sources —
-    because a source-conditional trigger is only small when reverse-engineered
-    from its own source class.
-    """
-    if kind not in SCENARIOS:
-        raise ValueError(f"Unknown scenario '{kind}'. Available: {SCENARIOS}")
-    targets = list(classes)
-    if kind in (SCENARIO_ALL_TO_ONE, SCENARIO_CLEAN_LABEL):
-        return [(None, t) for t in targets]
-    sources = list(source_classes) if source_classes else targets
-    return [(s, t) for t in targets for s in sources if s != t]
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,8 @@ import numpy as np
 
 from ..data.dataset import Dataset
 from ..nn.layers import Module
+from ..obs.logging import get_logger
 from ..obs.trace import span as _tspan
-from ..utils.logging import get_logger
 from .configs import INVERSION_MODES
 from .mega import (
     CleanActivationCache,

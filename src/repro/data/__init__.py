@@ -3,40 +3,29 @@
 The real datasets the paper uses (MNIST / CIFAR-10 / GTSRB / ImageNet) are not
 available offline; :mod:`repro.data.catalog` provides synthetic stand-ins with
 matching shapes and class counts (see DESIGN.md §2).
+
+The scanning service reads only :data:`DATASET_SPECS` to resolve a request,
+so importing the package loads none of the NumPy-backed submodules: each
+name in ``__all__`` resolves from its submodule on first access
+(:mod:`repro._lazy`).
 """
 
-from .catalog import (
-    DATASET_SPECS,
-    DatasetSpec,
-    load_cifar10,
-    load_dataset,
-    load_gtsrb,
-    load_imagenet_subset,
-    load_mnist,
-)
-from .dataset import DataLoader, Dataset, Subset, stratified_sample, train_test_split
-from .synthetic import SyntheticImageConfig, SyntheticImageGenerator, make_synthetic_dataset
-from .transforms import Compose, Normalize, RandomCrop, RandomHorizontalFlip, RandomNoise
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "DataLoader",
-    "Subset",
-    "train_test_split",
-    "stratified_sample",
-    "SyntheticImageConfig",
-    "SyntheticImageGenerator",
-    "make_synthetic_dataset",
-    "DatasetSpec",
-    "DATASET_SPECS",
-    "load_dataset",
-    "load_mnist",
-    "load_cifar10",
-    "load_gtsrb",
-    "load_imagenet_subset",
-    "Compose",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "RandomNoise",
-]
+#: Public name -> the submodule that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "Dataset": "dataset", "DataLoader": "dataset", "Subset": "dataset",
+    "train_test_split": "dataset", "stratified_sample": "dataset",
+    "SyntheticImageConfig": "synthetic", "SyntheticImageGenerator": "synthetic",
+    "make_synthetic_dataset": "synthetic", "DatasetSpec": "catalog",
+    "DATASET_SPECS": "catalog", "load_dataset": "catalog",
+    "load_mnist": "catalog", "load_cifar10": "catalog",
+    "load_gtsrb": "catalog", "load_imagenet_subset": "catalog",
+    "Compose": "transforms", "Normalize": "transforms",
+    "RandomCrop": "transforms", "RandomHorizontalFlip": "transforms",
+    "RandomNoise": "transforms",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -5,15 +5,19 @@ class counts match the real dataset the paper used (see the Appendix A.8
 dataset descriptions).  Image counts and, for ImageNet, the resolution are
 scaled down so that CPU training stays tractable; the scaling factors are
 explicit keyword arguments so experiments can dial them up.
+
+:data:`DATASET_SPECS` is plain data: this module imports the NumPy-backed
+generator only inside the builders, so a lookup of a dataset's shape loads
+no NumPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from .dataset import Dataset
-from .synthetic import make_synthetic_dataset
+if TYPE_CHECKING:
+    from .dataset import Dataset
 
 __all__ = [
     "DatasetSpec",
@@ -54,6 +58,8 @@ DATASET_SPECS = {
 
 def _build(spec: DatasetSpec, samples_per_class: int, test_per_class: int,
            seed: int, image_size: int | None = None) -> Tuple[Dataset, Dataset]:
+    from .synthetic import make_synthetic_dataset
+
     size = image_size or spec.image_size
     # The prototype (family) seed is shared by the train and test splits so that
     # both describe the same classes; only the per-sample noise differs.

@@ -46,7 +46,7 @@ from ..data import DATASET_SPECS, load_dataset
 from ..data.dataset import Dataset
 from ..models import build_model
 from ..nn.serialization import save_model
-from ..utils.logging import get_logger
+from ..obs.logging import get_logger
 from .protocol import DetectionCaseSummary, ModelDetectionRecord, summarize_case
 from .trainer import TrainedModel, Trainer, TrainingConfig
 

@@ -20,7 +20,7 @@ from ..nn import functional as F
 from ..nn.layers import Module
 from ..nn.optim import SGD, Adam
 from ..nn.tensor import Tensor, no_grad
-from ..utils.logging import get_logger
+from ..obs.logging import get_logger
 
 __all__ = ["TrainingConfig", "TrainedModel", "Trainer",
            "evaluate_accuracy", "evaluate_asr"]

@@ -12,6 +12,10 @@ fingerprint covers only the tensors.
 :func:`load_model` validates the checkpoint against the target module before
 touching any parameter — missing keys, unexpected keys, and shape mismatches
 all raise a single :class:`CheckpointMismatchError` listing every problem.
+
+NumPy is imported inside the functions that build or read arrays, so the
+service can import this module (for :data:`METADATA_KEY` and the loader's
+name) on a cache hit that never loads NumPy.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import json
 import os
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .layers import Module
 
 __all__ = [
@@ -47,6 +51,8 @@ class CheckpointMismatchError(ValueError):
 def save_state_dict(state: Dict[str, np.ndarray], path: str,
                     metadata: Optional[Dict[str, Any]] = None) -> None:
     """Serialize a state dict to ``path`` (``.npz``), with optional metadata."""
+    import numpy as np
+
     if METADATA_KEY in state:
         raise ValueError(f"'{METADATA_KEY}' is reserved for checkpoint metadata.")
     directory = os.path.dirname(os.path.abspath(path))
@@ -70,6 +76,8 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     Metadata is ``{}`` for checkpoints written without one (including every
     pre-metadata checkpoint, which this loader still reads unchanged).
     """
+    import numpy as np
+
     metadata: Dict[str, Any] = {}
     state: Dict[str, np.ndarray] = {}
     with np.load(path, allow_pickle=False) as archive:

@@ -1,6 +1,6 @@
 """Observability: trace spans, Prometheus-style metrics, phase profiling.
 
-Three stdlib-only modules (safe to import from any layer, including the
+Four stdlib-only modules (safe to import from any layer, including the
 inversion hot paths in :mod:`repro.core`):
 
 - :mod:`repro.obs.trace` — span recording with cross-process propagation:
@@ -13,6 +13,9 @@ inversion hot paths in :mod:`repro.core`):
   which derives the service metric families from store records + daemon
   stats (the same families back ``metrics.prom`` and ``repro metrics``).
 - :mod:`repro.obs.render` — ASCII span-tree rendering for ``repro trace``.
+- :mod:`repro.obs.logging` — the shared ``repro`` logger
+  (:func:`~repro.obs.logging.get_logger`, ``REPRO_LOG_LEVEL``), imported
+  by module path; :mod:`repro.utils` re-exports it.
 
 Everything is disabled by default; the service layer opts in per process
 (``REPRO_TELEMETRY=0`` or ``--no-telemetry`` opt back out).

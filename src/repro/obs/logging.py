@@ -1,4 +1,4 @@
-"""Minimal structured logging used across the experiment harness.
+"""Minimal structured logging used across the package (stdlib only).
 
 The default level is ``INFO``; override per process with the
 ``REPRO_LOG_LEVEL`` environment variable (``debug``/``info``/``warning``/

@@ -71,7 +71,8 @@ _EXPORTS: Dict[str, str] = {
     "stream_records": "store",
     "digest_config": "fingerprint", "fingerprint_checkpoint": "fingerprint",
     "fingerprint_model": "fingerprint",
-    "fingerprint_state_dict": "fingerprint", "scan_key": "fingerprint",
+    "fingerprint_state_dict": "fingerprint",
+    "read_checkpoint_fingerprint": "fingerprint", "scan_key": "fingerprint",
     "ScanRecord": "records", "ScanRequest": "records",
     "RepairRecord": "records",
     "RepairRequest": "repair", "ResolvedRepair": "repair",

@@ -53,9 +53,9 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlparse
 from uuid import uuid4
 
+from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, build_service_registry
 from ..obs.trace import TRACER, new_trace_id, read_spans, write_spans
-from ..utils.logging import get_logger
 from .fleet import fleet_snapshot
 from .records import ScanRequest
 from .repair import RepairRequest, run_repairs

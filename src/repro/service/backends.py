@@ -29,16 +29,16 @@ and timeout policy lives here and in the fleet's lease tables, nowhere else.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import pickle
 import time
 from collections import deque
-from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional,
+                    Sequence, Tuple)
 
-from ..nn.blas import share_cores
-from ..utils.logging import get_logger
+from ..obs.logging import get_logger
 from .planning import JobTimeoutError, ServiceMetrics
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = ["ExecutionBackend", "InlineBackend", "PoolBackend",
            "create_backend", "BACKEND_NAMES"]
@@ -47,10 +47,6 @@ _LOG = get_logger("repro.service.backends")
 
 #: Backend specs accepted by :func:`create_backend` (and the CLI flag).
 BACKEND_NAMES = ("inline", "pool", "fleet")
-
-#: Pool children are forked, so a job function never has to pickle; only
-#: its result (or exception) crosses the pipe back.
-_FORK = multiprocessing.get_context("fork")
 
 
 class ExecutionBackend:
@@ -152,12 +148,16 @@ def _attempt(sender: Connection, fn: Callable[[Any], Any], payload: Any,
     The child first sizes its BLAS pool to one of ``executors`` shares of
     the host's cores.
     """
+    from ..nn.blas import share_cores
+
     share_cores(executors)
     try:
         sender.send((None, fn(payload)))
     # Process boundary: the error is forwarded to the parent, which retries
     # or re-raises it; one that cannot be pickled becomes a RuntimeError.
     except Exception as error:  # repro-lint: disable=exception-hygiene
+        import pickle
+
         try:
             pickle.loads(pickle.dumps(error))
         except Exception:  # repro-lint: disable=exception-hygiene
@@ -196,6 +196,12 @@ class PoolBackend(ExecutionBackend):
             timeout: Optional[float] = None, retries: int = 0,
             metrics: Optional[ServiceMetrics] = None) -> List[Any]:
         """Run each attempt in a fresh, killable child (see the base contract)."""
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        # Children are forked, so a job function never has to pickle; only
+        # its result (or exception) crosses the pipe back.
+        fork = multiprocessing.get_context("fork")
         queue, results = _queued(payloads)
         metrics = metrics if metrics is not None else ServiceMetrics()
         budget = math.inf if timeout is None else float(timeout)
@@ -207,8 +213,8 @@ class PoolBackend(ExecutionBackend):
             while queue or running:
                 while queue and len(running) < slots:
                     job = queue.popleft()
-                    receiver, sender = _FORK.Pipe(duplex=False)
-                    child = _FORK.Process(
+                    receiver, sender = fork.Pipe(duplex=False)
+                    child = fork.Process(
                         target=_attempt,
                         args=(sender, fn, job[1], executors))
                     child.start()

@@ -68,7 +68,9 @@ scenarios.
 
 Each command imports the modules it runs when it runs: ``scan`` never
 loads the HTTP server (``serve``), the fleet (``worker`` and ``--backend
-fleet``), the daemon (``watch``) or the repair pipeline (``repair``).
+fleet``), the daemon (``watch``) or the repair pipeline (``repair``), and
+a ``scan`` or ``grid`` whose every request is a cache hit never loads
+NumPy.
 """
 
 from __future__ import annotations
@@ -80,14 +82,14 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from ..attacks.base import SCENARIO_ALL_TO_ONE, SCENARIOS
+from ..attacks.scenarios import SCENARIO_ALL_TO_ONE, SCENARIOS
 from ..core.configs import INVERSION_MODES
 from ..data import DATASET_SPECS
+from ..obs.logging import set_log_level
 from ..obs.metrics import build_service_registry, summarize_telemetry
 from ..obs.render import (format_trace_summaries, render_trace,
                           summarize_traces)
 from ..obs.trace import read_spans
-from ..utils.logging import set_log_level
 from .backends import BACKEND_NAMES
 from .locks import atomic_write
 from .records import KNOWN_DETECTORS, RepairRecord, ScanRecord, ScanRequest
@@ -520,23 +522,31 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     print(f"{args.checkpoint} [{record.detector}] -> {verdict} ({source})")
     print(f"  model={record.model} dataset={record.dataset} "
           f"fingerprint={record.fingerprint[:16]}...")
-    detection = record.to_detection_result()
-    if detection.pair_anomaly_indices:
+    # The stored compact detection holds every value printed below, so a
+    # cached verdict prints without rebuilding its triggers.
+    detection = record.detection or {}
+    indices = detection.get("pair_anomaly_indices") or {}
+    if indices:
         print(f"  scenario={args.scenario}: "
-              f"{len(detection.pair_anomaly_indices)} (source->target) cell(s)")
-        for pair in sorted(detection.per_pair_l1,
-                           key=lambda p: (p[1], -1 if p[0] is None else p[0])):
-            source, target = pair
-            flag = "  <-- flagged" if pair in detection.flagged_pairs else ""
-            print(f"  {'*' if source is None else source}->{target}: "
-                  f"L1={detection.per_pair_l1[pair]:10.2f}  "
-                  f"anomaly={detection.pair_anomaly_indices.get(pair, 0.0):6.2f}"
-                  f"{flag}")
+              f"{len(indices)} (source->target) cell(s)")
+        flagged = set(detection.get("flagged_pairs") or ())
+        l1 = {(entry.get("source"), entry["target"]): float(entry["l1"])
+              for entry in detection.get("pairs") or ()}
+        for source, target in sorted(l1, key=lambda p: (
+                p[1], -1 if p[0] is None else p[0])):
+            cell = f"{'*' if source is None else source}->{target}"
+            flag = "  <-- flagged" if cell in flagged else ""
+            print(f"  {cell}: L1={l1[(source, target)]:10.2f}  "
+                  f"anomaly={float(indices.get(cell, 0.0)):6.2f}{flag}")
     else:
-        for cls in sorted(detection.per_class_l1):
+        anomaly = {int(cls): float(value) for cls, value
+                   in (detection.get("anomaly_indices") or {}).items()}
+        for cls, norm in sorted(
+                (int(cls), float(value)) for cls, value
+                in (detection.get("per_class_l1") or {}).items()):
             flag = "  <-- flagged" if cls in record.flagged_classes else ""
-            print(f"  class {cls}: L1={detection.per_class_l1[cls]:10.2f}  "
-                  f"anomaly={detection.anomaly_indices.get(cls, 0.0):6.2f}{flag}")
+            print(f"  class {cls}: L1={norm:10.2f}  "
+                  f"anomaly={anomaly.get(cls, 0.0):6.2f}{flag}")
     if not args.no_store:
         print(f"  store: {args.store} (hits={scheduler.cache_hits} "
               f"misses={scheduler.cache_misses})")

@@ -35,9 +35,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..obs.logging import get_logger
 from ..obs.metrics import build_service_registry
 from ..obs.trace import TRACER, new_trace_id
-from ..utils.logging import get_logger
 from .locks import atomic_write
 from .records import ScanRequest
 from .repair import RepairRequest, run_repairs

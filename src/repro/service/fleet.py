@@ -55,7 +55,7 @@ from typing import Any, Callable, Dict, List, Optional
 from uuid import uuid4
 
 from ..nn.blas import share_cores, threads
-from ..utils.logging import get_logger
+from ..obs.logging import get_logger
 from .backends import ExecutionBackend
 from .planning import JobTimeoutError, ServiceMetrics
 from .records import ScanRequest, record_from_dict

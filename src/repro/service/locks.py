@@ -28,7 +28,7 @@ try:  # POSIX only; the store degrades gracefully without it.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..utils.logging import get_logger
+from ..obs.logging import get_logger
 
 __all__ = ["FileLock", "LockTimeout", "atomic_write"]
 

@@ -23,8 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..obs.trace import TRACER, span as _span
 
 __all__ = ["JobTimeoutError", "ServiceMetrics", "CachePlanner",
@@ -118,6 +116,8 @@ class ServiceMetrics:
         """
         if not self._window:
             return 0.0
+        import numpy as np
+
         return float(np.percentile(self._window, float(q)))
 
     def snapshot(self) -> Dict[str, float]:

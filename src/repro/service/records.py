@@ -20,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from ..attacks.base import SCENARIO_ALL_TO_ONE, SCENARIOS
+from ..attacks.scenarios import SCENARIO_ALL_TO_ONE, SCENARIOS
 from ..core.configs import INVERSION_MODES
 
 if TYPE_CHECKING:

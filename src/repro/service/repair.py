@@ -40,9 +40,9 @@ from ..data import DATASET_SPECS, load_dataset
 from ..data.dataset import Dataset
 from ..nn.layers import Module
 from ..nn.serialization import METADATA_KEY
+from ..obs.logging import get_logger
 from ..obs.metrics import PROFILER
 from ..obs.trace import TRACER, span as _span
-from ..utils.logging import get_logger
 from .fingerprint import digest_config, fingerprint_model, scan_key
 from .locks import atomic_write
 from .records import RepairRecord, ScanRequest

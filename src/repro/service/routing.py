@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..utils.logging import get_logger
+from ..obs.logging import get_logger
 from .records import KNOWN_DETECTORS, ScanRecord, ScanRequest
 from .scheduler import ScanScheduler
 

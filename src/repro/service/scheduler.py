@@ -7,8 +7,10 @@ batches and repair batches (:func:`repro.service.repair.run_repairs`) share
 one batch driver:
 
 1. every request is *resolved* in the parent under its own root span — the
-   checkpoint is read, its state dict fingerprinted, and the detector config
-   digested into the cache key — so cache hits never reach a worker;
+   checkpoint's metadata is read and its weights fingerprinted in one
+   streamed pass (:func:`~repro.service.fingerprint.read_checkpoint_fingerprint`),
+   and the detector config digested into the cache key — so cache hits
+   never reach a worker;
 2. store hits are served and duplicate keys inside one batch collapse to a
    single computation (:class:`~repro.service.planning.CachePlanner`);
 3. the remaining misses run through the scheduler's execution backend, one
@@ -35,10 +37,12 @@ metrics bookkeeping lives in :mod:`repro.service.planning`;
 :class:`JobTimeoutError`, :class:`ServiceMetrics`, and
 :data:`LATENCY_WINDOW` are re-exported here for compatibility.
 
-**Imports.**  A cache hit runs only resolution and the store lookup, so
-this module imports the architectures, detectors and inversion engines
-only where a miss runs; :func:`load_inversion_stack` imports them all at
-once, before a batch dispatches its misses.
+**Imports.**  A cache hit runs only resolution and the store lookup, and
+neither needs NumPy: the fingerprint streams the checkpoint's bytes
+without building arrays.  So this module imports NumPy, the clean-data
+builders, the architectures, the detectors and the inversion engines only
+where a miss runs; :func:`load_inversion_stack` imports the heavy part
+all at once, before a batch dispatches its misses.
 
 **Metrics.**  Every scheduler carries a :class:`ServiceMetrics` accumulator
 (scans served, cache-hit ratio, p50/p95 scan latency, failures, retries)
@@ -57,27 +61,27 @@ from datetime import datetime, timezone
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
                     Optional, Sequence, Tuple, TypeVar, Union)
 
-import numpy as np
-
-from ..attacks.base import SCENARIO_ALL_TO_ONE, scan_pairs_for
+from ..attacks.scenarios import SCENARIO_ALL_TO_ONE, scan_pairs_for
 from ..core.configs import (NeuralCleanseConfig, TaborConfig,
                             TargetedUAPConfig, TriggerOptimizationConfig,
                             USBConfig)
-from ..data import DATASET_SPECS, load_dataset, stratified_sample
-from ..data.dataset import Dataset
+from ..data import DATASET_SPECS
 from ..nn.serialization import load_checkpoint, validate_state_dict
+from ..obs.logging import get_logger
 from ..obs.metrics import PROFILER
 from ..obs.trace import (TRACER, new_trace_id, span as _span,
                          telemetry_enabled, write_spans)
-from ..utils.logging import get_logger
 from .backends import ExecutionBackend, create_backend
-from .fingerprint import digest_config, fingerprint_state_dict, scan_key
+from .fingerprint import digest_config, read_checkpoint_fingerprint, scan_key
 from .planning import (CachePlanner, JobTimeoutError, LATENCY_WINDOW,
                        ServiceMetrics)
 from .records import ScanRecord, ScanRequest
 from .store import ResultStore
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from ..data.dataset import Dataset
     from ..nn.layers import Module
 
 __all__ = ["ResolvedScan", "ScanScheduler", "resolve_request",
@@ -175,25 +179,26 @@ def resolve_request(request: ScanRequest,
                     ) -> ResolvedScan:
     """Fill in metadata defaults and compute the request's cache key.
 
-    ``checkpoint_cache`` (path -> (state, metadata, fingerprint)) lets batch
+    ``checkpoint_cache`` (path -> (metadata, fingerprint)) lets batch
     callers resolve many requests against the same file with one read and
     one SHA-256 — a grid scans each checkpoint once per detector, and the
     weights do not change between those requests.
 
     Raises:
-        ValueError: the checkpoint names no model/dataset, ``classes`` is
-            empty, or it or ``source_classes`` names a class outside the
-            dataset — the scan fails here, once, before any dispatch.
+        ValueError: the checkpoint is not a readable ``.npz``, names no
+            model/dataset, ``classes`` is empty, or it or
+            ``source_classes`` names a class outside the dataset — the scan
+            fails here, once, before any dispatch.
     """
     cached = checkpoint_cache.get(request.checkpoint) if checkpoint_cache else None
     if cached is not None:
-        state, metadata, fingerprint = cached
+        metadata, fingerprint = cached
     else:
-        state, metadata = load_checkpoint(request.checkpoint)
         with _span("scan.fingerprint", checkpoint=request.checkpoint):
-            fingerprint = fingerprint_state_dict(state)
+            metadata, fingerprint = read_checkpoint_fingerprint(
+                request.checkpoint)
         if checkpoint_cache is not None:
-            checkpoint_cache[request.checkpoint] = (state, metadata, fingerprint)
+            checkpoint_cache[request.checkpoint] = (metadata, fingerprint)
     model = request.model or metadata.get("model")
     dataset = request.dataset or metadata.get("dataset")
     if model is None or dataset is None:
@@ -268,6 +273,9 @@ def _prepare_scan(resolved: ResolvedScan) -> _ScanSetup:
     this sequence, so their detection passes reproduce the same verdict for
     the same request.
     """
+    import numpy as np
+
+    from ..data import load_dataset, stratified_sample
     from ..models import build_model
 
     request = resolved.request
@@ -684,7 +692,6 @@ class ScanScheduler:
                     item = dataclass_replace(item, trace_id=root.trace_id,
                                              parent_span_id=root.span_id)
                 resolved.append(item)
-            del checkpoint_cache  # free the cached state dicts before dispatch
 
             planner = CachePlanner(self.store, self.metrics,
                                    record_type=record_type)

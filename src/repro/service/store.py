@@ -38,7 +38,7 @@ import json
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..utils.logging import get_logger
+from ..obs.logging import get_logger
 from .locks import FileLock, atomic_write
 from .records import RepairRecord, ScanRecord, record_from_dict
 

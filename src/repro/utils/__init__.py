@@ -1,4 +1,9 @@
-"""Shared utilities: SSIM, image helpers, RNG management, logging."""
+"""Shared utilities: SSIM, image helpers, RNG management, logging.
+
+The logger lives in :mod:`repro.obs.logging`, beside the traces and
+metrics, so the scanning service logs without importing this NumPy-backed
+package; :func:`get_logger` and :func:`timed` are re-exported here.
+"""
 
 from .image import (
     clip01,
@@ -9,7 +14,7 @@ from .image import (
     to_grid,
     trigger_iou,
 )
-from .logging import get_logger, timed
+from ..obs.logging import get_logger, timed
 from .rng import derive_rng, seeded_rng, spawn_rngs
 from .ssim import ssim, ssim_tensor
 

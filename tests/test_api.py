@@ -197,6 +197,17 @@ class TestLifecycle:
         assert code == 200
         assert payload["status"] == "failed"
 
+    def test_corrupt_checkpoint_fails_naming_the_file(self, server, base,
+                                                      tmp_path):
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(b"PK\x03\x04 this is not a checkpoint")
+        _, job = _request(base, "POST", "/v1/scans",
+                          {"checkpoint": str(bad), **TINY})
+        status = _poll_done(base, job["job_id"])
+        assert status["status"] == "failed"
+        assert status["error"] == (f"ValueError: {bad}: not a readable .npz "
+                                   "checkpoint (File is not a zip file)")
+
     def test_inline_attempt_failing_once_ends_done(self, server, base,
                                                    tmp_path, monkeypatch):
         # job_retries=1 on the fixture server is the scheduler's budget:

@@ -26,7 +26,7 @@ from repro.service.scheduler import _detector_config, resolve_request
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 PACKAGES = ("repro", "repro.nn", "repro.core", "repro.attacks",
-            "repro.service")
+            "repro.service", "repro.eval", "repro.data")
 
 #: Detector-config digests of a CLI scan with default flags.
 CLI_DEFAULT_DIGESTS = {"usb": "63172bfad996700e", "nc": "041d72694c3a3640",

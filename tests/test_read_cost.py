@@ -1,6 +1,6 @@
 """Reads cost what they read: a cache hit replays one shard, a command
 imports only its own modules, and a cold hit compiles none of the
-inversion stack.
+inversion stack and never imports NumPy.
 
 Decoded store lines are counted by wrapping
 ``repro.service.store._iter_jsonl_records``, the one function every replay
@@ -204,23 +204,34 @@ def test_cli_import_loads_only_what_every_command_needs():
     assert result == {"loaded": [], "missing": []}
 
 
-#: ``repro scan`` through ``cli.main``: the hit given on the command line,
-#: as JSON and as text, then the same scan with another seed, a miss.
+#: Cached commands through ``cli.main`` — the ``scan`` hit given on the
+#: command line as JSON and as text, the same scan routed by ``--strategy
+#: fastest`` (its USB probe is the cached scan and escalates nowhere), and
+#: the cached ``grid`` as JSON and as text — each noting whether NumPy was
+#: loaded after it; then the same scan with another seed, a miss.
 COLD_HIT = """
 import contextlib, io, json, sys
 from repro.service.cli import main
 
-def scan(argv):
+argv = json.loads(sys.argv[1])
+steps = []
+
+def run(name, args):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
+        assert main(args) == 0
+    steps.append([name, "numpy" in sys.modules])
     return out.getvalue()
 
-hit = json.loads(scan(sys.argv[1:] + ["--json"]))[0]
-text = scan(sys.argv[1:])
+hit = json.loads(run("scan --json", argv["scan"] + ["--json"]))[0]
+text = run("scan", argv["scan"])
+routed = run("scan --strategy", argv["scan"] + ["--strategy", "fastest"])
+grid = json.loads(run("grid --json", argv["grid"] + ["--json"]))[0]
+grid_text = run("grid", argv["grid"])
 loaded = [m for m in sys.modules if m == "repro" or m.startswith("repro.")]
-miss = json.loads(scan(sys.argv[1:] + ["--seed", "1", "--json"]))[0]
-print(json.dumps({"hit": hit["cache_hit"], "text": text,
+miss = json.loads(run("miss", argv["scan"] + ["--seed", "1", "--json"]))[0]
+print(json.dumps({"hit": hit["cache_hit"], "text": text, "routed": routed,
+                  "grid": [grid["cache_hit"], grid_text], "steps": steps,
                   "loaded": sorted(loaded), "miss": miss["cache_hit"],
                   "keys": [hit["key"], miss["key"]]}))
 """
@@ -234,11 +245,20 @@ def test_cold_cache_hit_loads_none_of_the_miss_path(tmp_path, capsys):
     [computed] = json.loads(capsys.readouterr().out)
     assert not computed["cache_hit"]
 
-    result = _run_fresh(COLD_HIT, *args)
+    grid = ["grid", checkpoint, "--store", store_path, "--detectors", "usb",
+            *TINY_FLAGS[2:]]
+    result = _run_fresh(COLD_HIT, json.dumps({"scan": args, "grid": grid}))
     assert result["hit"] is True
     assert "(cache hit)" in result["text"] and "class 2: L1=" in result["text"]
+    assert "usb    clean" in result["routed"] and "skipped tabor" in \
+        result["routed"] and "(cache hit)" in result["routed"]
+    assert result["grid"][0] is True and "hit" in result["grid"][1]
+    # No cached command imports NumPy; the miss after them does.
+    assert result["steps"][:-1] == [[name, False] for name, _ in
+                                    result["steps"][:-1]], result["loaded"]
+    assert result["steps"][-1] == ["miss", True]
     assert [m for m in MISS_MODULES if m in result["loaded"]] == []
-    assert len(result["loaded"]) <= 35, result["loaded"]
+    assert len(result["loaded"]) <= 30, result["loaded"]
     # The same process still computes a miss, under its own key.
     assert result["miss"] is False
     assert result["keys"][0] == computed["key"] != result["keys"][1]
