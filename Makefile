@@ -101,10 +101,13 @@ fleet-smoke:
 	$(PYTHON) tools/fleet_smoke.py
 
 ## Mega-batch parity smoke (fast; tiny model, 4 classes): flagged classes
-## identical across sequential/batched/mega, exact match without cascade.
+## identical across sequential/batched/mega, exact match without cascade,
+## sequential scans pinned to the per-class loop they replaced, and
+## early stop freezing a cell at the same iteration in sequential and
+## batched scans.
 mega-smoke:
 	$(PYTHON) -m pytest -q tests/test_mega_batch.py -k \
-	  "TestModeParity or TestPoolMechanics"
+	  "TestModeParity or TestPoolMechanics or TestSequentialModePinned or TestEarlyStopAcrossModes"
 
 ## Fast example smoke (CI): the three quick public-API consumers of
 ## detect(), seed_uaps() and the scanning service, ~70 s together on 2

@@ -26,9 +26,9 @@ __all__ = ["INVERSION_MODES", "TriggerOptimizationConfig",
 
 #: Inversion execution modes accepted by
 #: ``TriggerReverseEngineeringDetector.detect`` (and the service's
-#: ``--inversion-mode`` flag): the sequential per-class loop, the work-item
-#: pool with the cascade off (one joint run per scan), and the pool with its
-#: budget cascade.
+#: ``--inversion-mode`` flag), all on the work-item pool: one one-cell run
+#: per class, one joint run per scan with the cascade off, and the pool with
+#: its budget cascade.
 INVERSION_MODES = ("sequential", "batched", "mega")
 
 
@@ -50,17 +50,16 @@ class TriggerOptimizationConfig:
     mask_tv_weight: float = 0.0
     #: TABOR: weight of the penalty on pattern mass outside the mask.
     outside_pattern_weight: float = 0.0
-    #: Joint (pool) engine only: freeze a class early once its trigger success
-    #: rate reaches this threshold (``None`` disables early stop, keeping joint
-    #: results aligned with the sequential per-class runs).  Success is
-    #: tracked *incrementally* from the blended-batch logits every iteration
-    #: already computes, so a converged class is frozen at its exact
-    #: convergence iteration instead of burning steps until the next periodic
-    #: full-set evaluation.
+    #: Freeze a class early once its trigger success rate reaches this
+    #: threshold (``None`` disables early stop, so every class runs the full
+    #: budget).  Every inversion mode honours it.  Success is tracked
+    #: *incrementally* from the blended-batch logits every iteration already
+    #: computes, so a converged class is frozen at its exact convergence
+    #: iteration instead of burning steps until the next periodic full-set
+    #: evaluation.
     early_stop_success: Optional[float] = None
-    #: Retained for config compatibility: earlier revisions sampled the
-    #: early-stop success check every this many iterations.  The incremental
-    #: per-iteration tracking made the cadence knob a no-op.
+    #: Read by nothing.  It stays only because it enters every
+    #: detector-config digest: dropping it would change every cache key.
     early_stop_check_every: int = 25
 
     def __post_init__(self) -> None:

@@ -13,33 +13,37 @@ outer loop:
 **One loop.**  A scan is a list of ``(source, target)`` cells — a classic
 scan is the unconditional grid ``[(None, t) for t in classes]`` — and
 :meth:`TriggerReverseEngineeringDetector.detect` inverts them one source
-group at a time, over clean data restricted to the source class.  By
-default (``mode="batched"``) a group of several targets runs as *one*
-joint optimization on the work-item pool of :mod:`repro.core.mega` with the
-budget cascade off, amortizing every model forward/backward across the
-targets on a ``(K·B, C, H, W)`` mega-batch.  ``mode="mega"`` runs a scan of
-several cells as a one-job :func:`detect_mega_fleet`, the same pool with the
-cascade on.  ``mode="sequential"`` (per-class wall clock, or the reference
-for A/B validation), a one-target group and a one-cell scan call
-:meth:`TriggerReverseEngineeringDetector.reverse_engineer` per cell.  Each
-detector states its per-class starting points once, in
-:meth:`TriggerReverseEngineeringDetector._mega_inits`, and both joint modes
-take them from there.  The Alg. 2 refinement loss is a sum of independent
-per-class terms, so given the same starting points the refinement matches
-the sequential loop up to floating-point reduction order (NC/TABOR draw
-their random inits in the same order, making the modes near-identical end
-to end).  USB's joint Alg. 1 stage, however, shares one shuffle per sweep
-across classes instead of consuming the RNG per class, so its UAP seeds —
-and hence per-class trigger norms — differ from the sequential path in
-their random stream, not just in rounding; flagged classes are expected to
-agree, with anomaly indices within a small tolerance (tracked by the
-Table 7 harness).
+group at a time, over clean data restricted to the source class.  Every
+trigger is stepped by the work-item pool of :mod:`repro.core.mega`, from the
+per-class starting points each detector states once, in
+:meth:`TriggerReverseEngineeringDetector._mega_inits`.  The modes differ
+only in how many cells share a pool run:
+
+* ``mode="batched"`` (the default) runs each source group as one joint run
+  with the budget cascade off, amortizing every model forward/backward
+  across the targets on a ``(K·B, C, H, W)`` mega-batch;
+* ``mode="sequential"`` runs one one-cell run per cell and times each one
+  (Table 7's per-class seconds); a one-target group and
+  :meth:`TriggerReverseEngineeringDetector.reverse_engineer` run the same;
+* ``mode="mega"`` runs a scan of several cells as a one-job
+  :func:`detect_mega_fleet`: the same pool with the cascade on.
+
+The Alg. 2 loss is a sum of independent per-class terms and Adam is
+elementwise, so a cell follows the same trajectory whichever cells share
+its run, up to floating-point reduction order, and ``early_stop_success``
+freezes it at the same iteration in ``batched`` and ``sequential`` scans.
+NC/TABOR draw their random starts in the same order in both modes, making
+them near-identical end to end.  USB's joint Alg. 1 stage, however, shares
+one shuffle per sweep across classes instead of consuming the RNG per
+class, so its batched UAP seeds — and hence per-class trigger norms —
+differ from the sequential ones in their random stream, not just in
+rounding; flagged classes are expected to agree, with anomaly indices
+within a small tolerance (tracked by the Table 7 harness).
 
 This module provides the MAD outlier test and the
 :class:`TriggerReverseEngineeringDetector` base class implementing the outer
 loop, and re-exports the result types of :mod:`repro.core.results`;
 concrete detectors implement
-:meth:`TriggerReverseEngineeringDetector.reverse_engineer` and
 :meth:`TriggerReverseEngineeringDetector._mega_inits`.
 """
 
@@ -165,19 +169,14 @@ class TriggerReverseEngineeringDetector:
     # ------------------------------------------------------------------ #
     # Interface for subclasses
     # ------------------------------------------------------------------ #
-    def reverse_engineer(self, model: Module, target_class: int) -> ReversedTrigger:
-        """Reconstruct a trigger sending clean data to ``target_class``."""
-        raise NotImplementedError
-
     def _mega_inits(self, model: Module, target_classes: List[int]):
-        """Per-class starting points for the joint (work-item pool) modes.
+        """Per-class starting points for the work-item pool.
 
         Returns ``(inits, config, prescreen_norms)`` — the per-class
         ``(pattern, mask)`` starts, the trigger-optimization config, and
         optional per-class seed norms for cascade prescreening (``None``
         when the detector has no seed-size signal).  Every detector
-        implements it: ``batched`` groups and :func:`detect_mega_fleet` take
-        their starts from here.
+        implements it, and every engine takes its starts from here.
         """
         raise NotImplementedError
 
@@ -233,35 +232,35 @@ class TriggerReverseEngineeringDetector:
                 label=self.name,
             )
 
+    def reverse_engineer(self, model: Module, target_class: int) -> ReversedTrigger:
+        """Reconstruct a trigger sending clean data to ``target_class``.
+
+        One one-cell pool run from :meth:`_mega_inits`, over the full clean
+        set: what ``mode="sequential"`` runs for each cell.
+        """
+        return self._invert(model, None, [target_class], joint=False)[0]
+
     def _invert(self, model: Module, source: Optional[int],
                 targets: List[int], joint: bool) -> List[ReversedTrigger]:
-        """One source group's triggers, from one joint run or per target.
+        """One source group's triggers: one joint pool run, or one per target.
 
-        A joint run optimizes the :meth:`_mega_inits` starts together and
-        splits its wall clock evenly over them.
+        Each run optimizes its cells' :meth:`_mega_inits` starts and splits
+        its wall clock evenly over them, so a one-cell run times its cell.
         """
-        start = time.perf_counter()
+        runs = [targets] if joint else [[target] for target in targets]
+        triggers: List[ReversedTrigger] = []
         with self._restricted_clean(source):
-            if joint:
-                inits, config, _ = self._mega_inits(model, targets)
+            for run in runs:
+                start = time.perf_counter()
+                inits, config, _ = self._mega_inits(model, run)
                 results = BatchedTriggerMaskOptimizer(
-                    model, self.clean_data.images, targets, config=config
+                    model, self.clean_data.images, run, config=config
                 ).optimize(inits)
-                seconds = (time.perf_counter() - start) / len(targets)
-                return [_reversed(target, result, seconds=seconds,
-                                  source_class=source)
-                        for target, result in zip(targets, results)]
-            triggers = []
-            for target in targets:
-                cell_start = time.perf_counter()
-                trigger = self.reverse_engineer(model, target)
-                trigger.seconds = time.perf_counter() - cell_start
-                trigger.source_class = source
-                triggers.append(trigger)
-                _LOG.debug("%s cell %s: L1=%.3f success=%.2f (%.1fs)",
-                           self.name, trigger.pair, trigger.l1_norm,
-                           trigger.success_rate, trigger.seconds)
-            return triggers
+                seconds = (time.perf_counter() - start) / len(run)
+                triggers += [_reversed(target, result, seconds=seconds,
+                                       source_class=source)
+                             for target, result in zip(run, results)]
+        return triggers
 
     def _images_key(self) -> Optional[str]:
         """Activation-cache key of the current clean pool.
@@ -349,8 +348,8 @@ class TriggerReverseEngineeringDetector:
             by_cell: Dict[ScanPair, ReversedTrigger] = {}
             with _frozen([model]):
                 for source, targets in groups.items():
-                    joint = engine == "batched" and len(targets) > 1
-                    for trigger in self._invert(model, source, targets, joint):
+                    for trigger in self._invert(model, source, targets,
+                                                joint=engine == "batched"):
                         by_cell[trigger.pair] = trigger
             seconds = time.perf_counter() - start
         return _verdict(self, cells, by_cell, seconds,

@@ -1,8 +1,9 @@
-"""Joint trigger inversion for K cells at once: work-item pool + cascade.
+"""Trigger inversion for K cells at once: work-item pool + cascade.
 
-This is the one joint Alg. 2 engine.  ``detect(mode="batched")`` runs one
-scan's K candidate classes through it with the cascade off (via
-:class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`);
+This is the one loop that steps Alg. 2 triggers.  ``detect(mode="batched")``
+runs one scan's K candidate classes through it as one joint run with the
+cascade off, and ``mode="sequential"`` runs one one-cell run per class (both
+via :class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`);
 ``mode="mega"`` runs it with the budget cascade on, and
 :func:`~repro.core.detection.detect_mega_fleet` pools the cells of many
 scans and models into one run.  Inversion is organised around a
@@ -34,9 +35,9 @@ Two further layers ride on the pool:
   factor calibrated on borderline finalists so the MAD pool is not skewed by
   mixed coarse/full norms.
 
-Per-item trajectories reproduce the sequential optimizer exactly (same batch
-schedule, same loss, same elementwise Adam with per-item step counts), so
-parity with the sequential oracle holds up to floating-point reduction
+Per-item trajectories do not depend on which items share a run (same batch
+schedule, same loss, same elementwise Adam with per-item step counts), so a
+cell of a joint run matches its one-cell run up to floating-point reduction
 order.
 """
 
@@ -440,7 +441,7 @@ class MegaInversionPool:
                        items: List[_WorkItem]) -> None:
         """One fused optimization step for items sharing a batch offset.
 
-        The loss is the sum of the per-item sequential losses, so the
+        The loss is the sum of the per-item losses, so the
         stacked gradient is the concatenation of per-item gradients: chunked
         forward/backward with gradient accumulation, incremental early-stop
         tracking from the blended-batch logits, diagnostic losses for
@@ -538,7 +539,7 @@ class MegaInversionPool:
         Per-row scalar bias corrections keep the arithmetic (and dtype
         promotion) identical to ``repro.nn.optim.Adam`` applied to each item
         separately, so in-flight items at different step counts still follow
-        their exact sequential trajectories.
+        their exact one-cell trajectories.
         """
         beta1, beta2 = cfg.betas
         lr = cfg.learning_rate
@@ -610,10 +611,10 @@ def _per_class_diagnostic_losses(cfg: TriggerOptimizationConfig,
                                  batch: np.ndarray, blended: np.ndarray,
                                  patterns: np.ndarray,
                                  masks: np.ndarray) -> np.ndarray:
-    """Diagnostic per-cell losses matching the sequential ``final_loss``.
+    """Diagnostic per-cell losses of a finishing step (``final_loss``).
 
     The forward is laid out as k cell blocks of ``batch_len`` rows, so the
-    stacked loss decomposes into one sequential loss per cell.
+    stacked loss decomposes into one loss per cell.
     """
     k = len(patterns)
     batch_len = len(batch)

@@ -10,15 +10,19 @@ descent on a blended input ``x' = x (1 - mask) + pattern · mask``:
 * **TABOR** adds further regularizers on top of NC (mask smoothness and a
   penalty on pattern mass outside the mask).
 
-:class:`TriggerMaskOptimizer` implements the shared optimization with all of
-these terms behind weights, so each detector (and each ablation benchmark) is
-a thin configuration of the same machinery.  Optimization uses Adam with the
-paper's ``lr = 0.1`` and ``betas = (0.5, 0.9)``.  It runs one class at a
-time and is the paper-reference oracle for Table 7 and the parity tests.
+:class:`TriggerOptimizationConfig` puts all of these terms behind weights, so
+each detector (and each ablation benchmark) is a thin configuration of the
+same machinery.  Optimization uses Adam with the paper's ``lr = 0.1`` and
+``betas = (0.5, 0.9)``.
 
-:class:`BatchedTriggerMaskOptimizer` (``detect()``'s default) runs the same
-optimization for K classes at once on the work-item pool of
-:mod:`repro.core.mega`, the one joint inversion engine.
+One loop steps every trigger: the work-item pool of :mod:`repro.core.mega`.
+:class:`BatchedTriggerMaskOptimizer` is its front end for K classes of one
+model and clean set, a joint run for ``detect()``'s default ``batched``
+mode and a one-cell run per class for ``sequential``.
+:class:`TriggerMaskOptimizer` holds the starting points
+(:meth:`~TriggerMaskOptimizer.init_from_uap`,
+:meth:`~TriggerMaskOptimizer.random_init`) and runs one class as a
+one-cell pool run.
 """
 
 from __future__ import annotations
@@ -28,11 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.layers import Module
-from ..nn.optim import Adam
-from ..nn.tensor import Tensor, enable_grad, no_grad
-from ..utils.ssim import ssim_tensor
 from .configs import TriggerOptimizationConfig
 
 __all__ = ["TriggerOptimizationConfig", "TriggerOptimizationResult",
@@ -122,96 +122,29 @@ class TriggerMaskOptimizer:
         mask = rng.uniform(0.05, 0.25, size=(1, height, width)).astype(np.float32)
         return pattern, mask
 
-    # ------------------------------------------------------------------ #
-    # Optimization (Alg. 2)
-    # ------------------------------------------------------------------ #
     def optimize(self, init_pattern: np.ndarray,
                  init_mask: np.ndarray) -> TriggerOptimizationResult:
-        """Run the optimization from the supplied starting point."""
-        with enable_grad():  # the refinement needs the tape even under no_grad
-            return self._optimize(init_pattern, init_mask)
+        """Run the optimization from the supplied starting point.
 
-    def _optimize(self, init_pattern: np.ndarray,
-                  init_mask: np.ndarray) -> TriggerOptimizationResult:
-        cfg = self.config
-        raw_pattern = Tensor(_logit(init_pattern), requires_grad=True)
-        raw_mask = Tensor(_logit(init_mask), requires_grad=True)
-        optimizer = Adam([raw_pattern, raw_mask], lr=cfg.learning_rate, betas=cfg.betas)
-
-        target_labels_full = np.full(len(self.images), self.target_class,
-                                     dtype=np.int64)
-        final_loss = 0.0
-        for iteration in range(cfg.iterations):
-            start = (iteration * cfg.batch_size) % len(self.images)
-            batch = self.images[start:start + cfg.batch_size]
-            if len(batch) == 0:
-                batch = self.images[:cfg.batch_size]
-            labels = target_labels_full[:len(batch)]
-
-            x = Tensor(batch)
-            pattern = raw_pattern.sigmoid()
-            mask = raw_mask.sigmoid()
-            blended = x * (1.0 - mask) + pattern * mask
-            logits = self.model(blended)
-
-            loss = F.cross_entropy(logits, labels)
-            if cfg.ssim_weight:
-                loss = loss - cfg.ssim_weight * ssim_tensor(x, blended)
-            if cfg.mask_l1_weight:
-                loss = loss + cfg.mask_l1_weight * mask.abs().sum()
-            if cfg.mask_tv_weight:
-                loss = loss + cfg.mask_tv_weight * self._total_variation(mask)
-            if cfg.outside_pattern_weight:
-                outside = (pattern * (1.0 - mask)).abs().sum()
-                loss = loss + cfg.outside_pattern_weight * outside
-
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            final_loss = loss.item()
-
-        pattern_final = 1.0 / (1.0 + np.exp(-raw_pattern.data))
-        mask_final = 1.0 / (1.0 + np.exp(-raw_mask.data))
-        success = self._success_rate(pattern_final, mask_final)
-        return TriggerOptimizationResult(pattern=pattern_final.astype(np.float32),
-                                         mask=mask_final.astype(np.float32),
-                                         success_rate=success,
-                                         final_loss=final_loss,
-                                         iterations=cfg.iterations)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _total_variation(mask: Tensor) -> Tensor:
-        """Anisotropic total variation of the mask (TABOR smoothness term)."""
-        dh = (mask[:, 1:, :] - mask[:, :-1, :]).abs().sum()
-        dw = (mask[:, :, 1:] - mask[:, :, :-1]).abs().sum()
-        return dh + dw
-
-    def _success_rate(self, pattern: np.ndarray, mask: np.ndarray,
-                      batch_size: int = 256) -> float:
-        """Fraction of the clean set driven to the target by the final trigger."""
-        hits = 0
-        with no_grad():
-            for start in range(0, len(self.images), batch_size):
-                batch = self.images[start:start + batch_size]
-                blended = blend_images(batch, pattern[None], mask[None])
-                preds = self.model(Tensor(blended)).data.argmax(axis=1)
-                hits += int((preds == self.target_class).sum())
-        return hits / len(self.images)
+        A one-cell :class:`BatchedTriggerMaskOptimizer` run.
+        """
+        return BatchedTriggerMaskOptimizer(
+            self.model, self.images, [self.target_class], self.config
+        ).optimize([(init_pattern, init_mask)])[0]
 
 
 class BatchedTriggerMaskOptimizer:
-    """Joint Alg. 2 optimization of K per-class triggers (``mode="batched"``).
+    """Alg. 2 optimization of K per-class triggers on the work-item pool.
 
-    A front end to the work-item pool of :mod:`repro.core.mega`: the K
+    The front end to :mod:`repro.core.mega` for one model and clean set:
+    ``mode="batched"`` runs a scan's K classes as one joint run, and
+    ``mode="sequential"`` runs one one-cell run (K = 1) per class.  The K
     classes become one :class:`~repro.core.mega.MegaTask` run with the budget
     cascade off and a row cap of ``K × min(batch_size, N)``, so every class is
     admitted at once and all K cells step in lockstep through one stacked
     ``(K·B, C, H, W)`` mega-batch per iteration.  The loss is a sum of
     per-class terms and Adam is elementwise, so each class follows its
-    sequential trajectory up to floating-point reduction order.  With
+    one-cell trajectory up to floating-point reduction order.  With
     ``config.early_stop_success`` set, a class whose blended batch reaches
     that success rate freezes at that iteration and leaves the mega-batch.
     """

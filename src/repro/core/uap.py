@@ -84,49 +84,17 @@ def generate_targeted_uap(model: Module, images: np.ndarray, target_class: int,
                           rng: Optional[np.random.Generator] = None) -> UAPResult:
     """Compute a targeted UAP for ``target_class`` on the clean set ``images`` (Alg. 1).
 
-    The θ stopping check reuses the per-batch predictions the sweep already
-    computes for its active-sample mask, so the full clean set is evaluated
-    with :func:`targeted_error_rate` exactly once per call (for the reported
-    error rate) instead of once up-front plus once per pass.
+    A one-class :func:`generate_targeted_uaps` sweep.  Its reported error
+    rate is then measured on the full clean set with
+    :func:`targeted_error_rate`, exactly once per call.
     """
     config = config or TargetedUAPConfig()
-    rng = rng or np.random.default_rng()
-    images = np.asarray(images, dtype=np.float32)
-    if images.ndim != 4:
-        raise ValueError("images must have shape (N, C, H, W).")
-    model.eval()
-
-    v = np.zeros(images.shape[1:], dtype=np.float32)
-    passes_run = 0
-    order = np.arange(len(images))
-    for _ in range(config.max_passes):
-        passes_run += 1
-        rng.shuffle(order)
-        hits = 0
-        for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start:start + config.batch_size]
-            perturbed = np.clip(images[batch_idx] + v[None], config.clip_min,
-                                config.clip_max)
-            with no_grad():
-                predictions = model(Tensor(perturbed)).data.argmax(axis=1)
-            hits += int((predictions == target_class).sum())
-            active = predictions != target_class
-            if not np.any(active):
-                continue
-            step = targeted_deepfool_step(model, perturbed[active], target_class,
-                                          overshoot=config.overshoot)
-            # Aggregate the per-sample minimal perturbations into the shared v
-            # and re-project (the batched analogue of Alg. 1's per-point update).
-            v = v + step.mean(axis=0)
-            v = project_perturbation(v, config.radius, config.norm)
-        # In-sweep estimate of Err(X + v): measured on the evolving v, one
-        # mini-batch at a time, for free from the predictions above.
-        if hits / len(images) >= config.desired_error_rate:
-            break
-    error = targeted_error_rate(model, images, v, target_class,
-                                config.clip_min, config.clip_max)
-    return UAPResult(target_class=target_class, perturbation=v, error_rate=error,
-                     passes=passes_run)
+    result = generate_targeted_uaps(model, images, [target_class], config,
+                                    rng)[int(target_class)]
+    result.error_rate = targeted_error_rate(
+        model, np.asarray(images, dtype=np.float32), result.perturbation,
+        target_class, config.clip_min, config.clip_max)
+    return result
 
 
 def generate_targeted_uaps(model: Module, images: np.ndarray,
@@ -135,7 +103,7 @@ def generate_targeted_uaps(model: Module, images: np.ndarray,
                            rng: Optional[np.random.Generator] = None,
                            clean_logits: Optional[np.ndarray] = None
                            ) -> Dict[int, UAPResult]:
-    """Alg. 1 for K candidate classes jointly (the joint ``detect()`` modes).
+    """Alg. 1 for K candidate classes jointly (K = 1 for a one-class sweep).
 
     Every sweep mini-batch is expanded against the K running perturbations
     into one ``(K·B, C, H, W)`` mega-batch, so the model forward (prediction

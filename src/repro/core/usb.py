@@ -14,16 +14,16 @@ anomalously small trigger for its true target class because the UAP — and the
 optimization seeded by it — latches onto the backdoor shortcut instead of a
 class's natural features.
 
-**Joint scan.**  ``detect()`` runs both stages for all K candidate classes
-jointly by default.  Alg. 1 sweeps the K running perturbations against each
-clean mini-batch as one mega-batch (:func:`~repro.core.uap.
-generate_targeted_uaps`, called from ``_mega_inits``).  Alg. 2 then refines
-the K seeded ``(pattern, mask)`` pairs on the work-item pool of
-:mod:`repro.core.mega`.  Classes whose UAP reaches θ, or (with
-``early_stop_success`` configured) whose trigger already flips the clean set,
-drop out of the mega-batch early.  :meth:`USBDetector.reverse_engineer` runs
-the two stages for one class; ``detect`` calls it per class under
-``mode="sequential"`` and for a scan of a single class.
+**One loop.**  Every trigger runs on the work-item pool of
+:mod:`repro.core.mega`; USB states only its starting points, in
+``_mega_inits``.  Alg. 1 sweeps the running perturbations of every class in
+the run against each clean mini-batch as one mega-batch
+(:func:`~repro.core.uap.generate_targeted_uaps`), and Alg. 2 refines the
+seeded ``(pattern, mask)`` pairs on the pool.  ``detect()`` runs all K
+candidate classes as one joint run by default, and one one-cell run per
+class under ``mode="sequential"``.  Classes whose UAP reaches θ, or (with
+``early_stop_success`` configured) whose trigger already flips the clean
+set, drop out of the mega-batch early.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from ..nn.layers import Module
 from ..obs.metrics import PROFILER
 from ..obs.trace import span as _span
 from .configs import USBConfig
-from .detection import ReversedTrigger, TriggerReverseEngineeringDetector
+from .detection import TriggerReverseEngineeringDetector
 from .mega import _forward_logits
 from .trigger_optimizer import TriggerMaskOptimizer
-from .uap import UAPResult, generate_targeted_uap, generate_targeted_uaps
+from .uap import UAPResult, generate_targeted_uaps
 
 __all__ = ["USBConfig", "USBDetector"]
 
@@ -83,45 +83,18 @@ class USBDetector(TriggerReverseEngineeringDetector):
                     "(paper §4.4).")
         self._seeded_uaps = dict(uaps)
 
-    def reverse_engineer(self, model: Module, target_class: int) -> ReversedTrigger:
-        """Alg. 1 then Alg. 2 for one class: the sequential engine.
-
-        The targeted UAP (a :meth:`seed_uaps` one when provided, recorded in
-        ``last_uaps``) seeds the trigger/mask refinement; with
-        ``random_init`` a random start replaces it.
-        """
-        images = self.clean_data.images
-        optimizer = TriggerMaskOptimizer(model, images, target_class,
-                                         config=self.config.optimization)
-
-        if self.config.random_init:
-            pattern_init, mask_init = TriggerMaskOptimizer.random_init(
-                self.clean_data.image_shape, self._rng)
-            uap_result = None
-        else:
-            uap_result = self._seeded_uaps.get(target_class)
-            if uap_result is None:
-                uap_result = generate_targeted_uap(model, images, target_class,
-                                                   config=self.config.uap,
-                                                   rng=self._rng)
-            self.last_uaps[target_class] = uap_result
-            pattern_init, mask_init = TriggerMaskOptimizer.init_from_uap(
-                uap_result.perturbation)
-
-        result = optimizer.optimize(pattern_init, mask_init)
-        return ReversedTrigger(target_class=target_class, pattern=result.pattern,
-                               mask=result.mask, success_rate=result.success_rate,
-                               iterations=result.iterations)
-
     def _mega_inits(self, model: Module, target_classes: List[int]):
-        """Alg. 1 seeds for the joint modes, with UAP norms as prescreen.
+        """Alg. 1 seeds, with UAP norms as prescreen.
 
-        The joint Alg. 1 sweep takes its first mini-batch's predictions from
-        the clean logits (from the shared clean-activation cache when one is
-        wired) and reports in-sweep error estimates (the UAPs only seed
-        Alg. 2 here).  In ``mode="mega"`` the per-class UAP L1 norms feed the
-        cascade's prescreen, so a seed that already latched onto a shortcut
-        is guaranteed the full refinement budget.
+        A :meth:`seed_uaps` UAP, when provided, replaces the class's sweep;
+        every seed used is recorded in ``last_uaps``.  With ``random_init``
+        a random start replaces the UAP.  The Alg. 1 sweep takes its first
+        mini-batch's predictions from the clean logits (from the shared
+        clean-activation cache when one is wired) and reports in-sweep error
+        estimates (the UAPs only seed Alg. 2 here).  In ``mode="mega"`` the
+        per-class UAP L1 norms feed the cascade's prescreen, so a seed that
+        already latched onto a shortcut is guaranteed the full refinement
+        budget.
         """
         class_list = list(target_classes)
         if self.config.random_init:

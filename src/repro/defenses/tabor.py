@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.configs import TaborConfig
-from ..core.detection import ReversedTrigger, TriggerReverseEngineeringDetector
+from ..core.detection import TriggerReverseEngineeringDetector
 from ..core.trigger_optimizer import TriggerMaskOptimizer
 from ..data.dataset import Dataset
 from ..nn.layers import Module
@@ -23,7 +23,11 @@ __all__ = ["TaborConfig", "TaborDetector"]
 
 
 class TaborDetector(TriggerReverseEngineeringDetector):
-    """NC plus smoothness / outside-mask regularizers."""
+    """NC plus smoothness / outside-mask regularizers.
+
+    TABOR states only its starting points (:meth:`_mega_inits`); the base
+    class steps every trigger on the work-item pool under the TABOR loss.
+    """
 
     name = "TABOR"
 
@@ -34,23 +38,8 @@ class TaborDetector(TriggerReverseEngineeringDetector):
                          rng=rng)
         self.config = config
 
-    def reverse_engineer(self, model: Module, target_class: int) -> ReversedTrigger:
-        """Optimize one class's trigger under the TABOR loss from a random start.
-
-        The sequential engine; the random start is drawn from the
-        detector's RNG in the order the joint modes draw theirs.
-        """
-        optimizer = TriggerMaskOptimizer(model, self.clean_data.images, target_class,
-                                         config=self.config.optimization)
-        pattern_init, mask_init = TriggerMaskOptimizer.random_init(
-            self.clean_data.image_shape, self._rng)
-        result = optimizer.optimize(pattern_init, mask_init)
-        return ReversedTrigger(target_class=target_class, pattern=result.pattern,
-                               mask=result.mask, success_rate=result.success_rate,
-                               iterations=result.iterations)
-
     def _mega_inits(self, model: Module, target_classes: List[int]):
-        """Random starts for the joint modes (sequential RNG order)."""
+        """One random start per class, drawn in class order."""
         inits = [TriggerMaskOptimizer.random_init(self.clean_data.image_shape,
                                                   self._rng)
                  for _ in target_classes]

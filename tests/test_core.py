@@ -19,6 +19,7 @@ from repro.core import (
     targeted_error_rate,
 )
 from repro.core.detection import DetectionResult, ReversedTrigger
+from repro.core.mega import _full_success_rates
 from repro.core.uap import UAPResult
 from repro.data import make_synthetic_dataset
 from repro.models import BasicCNN
@@ -175,7 +176,8 @@ class TestTriggerMaskOptimizer:
             model, images, 3, TriggerOptimizationConfig(iterations=40))
         pattern, mask = TriggerMaskOptimizer.random_init(dataset.image_shape,
                                                          np.random.default_rng(0))
-        before = optimizer._success_rate(pattern, mask)
+        [before] = _full_success_rates(model, images, pattern[None],
+                                       mask[None], np.array([3]))
         result = optimizer.optimize(pattern, mask)
         assert result.success_rate >= before
         assert result.pattern.shape == dataset.image_shape

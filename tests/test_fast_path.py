@@ -15,6 +15,7 @@ from repro.core import (
     generate_targeted_uaps,
 )
 from repro.core import uap as uap_module
+from repro.core.mega import _full_success_rates
 from repro.data import make_synthetic_dataset
 from repro.defenses import NeuralCleanseConfig, NeuralCleanseDetector
 from repro.eval import evaluate_accuracy, measure_detection_times
@@ -22,6 +23,7 @@ from repro.models import BasicCNN
 from repro.nn import Linear, Module, Tensor, enable_grad, is_grad_enabled, no_grad
 from repro.nn import functional as F
 from repro.nn.optim import Adam
+from reference_inversion import ReferenceTriggerOptimizer
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +128,10 @@ class TestEvalCallSitesUseNoGrad:
     def test_success_rate_runs_without_grad(self, tiny_setup):
         model, dataset = tiny_setup
         spy = _GradModeSpy(model)
-        optimizer = TriggerMaskOptimizer(spy, dataset.images[:16], 0)
         pattern, mask = TriggerMaskOptimizer.random_init(
             dataset.image_shape, np.random.default_rng(0))
-        optimizer._success_rate(pattern, mask)
+        _full_success_rates(spy, dataset.images[:16], pattern[None],
+                            mask[None], np.array([0]))
         assert spy.modes and not any(spy.modes)
 
     def test_uap_sweep_keeps_grad_for_deepfool_only(self, tiny_setup):
@@ -280,7 +282,7 @@ class TestBatchedTriggerOptimizer:
         inits = [TriggerMaskOptimizer.random_init(dataset.image_shape, rng)
                  for _ in range(3)]
         sequential = [
-            TriggerMaskOptimizer(model, images, target, cfg).optimize(*init)
+            ReferenceTriggerOptimizer(model, images, target, cfg).optimize(*init)
             for target, init in enumerate(inits)
         ]
         batched = BatchedTriggerMaskOptimizer(
@@ -303,7 +305,7 @@ class TestBatchedTriggerOptimizer:
         inits = [TriggerMaskOptimizer.random_init(dataset.image_shape, rng)
                  for _ in range(2)]
         sequential = [
-            TriggerMaskOptimizer(model, images, target, cfg).optimize(*init)
+            ReferenceTriggerOptimizer(model, images, target, cfg).optimize(*init)
             for target, init in enumerate(inits)
         ]
         batched = BatchedTriggerMaskOptimizer(

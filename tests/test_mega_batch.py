@@ -40,6 +40,7 @@ from repro.models import BasicCNN
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.optim import Adam
+from reference_inversion import ReferenceTriggerOptimizer
 
 ITERATIONS = 6
 #: Non-finalist cells stop at the coarse budget, so their (shrinkage-scaled)
@@ -233,7 +234,8 @@ class TestPoolMechanics:
         inits = [TriggerMaskOptimizer.random_init(images.shape[1:], rng)
                  for _ in range(4)]
         reference = [
-            TriggerMaskOptimizer(model, images, target, config).optimize(*init)
+            ReferenceTriggerOptimizer(model, images, target, config).optimize(
+                *init)
             for target, init in enumerate(inits)]
         task = MegaTask(model, images, [0, 1, 2, 3], inits, config)
         [results] = run_mega_inversion(
@@ -374,6 +376,99 @@ class TestBatchedModePinned:
         assert [(stats["admissions"], stats["in_flight_admissions"])
                 for stats in runs] == [(10, 0)]
         self._assert_pinned((kind, "ten"), result, 3)
+
+
+#: ``mode="sequential"`` scans recorded with the per-class optimizer loop
+#: that mode ran on before every cell moved onto the work-item pool: per
+#: scan, every cell's anomaly index, success rate and trigger L1 norm (cells
+#: in class or ``scan_pairs_for`` order).  ``one`` is a default-mode scan of
+#: class 2 alone, whose index is 0 by construction, so its norm is the pin.
+CLASS_SEQUENTIAL_PINS = {
+    ("usb", "classic"): (
+        [0.0, 0.4894228, 0.85955871, 0.0],
+        [0.9375, 0.75, 0.4375, 1.0],
+        [131.95676, 118.6085, 114.96877, 128.23398]),
+    ("usb", "pairs"): (
+        [0.0, 1.09192275, 0.24757901, 0.0, 4.91827546, 0.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        [139.69086, 132.58267, 136.27798, 138.44507, 115.83645, 140.93608]),
+    ("usb", "one"): ([0.0], [0.4375], [114.96877]),
+    ("nc", "classic"): (
+        [0.0, 0.67939878, 0.0, 0.66958274],
+        [0.25, 0.25, 0.1875, 0.375],
+        [46.4961, 44.01435, 48.73125, 44.03241]),
+    ("nc", "pairs"): (
+        [0.0, 0.9941873, 1.05292232, 0.03487261, 0.0, 0.0],
+        [0.0, 0.0, 0.33333333, 0.33333333, 0.0, 0.0],
+        [49.60113, 44.3864, 44.08876, 49.2477, 51.22232, 57.47947]),
+    ("nc", "one"): ([0.0], [0.1875], [46.60892]),
+    ("tabor", "classic"): (
+        [0.0, 0.51723504, 0.0, 1.1754894],
+        [0.25, 0.25, 0.1875, 0.375],
+        [46.2036, 42.88724, 47.21188, 40.77697]),
+    ("tabor", "pairs"): (
+        [0.04740827, 1.08553563, 0.98129428, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.33333333, 0.33333333, 0.0, 0.0],
+        [47.88467, 41.05671, 41.74232, 48.5083, 50.61484, 55.32056]),
+    ("tabor", "one"): ([0.0], [0.1875], [42.72648]),
+}
+
+
+class TestSequentialModePinned:
+    def _assert_pinned(self, key, result):
+        anomaly, success, l1 = CLASS_SEQUENTIAL_PINS[key]
+        if result.pair_anomaly_indices:
+            got = list(result.pair_anomaly_indices.values())
+        else:
+            got = [result.anomaly_indices[c]
+                   for c in sorted(result.anomaly_indices)]
+        np.testing.assert_allclose(got, anomaly, atol=PIN_TOLERANCE)
+        np.testing.assert_allclose([t.success_rate for t in result.triggers],
+                                   success, atol=PIN_TOLERANCE)
+        np.testing.assert_allclose([t.l1_norm for t in result.triggers], l1,
+                                   rtol=PIN_TOLERANCE)
+        assert ([t.iterations for t in result.triggers]
+                == [ITERATIONS] * len(success))
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    @pytest.mark.parametrize("scan", ("classic", "pairs", "one"))
+    def test_matches_recorded_per_class_loop(self, tiny_setup, kind, scan):
+        model, dataset = tiny_setup
+        detector = _make_detector(kind, dataset.subset(range(16)))
+        if scan == "classic":
+            result = detector.detect(model, classes=range(4),
+                                     mode="sequential")
+        elif scan == "pairs":
+            pairs = scan_pairs_for(SCENARIO_SOURCE_CONDITIONAL, [0, 1, 2, 3],
+                                   source_classes=(1, 2))
+            result = detector.detect(model, pairs=pairs, mode="sequential")
+        else:
+            result = detector.detect(model, classes=[2])
+        assert result.metadata["batched"] == 0.0
+        self._assert_pinned((kind, scan), result)
+
+
+class TestEarlyStopAcrossModes:
+    @pytest.mark.parametrize("kind", ("nc", "tabor"))
+    def test_sequential_stops_where_batched_does(self, tiny_setup, kind):
+        # ``early_stop_success`` freezes a cell on the step its blended batch
+        # reaches the rate, whichever mode runs the scan: a sequential scan
+        # is one one-cell run per class, a batched scan one joint run.
+        model, dataset = tiny_setup
+        clean = dataset.subset(range(16))
+        results = {}
+        for mode in ("sequential", "batched"):
+            detector = _make_detector(kind, clean, iterations=30)
+            detector.config.optimization = dataclasses.replace(
+                detector.config.optimization, early_stop_success=0.5)
+            results[mode] = detector.detect(model, classes=range(4),
+                                            mode=mode)
+        batched = results["batched"].triggers
+        assert min(t.iterations for t in batched) < 30
+        for seq, bat in zip(results["sequential"].triggers, batched):
+            assert seq.iterations == bat.iterations
+            np.testing.assert_allclose(seq.pattern, bat.pattern, atol=1e-5)
+            np.testing.assert_allclose(seq.mask, bat.mask, atol=1e-5)
 
 
 class TestCleanActivationCache:
