@@ -21,9 +21,9 @@ The package is organized as follows:
 * :mod:`repro.utils` — SSIM, image helpers, RNG management.
 
 Importing ``repro`` loads no subpackage: ``repro.nn`` resolves on first
-access, and ``repro.nn``, ``repro.core``, ``repro.attacks`` and
-``repro.service`` resolve each public name from its submodule the same way
-(:mod:`repro._lazy`).  A cached ``python -m repro scan`` therefore compiles
+access, and ``repro.nn``, ``repro.core``, ``repro.attacks``,
+``repro.data``, ``repro.eval``, ``repro.obs`` and ``repro.service`` resolve
+each public name from its submodule the same way (:mod:`repro._lazy`).  A cached ``python -m repro scan`` therefore compiles
 only what a cache hit runs; the inversion stack loads when a miss is
 dispatched (:func:`repro.service.scheduler.load_inversion_stack`).
 """

@@ -236,9 +236,13 @@ class TriggerReverseEngineeringDetector:
         """Reconstruct a trigger sending clean data to ``target_class``.
 
         One one-cell pool run from :meth:`_mega_inits`, over the full clean
-        set: what ``mode="sequential"`` runs for each cell.
+        set: what ``mode="sequential"`` runs for each cell.  Like
+        :meth:`detect`, it puts ``model`` in eval mode with its parameter
+        gradients off and restores their flags after, so no gradient
+        reaches the caller's parameters.
         """
-        return self._invert(model, None, [target_class], joint=False)[0]
+        with _frozen([model]):
+            return self._invert(model, None, [target_class], joint=False)[0]
 
     def _invert(self, model: Module, source: Optional[int],
                 targets: List[int], joint: bool) -> List[ReversedTrigger]:

@@ -56,8 +56,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.layers import Module
 from ..nn.tensor import Tensor, enable_grad, no_grad
-from ..obs.metrics import PROFILER
-from ..obs.trace import span as _span
+from ..obs.trace import PROFILER, span as _span
 from ..utils.ssim import ssim, ssim_tensor, ssim_x_stats
 from .trigger_optimizer import (
     TriggerOptimizationConfig,

@@ -34,8 +34,7 @@ import numpy as np
 
 from ..data.dataset import Dataset
 from ..nn.layers import Module
-from ..obs.metrics import PROFILER
-from ..obs.trace import span as _span
+from ..obs.trace import PROFILER, span as _span
 from .configs import USBConfig
 from .detection import TriggerReverseEngineeringDetector
 from .mega import _forward_logits

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.detection import INVERSION_MODES, TriggerReverseEngineeringDetector
 from ..data.dataset import Dataset
 from ..nn.layers import Module
-from ..obs.metrics import PROFILER
+from ..obs.trace import PROFILER
 
 __all__ = ["ClassTiming", "TimingReport", "measure_detection_times"]
 
@@ -54,9 +54,10 @@ class ClassTiming:
     classes_timed: Tuple[int, ...] = ()
     #: Per-phase wall clock of a joint scan (``uap_sweep``, ``sweep``,
     #: ``coarse_sweep``, ``finalist_resume``, ``mega.fused_step``...),
-    #: recorded by the :data:`repro.obs.metrics.PROFILER`.  Unlike a per-class split, the
-    #: phase split *is* measurable for joint engines — phases run back to
-    #: back inside the tensor program.  Empty for sequential measurements.
+    #: recorded by the :data:`repro.obs.trace.PROFILER`.  Unlike a
+    #: per-class split, the phase split *is* measurable for joint engines —
+    #: phases run back to back inside the tensor program.  Empty for
+    #: sequential measurements.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property

@@ -5,12 +5,15 @@ reverse-mode automatic differentiation, convolutional/pooling/normalization
 layers, losses, optimizers and serialization.  See ``DESIGN.md`` for the
 substitution rationale.
 
-On import the package raises glibc's mmap/trim thresholds so that the large
-activation temporaries produced by mega-batch forwards are served from the
-reusable heap instead of being mmap'd and returned to the kernel on every
-free — without this, batches beyond ~1 MB per intermediate hit a page-fault
-cliff that makes per-sample cost ~5x worse.  Set ``REPRO_NO_MALLOC_TUNING=1``
-to disable.
+When :mod:`repro.nn.tensor` loads, it raises glibc's mmap/trim thresholds
+so that the large activation temporaries produced by mega-batch forwards
+are served from the reusable heap instead of being mmap'd and returned to
+the kernel on every free — without this, batches beyond ~1 MB per
+intermediate hit a page-fault cliff that makes per-sample cost ~5x worse.
+Every autograd path imports the tensor module first, so the tuning is in
+place before the first forward; reading a checkpoint alone
+(:mod:`repro.nn.serialization`, what a cache hit runs) neither tunes nor
+loads :mod:`ctypes`.  Set ``REPRO_NO_MALLOC_TUNING=1`` to disable.
 
 Thread tuning is not done on import: :mod:`repro.nn.blas` exposes
 ``share_cores(n)``, which executors running side by side on one host
@@ -23,27 +26,7 @@ Importing the package loads none of its submodules: each name in
 (:mod:`repro.nn.serialization`) does not compile the autograd kernels.
 """
 
-import ctypes as _ctypes
-import os as _os
-
 from .._lazy import lazy_exports
-
-
-def _tune_allocator() -> bool:
-    """Raise glibc malloc thresholds so big NumPy temporaries recycle pages."""
-    if _os.environ.get("REPRO_NO_MALLOC_TUNING"):
-        return False
-    try:
-        libc = _ctypes.CDLL("libc.so.6")
-        threshold = 512 * 1024 * 1024
-        m_mmap_threshold, m_trim_threshold = -3, -1
-        return bool(libc.mallopt(m_mmap_threshold, threshold)
-                    and libc.mallopt(m_trim_threshold, threshold))
-    except (OSError, AttributeError):  # non-glibc platform: nothing to tune
-        return False
-
-
-_ALLOCATOR_TUNED = _tune_allocator()
 
 #: Public name -> the submodule that defines it, in ``__all__`` order.
 _EXPORTS = {

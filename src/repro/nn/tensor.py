@@ -17,9 +17,34 @@ but the set is general enough to express arbitrary feed-forward networks.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+
+def _tune_allocator() -> bool:
+    """Raise glibc malloc thresholds so big NumPy temporaries recycle pages.
+
+    Runs once, when this module loads (see :mod:`repro.nn`);
+    ``REPRO_NO_MALLOC_TUNING=1`` turns it off.
+    """
+    if os.environ.get("REPRO_NO_MALLOC_TUNING"):
+        return False
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
+        threshold = 512 * 1024 * 1024
+        m_mmap_threshold, m_trim_threshold = -3, -1
+        return bool(libc.mallopt(m_mmap_threshold, threshold)
+                    and libc.mallopt(m_trim_threshold, threshold))
+    except (OSError, AttributeError):  # non-glibc platform: nothing to tune
+        return False
+
+
+_ALLOCATOR_TUNED = _tune_allocator()
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 

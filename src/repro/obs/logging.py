@@ -4,16 +4,22 @@ The default level is ``INFO``; override per process with the
 ``REPRO_LOG_LEVEL`` environment variable (``debug``/``info``/``warning``/
 ``error``/``critical``) or at runtime via :func:`set_log_level` (the CLI's
 ``--log-level`` flag).
+
+The stdlib :mod:`logging` package loads on the first call here, not on
+import, so a module may import :func:`get_logger` for free and call it
+where it logs: a cache hit, which logs nothing, never loads it.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    import logging
 
 __all__ = ["get_logger", "set_log_level", "timed", "LOG_LEVEL_ENV"]
 
@@ -26,6 +32,8 @@ _configured = False
 
 def _resolve_level(level: str | int | None) -> int:
     """Map a level name/number (or None -> env var -> INFO) to an int."""
+    import logging
+
     if level is None:
         level = os.environ.get(LOG_LEVEL_ENV, "").strip() or "INFO"
     if isinstance(level, int):
@@ -45,6 +53,8 @@ def get_logger(name: str = "repro") -> logging.Logger:
     rather than breaking the caller.
     """
     global _configured
+    import logging
+
     if not _configured:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter(_FORMAT))

@@ -1,4 +1,4 @@
-"""Prometheus-style metrics and the hot-path phase profiler.
+"""Prometheus-style metrics.
 
 :class:`MetricsRegistry` holds counters, gauges, and histograms and renders
 them in the Prometheus text exposition format (``# HELP`` / ``# TYPE``
@@ -8,17 +8,14 @@ plain scan-record dicts plus an optional daemon stats payload, so it works
 identically for the live daemon (``metrics.prom`` each cycle) and the
 offline ``python -m repro metrics`` subcommand.
 
-:data:`PROFILER` is the near-zero-cost-when-disabled hook used by
-``MegaInversionPool`` (the joint inversion engine): hot loops hoist
-``prof = PROFILER if PROFILER.enabled else None`` and pay a single ``None``
-check per iteration when profiling is off.
+The hot-path phase profiler (:class:`~repro.obs.trace.Profiler`,
+:data:`~repro.obs.trace.PROFILER`) lives in :mod:`repro.obs.trace`, beside
+the tracer every scan runs; it is importable from here too.
 """
 
-import os
-import threading
-import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+
+from .trace import _NULL_PHASE, PROFILER, Profiler  # noqa: F401
 
 __all__ = [
     "Counter",
@@ -210,112 +207,6 @@ class MetricsRegistry:
             for key in sorted(series):
                 lines.extend(series[key].samples(name))
         return "\n".join(lines) + "\n" if lines else ""
-
-
-# ---------------------------------------------------------------------- #
-# Hot-path profiler
-# ---------------------------------------------------------------------- #
-class _NullPhase:
-    """Shared no-op context manager for disabled profiling."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-_NULL_PHASE = _NullPhase()
-
-
-class Profiler:
-    """Per-phase wall-time and count accumulator for inversion hot paths.
-
-    Disabled by default; every recording method returns immediately (or a
-    shared null context) while :attr:`enabled` is False.  Hot loops hoist
-    ``prof = PROFILER if PROFILER.enabled else None`` before iterating so
-    the per-iteration cost of disabled profiling is one ``None`` check.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._pid: Optional[int] = None
-        self._lock = threading.Lock()
-        #: phase name -> [seconds, entries]
-        self._phases: Dict[str, List[float]] = {}
-        self._counts: Dict[str, int] = {}
-
-    def enable(self) -> None:
-        """Turn phase recording on for this process."""
-        self.enabled = True
-        self._pid = os.getpid()
-
-    def disable(self) -> None:
-        """Turn phase recording off (accumulated data is kept)."""
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Drop all accumulated phases and counts."""
-        with self._lock:
-            self._phases = {}
-            self._counts = {}
-
-    def check_fork(self) -> None:
-        """Reset and disable state inherited across ``fork`` (pid change)."""
-        if self._pid is not None and self._pid != os.getpid():
-            self.enabled = False
-            self._pid = None
-            self.reset()
-
-    def add_phase(self, name: str, seconds: float, entries: int = 1) -> None:
-        """Accumulate ``seconds`` of wall time under phase ``name``."""
-        if not self.enabled:
-            return
-        with self._lock:
-            slot = self._phases.get(name)
-            if slot is None:
-                self._phases[name] = [float(seconds), int(entries)]
-            else:
-                slot[0] += float(seconds)
-                slot[1] += int(entries)
-
-    def add_count(self, name: str, amount: int = 1) -> None:
-        """Accumulate an event count (e.g. optimizer iterations)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + int(amount)
-
-    def phase(self, name: str):
-        """Context manager timing a phase (shared null when disabled)."""
-        if not self.enabled:
-            return _NULL_PHASE
-        return self._timed(name)
-
-    @contextmanager
-    def _timed(self, name: str) -> Iterator[None]:
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_phase(name, time.perf_counter() - t0)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe view: ``{"phases": {name: {"seconds", "entries"}},
-        "counts": {...}}`` (empty dict when nothing was recorded)."""
-        with self._lock:
-            phases = {name: {"seconds": round(slot[0], 6), "entries": slot[1]}
-                      for name, slot in self._phases.items()}
-            counts = dict(self._counts)
-        if not phases and not counts:
-            return {}
-        return {"phases": phases, "counts": counts}
-
-
-#: The process-wide profiler used by the inversion engines.
-PROFILER = Profiler()
 
 
 # ---------------------------------------------------------------------- #

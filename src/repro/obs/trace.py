@@ -14,13 +14,19 @@ on the result record where the parent stitches them into the same tree.
 
 Span dictionaries are persisted as JSON lines (``spans.jsonl`` beside the
 result store) via :func:`write_spans` / :func:`read_spans`.
+
+:data:`PROFILER` is the near-zero-cost-when-disabled hook used by
+``MegaInversionPool`` (the joint inversion engine): hot loops hoist
+``prof = PROFILER if PROFILER.enabled else None`` and pay a single ``None``
+check per iteration when profiling is off.  It lives beside :data:`TRACER`
+because every scan runs both, so a cache hit never imports the metrics
+registry (:mod:`repro.obs.metrics`, which imports it back).
 """
 
 import json
 import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -34,6 +40,8 @@ __all__ = [
     "telemetry_enabled",
     "write_spans",
     "read_spans",
+    "Profiler",
+    "PROFILER",
 ]
 
 #: Environment switch for service-layer telemetry (``0``/``false`` disables).
@@ -56,11 +64,11 @@ def telemetry_enabled(default: bool = True) -> bool:
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace identifier."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 def _new_span_id() -> str:
-    return uuid.uuid4().hex[:12]
+    return os.urandom(6).hex()
 
 
 @dataclass
@@ -299,6 +307,112 @@ def span(name: str, **attrs: Any):
     if not tracer.enabled:
         return _NULL_SPAN
     return tracer._timed_span(name, dict(attrs) if attrs else {})
+
+
+# ---------------------------------------------------------------------- #
+# Hot-path profiler
+# ---------------------------------------------------------------------- #
+class _NullPhase:
+    """Shared no-op context manager for disabled profiling."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc: Any) -> bool:
+        return False
+
+
+_NULL_PHASE = _NullPhase()
+
+
+class Profiler:
+    """Per-phase wall-time and count accumulator for inversion hot paths.
+
+    Disabled by default; every recording method returns immediately (or a
+    shared null context) while :attr:`enabled` is False.  Hot loops hoist
+    ``prof = PROFILER if PROFILER.enabled else None`` before iterating so
+    the per-iteration cost of disabled profiling is one ``None`` check.
+    """
+
+    def __init__(self) -> None:
+        self.enabled = False
+        self._pid: Optional[int] = None
+        self._lock = threading.Lock()
+        #: phase name -> [seconds, entries]
+        self._phases: Dict[str, List[float]] = {}
+        self._counts: Dict[str, int] = {}
+
+    def enable(self) -> None:
+        """Turn phase recording on for this process."""
+        self.enabled = True
+        self._pid = os.getpid()
+
+    def disable(self) -> None:
+        """Turn phase recording off (accumulated data is kept)."""
+        self.enabled = False
+
+    def reset(self) -> None:
+        """Drop all accumulated phases and counts."""
+        with self._lock:
+            self._phases = {}
+            self._counts = {}
+
+    def check_fork(self) -> None:
+        """Reset and disable state inherited across ``fork`` (pid change)."""
+        if self._pid is not None and self._pid != os.getpid():
+            self.enabled = False
+            self._pid = None
+            self.reset()
+
+    def add_phase(self, name: str, seconds: float, entries: int = 1) -> None:
+        """Accumulate ``seconds`` of wall time under phase ``name``."""
+        if not self.enabled:
+            return
+        with self._lock:
+            slot = self._phases.get(name)
+            if slot is None:
+                self._phases[name] = [float(seconds), int(entries)]
+            else:
+                slot[0] += float(seconds)
+                slot[1] += int(entries)
+
+    def add_count(self, name: str, amount: int = 1) -> None:
+        """Accumulate an event count (e.g. optimizer iterations)."""
+        if not self.enabled:
+            return
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + int(amount)
+
+    def phase(self, name: str):
+        """Context manager timing a phase (shared null when disabled)."""
+        if not self.enabled:
+            return _NULL_PHASE
+        return self._timed(name)
+
+    @contextmanager
+    def _timed(self, name: str) -> Iterator[None]:
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.add_phase(name, time.perf_counter() - t0)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """JSON-safe view: ``{"phases": {name: {"seconds", "entries"}},
+        "counts": {...}}`` (empty dict when nothing was recorded)."""
+        with self._lock:
+            phases = {name: {"seconds": round(slot[0], 6), "entries": slot[1]}
+                      for name, slot in self._phases.items()}
+            counts = dict(self._counts)
+        if not phases and not counts:
+            return {}
+        return {"phases": phases, "counts": counts}
+
+
+#: The process-wide profiler used by the inversion engines.
+PROFILER = Profiler()
 
 
 def write_spans(path: str, spans: List[Dict[str, Any]]) -> None:

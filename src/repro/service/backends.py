@@ -43,8 +43,6 @@ if TYPE_CHECKING:
 __all__ = ["ExecutionBackend", "InlineBackend", "PoolBackend",
            "create_backend", "BACKEND_NAMES"]
 
-_LOG = get_logger("repro.service.backends")
-
 #: Backend specs accepted by :func:`create_backend` (and the CLI flag).
 BACKEND_NAMES = ("inline", "pool", "fleet")
 
@@ -105,7 +103,8 @@ def _requeue(queue: Deque[_Job], job: _Job, error: BaseException,
     Past the budget the failure is counted and False is returned.
     """
     if job[2] < retries:
-        _LOG.warning("Retrying job %d after %s", job[0], error)
+        get_logger(__name__).warning("Retrying job %d after %s", job[0],
+                                     error)
         metrics.retries += 1
         job[2] += 1
         queue.append(job)

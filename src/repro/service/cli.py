@@ -68,9 +68,12 @@ scenarios.
 
 Each command imports the modules it runs when it runs: ``scan`` never
 loads the HTTP server (``serve``), the fleet (``worker`` and ``--backend
-fleet``), the daemon (``watch``) or the repair pipeline (``repair``), and
-a ``scan`` or ``grid`` whose every request is a cache hit never loads
-NumPy.
+fleet``), the daemon (``watch``), the repair pipeline (``repair``), the
+metrics registry (``report`` and ``metrics``), the span renderer
+(``trace``) or the router (``--strategy``), and a ``scan`` or ``grid``
+whose every request is a cache hit never loads NumPy or the stdlib
+``uuid``, ``ctypes`` or ``datetime``, nor ``logging`` unless
+``--strategy`` logs its triage line.
 """
 
 from __future__ import annotations
@@ -86,14 +89,11 @@ from ..attacks.scenarios import SCENARIO_ALL_TO_ONE, SCENARIOS
 from ..core.configs import INVERSION_MODES
 from ..data import DATASET_SPECS
 from ..obs.logging import set_log_level
-from ..obs.metrics import build_service_registry, summarize_telemetry
-from ..obs.render import (format_trace_summaries, render_trace,
-                          summarize_traces)
 from ..obs.trace import read_spans
 from .backends import BACKEND_NAMES
 from .locks import atomic_write
-from .records import KNOWN_DETECTORS, RepairRecord, ScanRecord, ScanRequest
-from .routing import STRATEGIES, RoutingPolicy, route_scan
+from .records import (KNOWN_DETECTORS, STRATEGIES, RepairRecord, ScanRecord,
+                      ScanRequest)
 from .scheduler import ScanScheduler
 from .store import (SPANS_NAME, STATS_NAME, open_store, sidecar_path,
                     stream_records)
@@ -507,6 +507,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     """
     scheduler = _make_scheduler(args)
     if args.strategy:
+        from .routing import RoutingPolicy, route_scan
         request = _request_from_args(args, args.checkpoint, "usb")
         result = route_scan(scheduler, request,
                             RoutingPolicy(strategy=args.strategy))
@@ -686,6 +687,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     a store index first, so reporting on a large store is bounded by its
     largest shard, not its total size.
     """
+    from ..obs.metrics import summarize_telemetry
     from .fleet import fleet_snapshot
     scans: List[ScanRecord] = []
     repairs: List[RepairRecord] = []
@@ -795,6 +797,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: list recorded traces, or render one trace's span tree."""
+    from ..obs.render import (format_trace_summaries, render_trace,
+                              summarize_traces)
     spans_path = sidecar_path(args.store, SPANS_NAME)
     if args.trace_id:
         spans = read_spans(spans_path, trace_id=args.trace_id)
@@ -819,6 +823,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     Records are streamed as ``report`` streams them, so a path that holds
     no store renders a zeroed exposition and creates nothing.
     """
+    from ..obs.metrics import build_service_registry
     from .fleet import fleet_snapshot
     stats = _load_stats(args)
     if stats is not None:

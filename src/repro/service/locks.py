@@ -28,11 +28,7 @@ try:  # POSIX only; the store degrades gracefully without it.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..obs.logging import get_logger
-
 __all__ = ["FileLock", "LockTimeout", "atomic_write"]
-
-_LOG = get_logger("repro.service.locks")
 
 
 class LockTimeout(TimeoutError):

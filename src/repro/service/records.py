@@ -30,6 +30,9 @@ __all__ = ["ScanRequest", "ScanRecord", "RepairRecord", "record_from_dict"]
 
 #: Detectors the service knows how to build (see ``scheduler.build_detector``).
 KNOWN_DETECTORS = ("usb", "nc", "tabor")
+#: Triage strategies the router understands (see
+#: :mod:`repro.service.routing`).
+STRATEGIES = ("fastest", "cheapest", "thorough")
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,7 @@ from ..data.dataset import Dataset
 from ..nn.layers import Module
 from ..nn.serialization import METADATA_KEY
 from ..obs.logging import get_logger
-from ..obs.metrics import PROFILER
-from ..obs.trace import TRACER, span as _span
+from ..obs.trace import PROFILER, TRACER, span as _span
 from .fingerprint import digest_config, fingerprint_model, scan_key
 from .locks import atomic_write
 from .records import RepairRecord, ScanRequest

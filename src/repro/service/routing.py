@@ -35,16 +35,11 @@ from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.logging import get_logger
-from .records import KNOWN_DETECTORS, ScanRecord, ScanRequest
+from .records import KNOWN_DETECTORS, STRATEGIES, ScanRecord, ScanRequest
 from .scheduler import ScanScheduler
 
 __all__ = ["STRATEGIES", "RoutingPolicy", "TriageResult", "route_scan",
            "record_max_anomaly", "escalation_reason"]
-
-_LOG = get_logger("repro.service.routing")
-
-#: Triage strategies the router understands (see the module docstring).
-STRATEGIES = ("fastest", "cheapest", "thorough")
 
 
 @dataclass(frozen=True)
@@ -300,8 +295,9 @@ def route_scan(scheduler: ScanScheduler, request: ScanRequest,
         "total_seconds": total,
     }
     result = _merge(policy.strategy, records, breakdown)
-    _LOG.info("triage[%s] %s -> %s (%d stage(s) ran, %d skipped, %.2fs)",
-              policy.strategy, request.checkpoint,
-              "BACKDOORED" if result.is_backdoored else "clean",
-              len(stages), len(skipped), total)
+    get_logger(__name__).info(
+        "triage[%s] %s -> %s (%d stage(s) ran, %d skipped, %.2fs)",
+        policy.strategy, request.checkpoint,
+        "BACKDOORED" if result.is_backdoored else "clean",
+        len(stages), len(skipped), total)
     return result

@@ -42,7 +42,9 @@ neither needs NumPy: the fingerprint streams the checkpoint's bytes
 without building arrays.  So this module imports NumPy, the clean-data
 builders, the architectures, the detectors and the inversion engines only
 where a miss runs; :func:`load_inversion_stack` imports the heavy part
-all at once, before a batch dispatches its misses.
+all at once, before a batch dispatches its misses.  Likewise a miss
+imports :mod:`datetime` to stamp its record, and the logger is fetched
+where a batch logs, so a hit loads neither.
 
 **Metrics.**  Every scheduler carries a :class:`ServiceMetrics` accumulator
 (scans served, cache-hit ratio, p50/p95 scan latency, failures, retries)
@@ -57,7 +59,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import (dataclass, field as dataclass_field,
                          replace as dataclass_replace)
-from datetime import datetime, timezone
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
                     Optional, Sequence, Tuple, TypeVar, Union)
 
@@ -68,8 +69,7 @@ from ..core.configs import (NeuralCleanseConfig, TaborConfig,
 from ..data import DATASET_SPECS
 from ..nn.serialization import load_checkpoint, validate_state_dict
 from ..obs.logging import get_logger
-from ..obs.metrics import PROFILER
-from ..obs.trace import (TRACER, new_trace_id, span as _span,
+from ..obs.trace import (PROFILER, TRACER, new_trace_id, span as _span,
                          telemetry_enabled, write_spans)
 from .backends import ExecutionBackend, create_backend
 from .fingerprint import digest_config, read_checkpoint_fingerprint, scan_key
@@ -89,13 +89,13 @@ __all__ = ["ResolvedScan", "ScanScheduler", "resolve_request",
            "load_inversion_stack", "JobTimeoutError", "ServiceMetrics",
            "activation_cache_bytes"]
 
-_LOG = get_logger("repro.service.scheduler")
-
 _JobT = TypeVar("_JobT")
 _ResultT = TypeVar("_ResultT")
 
 
 def _utc_now() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -626,8 +626,9 @@ class ScanScheduler:
         rest = [index for index, item in enumerate(items)
                 if item.request.inversion_mode != "mega"]
         if mega:
-            _LOG.info("Pooling %d mega-mode scan(s) into one mega-batch.",
-                      len(mega))
+            get_logger(__name__).info(
+                "Pooling %d mega-mode scan(s) into one mega-batch.",
+                len(mega))
             [group] = self.run_jobs(execute_mega_group,
                                     [[items[index] for index in mega]])
             for index, record in zip(mega, group):
@@ -699,10 +700,10 @@ class ScanScheduler:
                                             self._served_copy,
                                             span_name=lookup_span)
             if pending:
-                _LOG.info("Computing %d/%d request(s) (%d served from cache) "
-                          "via the %s backend.", len(pending), len(resolved),
-                          sum(r is not None for r in results),
-                          self.backend.name)
+                get_logger(__name__).info(
+                    "Computing %d/%d request(s) (%d served from cache) via "
+                    "the %s backend.", len(pending), len(resolved),
+                    sum(r is not None for r in results), self.backend.name)
                 load_inversion_stack()
                 fresh = execute([item for _, item in pending])
                 for (index, _), record in zip(pending, fresh):

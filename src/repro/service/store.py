@@ -49,8 +49,6 @@ __all__ = ["ResultStore", "ShardedResultStore", "open_store",
 #: Record types a store line may decode to (see ``records.record_from_dict``).
 StoreRecord = Union[ScanRecord, RepairRecord]
 
-_LOG = get_logger("repro.service.store")
-
 #: Manifest file written at the root of a sharded store directory.
 MANIFEST_NAME = "store.json"
 #: File name of the daemon's stats endpoint inside a sharded store directory
@@ -107,7 +105,8 @@ def _iter_jsonl_records(path: str) -> Iterator[StoreRecord]:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 skipped += 1
     if skipped:
-        _LOG.warning("%s: skipped %d unreadable line(s).", path, skipped)
+        get_logger(__name__).warning("%s: skipped %d unreadable line(s).",
+                                     path, skipped)
 
 
 def _encode(record: StoreRecord) -> bytes:

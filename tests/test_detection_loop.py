@@ -129,6 +129,25 @@ class TestOneLoop:
                            (_detector("tabor", clean), model, CLASSES)])
         assert all(p.requires_grad for p in model.parameters())
 
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_reverse_engineer_freezes_a_trainable_model(self, probe, kind):
+        # Like detect: no gradient reaches the caller's weights, the flags
+        # come back, and the trigger is sequential detect's cell.
+        _, clean = probe
+        model = BasicCNN(in_channels=3, num_classes=4, image_size=16,
+                         conv_channels=(6, 12), hidden_dim=32,
+                         rng=np.random.default_rng(5))
+        trigger = _detector(kind, clean).reverse_engineer(model, 2)
+        assert all(p.requires_grad for p in model.parameters())
+        assert [p for p in model.parameters() if p.grad is not None] == []
+        [cell] = _detector(kind, clean).detect(
+            model, classes=[2], mode="sequential").triggers
+        assert cell.pair == trigger.pair == (None, 2)
+        assert (trigger.success_rate, trigger.iterations) == \
+            (cell.success_rate, cell.iterations)
+        np.testing.assert_array_equal(trigger.pattern, cell.pattern)
+        np.testing.assert_array_equal(trigger.mask, cell.mask)
+
     @pytest.mark.parametrize("mode", ["batched", "mega"])
     def test_timing_harness_times_one_detect_call(self, probe, mode):
         model, clean = probe

@@ -1,11 +1,11 @@
 """Lazy package exports resolve to their definitions, and cache keys stay put.
 
-``repro``, ``repro.nn``, ``repro.core``, ``repro.attacks`` and
-``repro.service`` resolve their public names on first access
-(:mod:`repro._lazy`), and the detector configs a cache key digests live in
-:mod:`repro.core.configs`.  A wrong export table would break an import
-path; a renamed config class or a changed default would orphan every
-cached verdict without any error.  The digests and the key below were
+``repro``, ``repro.nn``, ``repro.core``, ``repro.attacks``, ``repro.data``,
+``repro.eval``, ``repro.obs`` and ``repro.service`` resolve their public
+names on first access (:mod:`repro._lazy`), and the detector configs a
+cache key digests live in :mod:`repro.core.configs`.  A wrong export table
+would break an import path; a renamed config class or a changed default
+would orphan every cached verdict without any error.  The digests and the key below were
 computed before the configs moved, so they pin both.
 """
 
@@ -26,7 +26,7 @@ from repro.service.scheduler import _detector_config, resolve_request
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 PACKAGES = ("repro", "repro.nn", "repro.core", "repro.attacks",
-            "repro.service", "repro.eval", "repro.data")
+            "repro.service", "repro.eval", "repro.data", "repro.obs")
 
 #: Detector-config digests of a CLI scan with default flags.
 CLI_DEFAULT_DIGESTS = {"usb": "63172bfad996700e", "nc": "041d72694c3a3640",

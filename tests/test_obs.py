@@ -6,6 +6,7 @@ enabled flag would silently change the behavior of unrelated suites.
 """
 
 import json
+import re
 import time
 
 import pytest
@@ -27,7 +28,8 @@ from repro.obs import (
     write_spans,
 )
 from repro.obs.metrics import _NULL_PHASE
-from repro.obs.trace import _NULL_SPAN, TELEMETRY_ENV
+from repro.obs.trace import _NULL_SPAN, TELEMETRY_ENV, _new_span_id
+from repro.service.backends import PoolBackend
 
 
 @pytest.fixture(autouse=True)
@@ -150,6 +152,28 @@ class TestTracer:
         TRACER.check_fork()
         assert TRACER.enabled
         assert len(TRACER.drain()) == 1
+
+
+def _draw_ids(count):
+    return [new_trace_id() for _ in range(count)], \
+        [_new_span_id() for _ in range(count)]
+
+
+class TestIds:
+    def test_trace_and_span_ids_are_lowercase_hex(self):
+        trace_ids, span_ids = _draw_ids(2000)
+        assert all(re.fullmatch("[0-9a-f]{16}", i) for i in trace_ids)
+        assert all(re.fullmatch("[0-9a-f]{12}", i) for i in span_ids)
+        assert len(set(trace_ids)) == len(set(span_ids)) == 2000
+
+    def test_forked_children_draw_their_own_ids(self):
+        # Ids come from the kernel, not from state a fork copies: a
+        # ``pool`` child never repeats its parent's next draws.
+        children = PoolBackend(2).run(_draw_ids, [500, 500])
+        parent = _draw_ids(500)
+        trace_ids = [i for ids, _ in children + [parent] for i in ids]
+        span_ids = [i for _, ids in children + [parent] for i in ids]
+        assert len(set(trace_ids)) == len(set(span_ids)) == 1500
 
 
 # ---------------------------------------------------------------------- #

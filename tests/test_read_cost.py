@@ -1,6 +1,7 @@
 """Reads cost what they read: a cache hit replays one shard, a command
 imports only its own modules, and a cold hit compiles none of the
-inversion stack and never imports NumPy.
+inversion stack, never imports NumPy, and loads none of the stdlib or
+``repro`` modules that only a miss or another command runs.
 
 Decoded store lines are counted by wrapping
 ``repro.service.store._iter_jsonl_records``, the one function every replay
@@ -13,6 +14,7 @@ import collections
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -46,6 +48,13 @@ MISS_MODULES = ("repro.nn.functional", "repro.nn.tensor", "repro.nn.layers",
 #: What ``scheduler.load_inversion_stack`` imports.
 STACK_MODULES = ("repro.core.detection", "repro.core.mega", "repro.models",
                  "repro.defenses")
+#: Modules a cache hit does not run, so no cached command loads them: the
+#: stdlib loggers, ids, FFI and clocks, the metrics registry and span
+#: renderer (``report``, ``metrics``, ``trace``) and the router
+#: (``--strategy``).  ``tools/import_check.py`` holds the same list.
+HIT_UNUSED = ("logging", "uuid", "platform", "ctypes", "datetime",
+              "repro.obs.metrics", "repro.obs.render",
+              "repro.service.routing")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
@@ -205,29 +214,31 @@ def test_cli_import_loads_only_what_every_command_needs():
 
 
 #: Cached commands through ``cli.main`` — the ``scan`` hit given on the
-#: command line as JSON and as text, the same scan routed by ``--strategy
-#: fastest`` (its USB probe is the cached scan and escalates nowhere), and
-#: the cached ``grid`` as JSON and as text — each noting whether NumPy was
-#: loaded after it; then the same scan with another seed, a miss.
+#: command line as JSON and as text, the cached ``grid`` as JSON and as
+#: text, and last the same scan routed by ``--strategy fastest`` (its USB
+#: probe is the cached scan and escalates nowhere) — each noting which of
+#: NumPy and ``HIT_UNUSED`` were loaded after it; then the same scan with
+#: another seed, a miss.
 COLD_HIT = """
 import contextlib, io, json, sys
 from repro.service.cli import main
 
 argv = json.loads(sys.argv[1])
+watched = ["numpy"] + argv["unused"]
 steps = []
 
 def run(name, args):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(args) == 0
-    steps.append([name, "numpy" in sys.modules])
+    steps.append([name, [m for m in watched if m in sys.modules]])
     return out.getvalue()
 
 hit = json.loads(run("scan --json", argv["scan"] + ["--json"]))[0]
 text = run("scan", argv["scan"])
-routed = run("scan --strategy", argv["scan"] + ["--strategy", "fastest"])
 grid = json.loads(run("grid --json", argv["grid"] + ["--json"]))[0]
 grid_text = run("grid", argv["grid"])
+routed = run("scan --strategy", argv["scan"] + ["--strategy", "fastest"])
 loaded = [m for m in sys.modules if m == "repro" or m.startswith("repro.")]
 miss = json.loads(run("miss", argv["scan"] + ["--seed", "1", "--json"]))[0]
 print(json.dumps({"hit": hit["cache_hit"], "text": text, "routed": routed,
@@ -247,21 +258,53 @@ def test_cold_cache_hit_loads_none_of_the_miss_path(tmp_path, capsys):
 
     grid = ["grid", checkpoint, "--store", store_path, "--detectors", "usb",
             *TINY_FLAGS[2:]]
-    result = _run_fresh(COLD_HIT, json.dumps({"scan": args, "grid": grid}))
+    result = _run_fresh(COLD_HIT, json.dumps({"scan": args, "grid": grid,
+                                              "unused": HIT_UNUSED}))
     assert result["hit"] is True
     assert "(cache hit)" in result["text"] and "class 2: L1=" in result["text"]
     assert "usb    clean" in result["routed"] and "skipped tabor" in \
         result["routed"] and "(cache hit)" in result["routed"]
     assert result["grid"][0] is True and "hit" in result["grid"][1]
-    # No cached command imports NumPy; the miss after them does.
-    assert result["steps"][:-1] == [[name, False] for name, _ in
-                                    result["steps"][:-1]], result["loaded"]
-    assert result["steps"][-1] == ["miss", True]
+    # No cached command imports NumPy or a module of HIT_UNUSED, except
+    # that routing loads the router and logs its triage line; the miss
+    # after them imports NumPy.
+    assert result["steps"][:-1] == [
+        ["scan --json", []], ["scan", []], ["grid --json", []], ["grid", []],
+        ["scan --strategy", ["logging", "repro.service.routing"]],
+    ], result["loaded"]
+    assert result["steps"][-1][0] == "miss"
+    assert "numpy" in result["steps"][-1][1]
     assert [m for m in MISS_MODULES if m in result["loaded"]] == []
-    assert len(result["loaded"]) <= 30, result["loaded"]
+    assert len(result["loaded"]) <= 25, result["loaded"]
     # The same process still computes a miss, under its own key.
     assert result["miss"] is False
     assert result["keys"][0] == computed["key"] != result["keys"][1]
+
+
+#: Import one module alone; report whether ``ctypes`` loaded and, if
+#: ``repro.nn.tensor`` loaded, whether it tuned the allocator.
+ALLOCATOR = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+tensor = sys.modules.get("repro.nn.tensor")
+print(json.dumps(["ctypes" in sys.modules,
+                  getattr(tensor, "_ALLOCATOR_TUNED", None)]))
+"""
+
+
+def test_reading_a_checkpoint_loads_no_ctypes():
+    assert _run_fresh(ALLOCATOR, "repro.nn.serialization") == [False, None]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator tuning is glibc's mallopt")
+@pytest.mark.parametrize("opt_out", [False, True])
+def test_tensor_import_tunes_the_allocator(monkeypatch, opt_out):
+    if opt_out:
+        monkeypatch.setenv("REPRO_NO_MALLOC_TUNING", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_MALLOC_TUNING", raising=False)
+    assert _run_fresh(ALLOCATOR, "repro.nn.tensor") == [True, not opt_out]
 
 
 def test_unknown_model_exits_2_and_names_the_models(capsys):

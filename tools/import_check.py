@@ -8,16 +8,18 @@ when that module is the first thing a process imports.  This check makes
 each module that first thing, once, and fails on any error.
 
 Then it imports :mod:`repro.service.cli` alone under ``-X importtime``:
-a cache hit runs only what the CLI imports, and must not load NumPy.  If
-NumPy appears, the check names the ``repro`` module whose import loaded
-it.
+a cache hit runs only what the CLI imports, and must load none of
+:data:`HIT_UNUSED` — not NumPy, nor the stdlib and ``repro`` modules that
+only a miss or another command runs.  For each one that appears, the check
+names the ``repro`` module whose import loaded it.
 
 Run with ``make import-check`` or::
 
     PYTHONPATH=src python tools/import_check.py
 
 Prints one line per failing module with the last line of its error, then
-a summary; exits 1 if any module failed or the CLI loads NumPy.
+a summary; exits 1 if any module failed or the CLI loads a module of
+:data:`HIT_UNUSED`.
 """
 
 from __future__ import annotations
@@ -27,12 +29,21 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
-#: The module whose import must not load NumPy.
+#: The module a cache hit runs within.
 _CLI = "repro.service.cli"
+#: Modules importing :data:`_CLI` must not load: NumPy (a hit builds no
+#: array), the stdlib loggers, ids, FFI and clocks only a miss or a server
+#: runs, the metrics registry and span renderer (``report``, ``metrics``,
+#: ``trace``) and the router (``--strategy``).
+#: ``tests/test_read_cost.py`` checks the same list after each cached
+#: command.
+HIT_UNUSED = ("numpy", "logging", "uuid", "platform", "ctypes", "datetime",
+              "repro.obs.metrics", "repro.obs.render",
+              "repro.service.routing")
 #: One ``-X importtime`` row: its indentation is the import nesting depth.
 _IMPORT_ROW = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|( +)(\S+)")
 
@@ -70,30 +81,32 @@ def import_alone(name: str) -> Tuple[str, Optional[str]]:
     return name, lines[-1] if lines else f"exit {done.returncode}"
 
 
-def numpy_importer() -> Optional[str]:
-    """The ``repro`` module whose import loads NumPy when the CLI loads.
+def unused_importers() -> Dict[str, str]:
+    """Each :data:`HIT_UNUSED` module the CLI loads -> the ``repro`` importer.
 
-    ``None`` when importing :data:`_CLI` alone leaves NumPy out.  ``-X
+    Empty when importing :data:`_CLI` alone loads none of them.  ``-X
     importtime`` prints each module after the modules it imported, one
     indentation step deeper, so the importer is the first later row that
-    sits shallower than NumPy's and names a ``repro`` module.  A module a
-    lazy export loads (``importlib.import_module``) prints no row, so the
-    importer named then is the module that read the lazy name.
+    sits shallower than the module's and names a ``repro`` module.  A
+    module a lazy export loads (``importlib.import_module``) prints no
+    row, so the importer named then is the module that read the lazy name.
     """
     rows = [(len(match.group(1)), match.group(2))
             for match in map(_IMPORT_ROW.match,
                              _import_fresh(_CLI, "-X", "importtime")
                              .stderr.splitlines()) if match]
+    found: Dict[str, str] = {}
     for index, (depth, module) in enumerate(rows):
-        if module != "numpy":
+        if module not in HIT_UNUSED:
             continue
+        found[module] = _CLI
         for outer_depth, outer in rows[index + 1:]:
             if outer_depth < depth:
                 depth = outer_depth
                 if outer.startswith("repro"):
-                    return outer
-        return _CLI
-    return None
+                    found[module] = outer
+                    break
+    return found
 
 
 def main() -> int:
@@ -108,13 +121,13 @@ def main() -> int:
         print(f"{name}: {error}", file=sys.stderr)
     print(f"{len(names) - len(failures)} of {len(names)} module(s) import "
           "alone.")
-    importer = numpy_importer()
-    if importer is not None:
-        print(f"{_CLI}: importing it loads numpy, through {importer}",
+    importers = unused_importers()
+    for module, importer in importers.items():
+        print(f"{_CLI}: importing it loads {module}, through {importer}",
               file=sys.stderr)
-    else:
-        print(f"{_CLI} imports without numpy.")
-    return 1 if failures or importer is not None else 0
+    if not importers:
+        print(f"{_CLI} imports without {', '.join(HIT_UNUSED)}.")
+    return 1 if failures or importers else 0
 
 
 if __name__ == "__main__":
