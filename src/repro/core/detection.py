@@ -238,7 +238,7 @@ class TriggerReverseEngineeringDetector:
         One one-cell pool run from :meth:`_mega_inits`, over the full clean
         set: what ``mode="sequential"`` runs for each cell.  Like
         :meth:`detect`, it puts ``model`` in eval mode with its parameter
-        gradients off and restores their flags after, so no gradient
+        gradients off and restores its modes and flags after, so no gradient
         reaches the caller's parameters.
         """
         with _frozen([model]):
@@ -365,18 +365,23 @@ class TriggerReverseEngineeringDetector:
 def _frozen(models: Sequence[Module]) -> Iterator[None]:
     """Eval mode with parameter gradients off for ``models``, then restore.
 
-    Flags come back in reverse order: a model listed twice keeps its own.
+    Every submodule's ``training`` flag and every parameter's
+    ``requires_grad`` come back, in reverse order: a model listed twice
+    keeps its own.
     """
     restore = []
     for model in models:
+        restore.append(([(m, m.training) for m in model.modules()],
+                        [(p, p.requires_grad) for p in model.parameters()]))
         model.eval()
-        restore.append((model, [p.requires_grad for p in model.parameters()]))
         model.requires_grad_(False)
     try:
         yield
     finally:
-        for model, flags in reversed(restore):
-            for param, flag in zip(model.parameters(), flags):
+        for modes, grads in reversed(restore):
+            for module, training in modes:
+                module.training = training
+            for param, flag in grads:
                 param.requires_grad = flag
 
 

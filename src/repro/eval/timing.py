@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.detection import INVERSION_MODES, TriggerReverseEngineeringDetector
+from ..core.detection import (INVERSION_MODES,
+                              TriggerReverseEngineeringDetector, _frozen)
 from ..data.dataset import Dataset
 from ..nn.layers import Module
 from ..obs.trace import PROFILER
@@ -139,7 +140,8 @@ def measure_detection_times(model: Module,
     """Time trigger reverse engineering of every detector on ``model``.
 
     Args:
-        model: Trained model to scan (gradients are disabled for the run).
+        model: Trained model to scan, in eval mode with gradients off
+            for the run; its modes and gradient flags come back after.
         detectors: Name -> detector mapping; one timing entry per detector.
         classes: Candidate classes (default: every class of the clean pool).
         case_name: Label stamped on the report.
@@ -153,11 +155,8 @@ def measure_detection_times(model: Module,
     if mode not in INVERSION_MODES:
         raise ValueError(f"Unknown timing mode '{mode}'. "
                          f"Available: {', '.join(INVERSION_MODES)}")
-    model.eval()
-    was_grad = [p.requires_grad for p in model.parameters()]
-    model.requires_grad_(False)
-    try:
-        timings: List[ClassTiming] = []
+    timings: List[ClassTiming] = []
+    with _frozen([model]):
         for name, detector in detectors.items():
             class_list = list(classes) if classes is not None else list(
                 range(detector.clean_data.num_classes))
@@ -189,7 +188,4 @@ def measure_detection_times(model: Module,
                     timing.per_class_seconds[target] = (time.perf_counter()
                                                         - start)
             timings.append(timing)
-        return TimingReport(case_name=case_name, timings=timings)
-    finally:
-        for param, flag in zip(model.parameters(), was_grad):
-            param.requires_grad = flag
+    return TimingReport(case_name=case_name, timings=timings)

@@ -23,6 +23,15 @@ over the existing scheduler + store stack:
   ``repro_triage_*`` families.
 * ``GET /healthz`` — liveness probe (used by the smoke script).
 
+**Connections.**  Sockets run with ``TCP_NODELAY``: a response goes out as
+a header write and a body write, and with Nagle's algorithm on, the body
+would wait for the client's delayed ACK of the headers (~40 ms per
+exchange on a keep-alive connection).  The handler reads every request's
+declared ``Content-Length`` body before it answers, whatever the route or
+status, so the next request on the connection starts at a request line;
+a body it cannot delimit (a malformed ``Content-Length``, or any
+``Transfer-Encoding``) is answered ``400`` and the connection closed.
+
 **Threading model.**  Handler threads only parse payloads, mutate the
 job table under its lock, and put ``(priority, sequence, job_id)`` on the
 queue (the sequence number, drawn under the same lock, keeps equal
@@ -466,8 +475,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs/paths onto the owning :class:`ApiServer`."""
 
     protocol_version = "HTTP/1.1"
-    #: GET routes: exact paths plus the two parameterized families.
-    _GET_PREFIXES = ("/v1/jobs/", "/v1/traces/")
+    #: ``TCP_NODELAY`` on each accepted socket (``StreamRequestHandler``):
+    #: a body written right after its headers leaves at once instead of
+    #: waiting for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     @property
     def api(self) -> ApiServer:
@@ -501,10 +512,20 @@ class _Handler(BaseHTTPRequestHandler):
     # Routing
     # -------------------------------------------------------------- #
     def _handle(self, method: str) -> None:
-        """Route one request, timing it into the HTTP metric families."""
+        """Route one request, timing it into the HTTP metric families.
+
+        The declared body is read first, whatever the route, so no answer
+        leaves body bytes on a keep-alive connection; a body that cannot be
+        delimited is refused with ``400`` and the connection closed.
+        """
         path = urlparse(self.path).path.rstrip("/") or "/"
         started = time.perf_counter()
-        route, code = self._route(method, path)
+        try:
+            self._body = self._read_body()
+        except _BadRequest as error:
+            route, code = path, self._send_error(400, str(error), close=True)
+        else:
+            route, code = self._route(method, path)
         self.api.observe_http(method, route, code,
                               time.perf_counter() - started)
 
@@ -550,10 +571,8 @@ class _Handler(BaseHTTPRequestHandler):
     # Endpoints
     # -------------------------------------------------------------- #
     def _post_scan(self) -> int:
-        payload = self._read_json()
-        if payload is None:
-            return self._last_code
         try:
+            payload = self._read_json()
             request, strategy, priority = _parse_scan_submit(payload)
         except _BadRequest as error:
             return self._send_error(400, str(error))
@@ -564,10 +583,8 @@ class _Handler(BaseHTTPRequestHandler):
         return self._send_json(202, job.status_dict())
 
     def _post_repair(self) -> int:
-        payload = self._read_json()
-        if payload is None:
-            return self._last_code
         try:
+            payload = self._read_json()
             request, priority = _parse_repair_submit(payload)
         except _BadRequest as error:
             return self._send_error(400, str(error))
@@ -604,50 +621,60 @@ class _Handler(BaseHTTPRequestHandler):
         return self._send_json(200, {"trace_id": trace_id, "spans": spans})
 
     # -------------------------------------------------------------- #
-    # Response plumbing
+    # Request and response plumbing
     # -------------------------------------------------------------- #
-    _last_code = 0
+    def _read_body(self) -> bytes:
+        """The request's declared body: ``Content-Length`` bytes, or none.
 
-    def _read_json(self) -> Optional[Dict[str, Any]]:
-        """Read and parse the request body; answers 400 itself on failure."""
+        Raises:
+            _BadRequest: the body cannot be delimited (a ``Content-Length``
+                that is not a non-negative integer, or a
+                ``Transfer-Encoding`` body).
+        """
+        if "Transfer-Encoding" in self.headers:
+            raise _BadRequest("Transfer-Encoding bodies are not supported; "
+                              "send a Content-Length")
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadRequest(f"invalid Content-Length: {declared!r}")
+        return self.rfile.read(int(declared))
+
+    def _read_json(self) -> Dict[str, Any]:
+        """The request body parsed as a JSON object.
+
+        Raises:
+            _BadRequest: the body is empty, not JSON, or not an object.
+        """
+        if not self._body:
+            raise _BadRequest("empty request body")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        if length <= 0:
-            self._last_code = self._send_error(400, "empty request body")
-            return None
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw.decode("utf-8"))
+            payload = json.loads(self._body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            self._last_code = self._send_error(400,
-                                               f"invalid JSON body: {error}")
-            return None
+            raise _BadRequest(f"invalid JSON body: {error}") from error
         if not isinstance(payload, dict):
-            self._last_code = self._send_error(400,
-                                               "request body must be a JSON "
-                                               "object")
-            return None
+            raise _BadRequest("request body must be a JSON object")
         return payload
 
-    def _send_json(self, code: int, payload: Dict[str, Any]) -> int:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, code: int, content_type: str, body: bytes,
+              close: bool = False) -> int:
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets ``close_connection``: the server hangs up after it.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         return code
+
+    def _send_json(self, code: int, payload: Dict[str, Any],
+                   close: bool = False) -> int:
+        return self._send(code, "application/json",
+                          json.dumps(payload).encode("utf-8"), close)
 
     def _send_text(self, code: int, text: str) -> int:
-        body = text.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        return code
+        return self._send(code, "text/plain; version=0.0.4",
+                          text.encode("utf-8"))
 
-    def _send_error(self, code: int, message: str) -> int:
-        return self._send_json(code, {"error": message, "code": code})
+    def _send_error(self, code: int, message: str, close: bool = False) -> int:
+        return self._send_json(code, {"error": message, "code": code}, close)

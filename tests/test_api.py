@@ -4,15 +4,21 @@ Every suite here drives a *real* server on an ephemeral loopback port
 with stdlib ``urllib`` clients — submit -> poll -> result round trips,
 error contracts, cache-hit resubmits, concurrent multi-tenant clients
 with CLI verdict parity, strategy routing over the wire, and the
-``/metrics`` exposition.  The dispatch order of staged jobs (priority,
+``/metrics`` exposition.  ``TestKeepAlive`` talks over one
+``http.client`` connection, as the benchmark and most clients do: error
+answers leave no body bytes behind, and an exchange does not wait for the
+client's delayed ACK.  The dispatch order of staged jobs (priority,
 then submit order), ``close(drain=True)`` without a dispatcher and
 ``close()`` on a server that never started are pinned on servers that run
 no scan.
 """
 
 import functools
+import http.client
 import json
 import os
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -62,6 +68,15 @@ def _request(base, method, path, payload=None):
         return code, json.loads(body)
     except json.JSONDecodeError:
         return code, body
+
+
+def _exchange(conn, method, path, payload=None):
+    """One round trip on a kept-alive connection; (status, decoded JSON)."""
+    body = json.dumps(payload) if payload is not None else None
+    headers = {"Content-Type": "application/json"} if body is not None else {}
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
 
 
 def _flaky_execute(marker, resolved):
@@ -338,6 +353,77 @@ class TestErrorContracts:
             assert "queued" in body["error"]
         finally:
             api.close()
+
+
+# --------------------------------------------------------------------- #
+# Keep-alive connections
+# --------------------------------------------------------------------- #
+class TestKeepAlive:
+    @pytest.fixture()
+    def conn(self, server):
+        """One keep-alive ``http.client`` connection to the live server."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=30)
+        yield conn
+        conn.close()
+
+    def test_error_answers_read_the_request_body(self, conn):
+        for method, path, code in (("POST", "/metrics", 405),
+                                   ("POST", "/v1/jobs/x", 405),
+                                   ("PUT", "/v1/scans", 405),
+                                   ("POST", "/nope", 404)):
+            assert _exchange(conn, method, path, {"checkpoint": "x.npz"})[0] \
+                == code
+            assert _exchange(conn, "GET", "/healthz") == (200, {"status": "ok"})
+
+    @pytest.mark.parametrize("framing", ["Content-Length: abc",
+                                         "Content-Length: -2",
+                                         "Transfer-Encoding: chunked"])
+    def test_undelimited_body_is_refused_and_the_connection_closed(
+            self, server, framing):
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(f"POST /v1/scans HTTP/1.1\r\nHost: test\r\n"
+                         f"{framing}\r\n\r\n2\r\n{{}}\r\n0\r\n\r\n".encode())
+            reply = b""
+            # The server hangs up after its answer; a kept-open connection
+            # times this read out.
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["code"] == 400
+
+    def test_exchange_does_not_wait_for_a_delayed_ack(self, conn):
+        # With Nagle's algorithm on, each answer's body waits ~40 ms for
+        # the client's ACK of its headers.
+        seconds = []
+        for _ in range(21):
+            started = time.perf_counter()
+            assert _exchange(conn, "GET", "/healthz")[0] == 200
+            seconds.append(time.perf_counter() - started)
+        assert statistics.median(seconds) < 0.020
+
+    def test_cached_job_round_trip_is_fast(self, conn, tmp_path):
+        payload = {"checkpoint": _save_tiny(tmp_path / "m.npz"),
+                   "strategy": "fastest", **TINY}
+
+        def run_job(pause):
+            _, job = _exchange(conn, "POST", "/v1/scans", payload)
+            while _exchange(conn, "GET", f"/v1/jobs/{job['job_id']}")[1][
+                    "status"] not in ("done", "failed"):
+                time.sleep(pause)
+            return _exchange(conn, "GET", f"/v1/jobs/{job['job_id']}/result")
+
+        run_job(0.05)  # The first submit scans and fills the cache.
+        started = time.perf_counter()
+        code, answer = run_job(0.002)
+        seconds = time.perf_counter() - started
+        assert code == 200
+        assert answer["result"]["cost_breakdown"]["stages"][0]["cache_hit"]
+        # Submit, at least one poll and the result: three exchanges.
+        assert seconds < 0.100
 
 
 # --------------------------------------------------------------------- #

@@ -158,3 +158,46 @@ class TestOneLoop:
         assert timing.total is not None and timing.total > 0
         assert timing.per_class_seconds == {}
         assert timing.classes_timed == tuple(CLASSES)
+
+
+def _trainable_model():
+    """The probe architecture in training mode with trainable weights."""
+    return BasicCNN(in_channels=3, num_classes=4, image_size=16,
+                    conv_channels=(6, 12), hidden_dim=32,
+                    rng=np.random.default_rng(5)).train()
+
+
+#: Every entry point that runs a caller's model frozen.
+FREEZING_CALLS = {
+    **{f"detect_{mode}": (lambda model, clean, mode=mode: _detector(
+        "nc", clean).detect(model, classes=CLASSES, mode=mode))
+       for mode in INVERSION_MODES},
+    "reverse_engineer": lambda model, clean: _detector(
+        "nc", clean).reverse_engineer(model, 2),
+    "detect_mega_fleet": lambda model, clean: detect_mega_fleet(
+        [(_detector("nc", clean), model, CLASSES)]),
+    "measure_detection_times": lambda model, clean: measure_detection_times(
+        model, {"NC": _detector("nc", clean)}, classes=[1, 2]),
+}
+
+
+class TestCallerModelState:
+    """A scan runs the caller's model in eval mode and hands it back as it was."""
+
+    @pytest.mark.parametrize("call", sorted(FREEZING_CALLS))
+    def test_training_model_comes_back_training(self, probe, call):
+        _, clean = probe
+        model = _trainable_model()
+        FREEZING_CALLS[call](model, clean)
+        assert all(module.training for module in model.modules())
+        assert all(p.requires_grad for p in model.parameters())
+
+    def test_submodule_in_eval_mode_stays_in_eval_mode(self, probe):
+        # Listed twice in one fleet: each listing restores the same flags.
+        _, clean = probe
+        model = _trainable_model()
+        model.fc1.eval()
+        detect_mega_fleet([(_detector("nc", clean), model, CLASSES),
+                           (_detector("tabor", clean), model, CLASSES)])
+        assert [module.training for module in model.modules()] == \
+            [module is not model.fc1 for module in model.modules()]

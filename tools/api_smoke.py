@@ -4,7 +4,8 @@
 Boots an :class:`~repro.service.api.ApiServer` on an ephemeral port
 against a temp store, then drives one scan per routing strategy
 (``thorough``, ``fastest``, ``cheapest``) through the real HTTP surface
-with ``urllib`` and asserts:
+over one keep-alive ``http.client`` connection, as the benchmark and
+typical clients talk, and asserts:
 
 1. every job round-trips submit -> poll -> result with a ``done`` status
    and a cost breakdown whose ``total_seconds`` equals the sum of its
@@ -17,19 +18,24 @@ with ``urllib`` and asserts:
    ``api.job`` for the first job, and
 4. ``GET /metrics`` parses as valid Prometheus text exposition carrying
    the ``repro_http_*`` and ``repro_triage_*`` families next to the
-   store-derived ``repro_*`` ones.
+   store-derived ``repro_*`` ones,
+5. a ``405`` answer to a request with a body leaves the connection ready
+   for the next request, and
+6. the median exchange takes under 40 ms (a server that lets Nagle's
+   algorithm hold each body for the client's delayed ACK takes ~44 ms).
 
 Run by ``make api-smoke`` (and CI).  Exits non-zero on any failure.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
-import urllib.request
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_ROOT, "src"))
@@ -59,21 +65,45 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _request(base: str, method: str, path: str, payload=None):
-    """One HTTP round trip; returns (status code, decoded JSON body)."""
-    data = json.dumps(payload).encode() if payload is not None else None
-    req = urllib.request.Request(base + path, data=data, method=method)
-    if data is not None:
-        req.add_header("Content-Type", "application/json")
-    with urllib.request.urlopen(req, timeout=60) as resp:
-        body = resp.read().decode()
-        return resp.status, (json.loads(body) if body else None)
+#: Median exchange at or above which the smoke fails (seconds).
+MAX_MEDIAN_EXCHANGE_S = 0.040
 
 
-def _poll_done(base: str, job_id: str, timeout: float = 300.0) -> dict:
+class _Connection:
+    """One keep-alive HTTP connection that times every exchange."""
+
+    def __init__(self, host: str, port: int) -> None:
+        self._conn = http.client.HTTPConnection(host, port, timeout=60)
+        #: Wall-clock seconds of every exchange made so far.
+        self.seconds: list = []
+
+    def text(self, method: str, path: str, payload=None):
+        """One round trip; returns (status code, body text)."""
+        body = json.dumps(payload) if payload is not None else None
+        headers = ({"Content-Type": "application/json"}
+                   if body is not None else {})
+        started = time.perf_counter()
+        self._conn.request(method, path, body=body, headers=headers)
+        response = self._conn.getresponse()
+        text = response.read().decode()
+        self.seconds.append(time.perf_counter() - started)
+        return response.status, text
+
+    def json(self, method: str, path: str, payload=None):
+        """One round trip; returns (status code, decoded JSON body)."""
+        code, text = self.text(method, path, payload)
+        return code, (json.loads(text) if text else None)
+
+    def close(self) -> None:
+        """Close the connection."""
+        self._conn.close()
+
+
+def _poll_done(conn: _Connection, job_id: str,
+               timeout: float = 300.0) -> dict:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        _, job = _request(base, "GET", f"/v1/jobs/{job_id}")
+        _, job = conn.json("GET", f"/v1/jobs/{job_id}")
         if job["status"] in ("done", "failed"):
             return job
         time.sleep(0.1)
@@ -92,26 +122,26 @@ def main() -> int:
 
         server = ApiServer(os.path.join(tmp, "store"), port=0, job_retries=1)
         server.start()
-        base = f"http://{server.host}:{server.port}"
+        conn = _Connection(server.host, server.port)
         try:
-            code, health = _request(base, "GET", "/healthz")
+            code, health = conn.json("GET", "/healthz")
             if code != 200 or health.get("status") != "ok":
                 return _fail(f"/healthz answered {code}: {health}")
 
             results = {}
             for strategy in ("thorough", "fastest", "cheapest"):
-                code, submitted = _request(
-                    base, "POST", "/v1/scans",
+                code, submitted = conn.json(
+                    "POST", "/v1/scans",
                     {"checkpoint": checkpoint, "strategy": strategy,
                      "tenant": f"smoke-{strategy}", **TINY})
                 if code != 202:
                     return _fail(f"submit[{strategy}] answered {code}")
-                job = _poll_done(base, submitted["job_id"])
+                job = _poll_done(conn, submitted["job_id"])
                 if job["status"] != "done":
                     return _fail(f"job[{strategy}] ended {job['status']}: "
                                  f"{job.get('error')}")
-                _, full = _request(base, "GET",
-                                   f"/v1/jobs/{job['job_id']}/result")
+                _, full = conn.json("GET",
+                                    f"/v1/jobs/{job['job_id']}/result")
                 results[strategy] = full
 
             # 1. + 2. Cost breakdowns: strategy semantics on a clean model.
@@ -146,7 +176,7 @@ def main() -> int:
 
             # 3. Trace endpoint: stitched tree rooted at api.job.
             trace_id = results["thorough"]["trace_id"]
-            code, trace = _request(base, "GET", f"/v1/traces/{trace_id}")
+            code, trace = conn.json("GET", f"/v1/traces/{trace_id}")
             if code != 200 or not trace["spans"]:
                 return _fail(f"trace {trace_id} answered {code} with "
                              f"{trace}")
@@ -155,8 +185,7 @@ def main() -> int:
                 return _fail(f"trace missing expected spans: {sorted(names)}")
 
             # 4. /metrics: valid exposition with the API + triage families.
-            with urllib.request.urlopen(base + "/metrics", timeout=60) as resp:
-                text = resp.read().decode()
+            _, text = conn.text("GET", "/metrics")
             try:
                 samples = parse_prometheus_text(text)
             except ValueError as exc:
@@ -164,12 +193,30 @@ def main() -> int:
             missing = [n for n in REQUIRED_FAMILIES if n not in samples]
             if missing:
                 return _fail(f"/metrics missing families {missing}")
+
+            # 5. An error answer reads the request's body: the next request
+            # on the connection parses from its own first byte.
+            code, _ = conn.json("POST", "/healthz", {"checkpoint": "x.npz"})
+            if code != 405:
+                return _fail(f"POST /healthz answered {code}")
+            code, text = conn.text("GET", "/healthz")
+            if code != 200:
+                return _fail(f"/healthz after a 405 answered {code}: {text}")
+
+            # 6. No exchange waits for the client's delayed ACK.
+            median = statistics.median(conn.seconds)
+            if median >= MAX_MEDIAN_EXCHANGE_S:
+                return _fail(f"median exchange took {median * 1e3:.1f} ms "
+                             f"over {len(conn.seconds)} exchanges "
+                             f"(limit {MAX_MEDIAN_EXCHANGE_S * 1e3:.0f} ms)")
         finally:
+            conn.close()
             server.close()
 
-    print(f"api smoke OK: 3 strategies served over HTTP, trace stitched "
-          f"({len(trace['spans'])} spans), /metrics valid "
-          f"({len(samples)} families).")
+    print(f"api smoke OK: 3 strategies served over one keep-alive "
+          f"connection, trace stitched ({len(trace['spans'])} spans), "
+          f"/metrics valid ({len(samples)} families), median exchange "
+          f"{median * 1e3:.2f} ms over {len(conn.seconds)}.")
     return 0
 
 
