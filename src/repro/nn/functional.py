@@ -11,8 +11,10 @@ lifting into one large GEMM, the fastest approach available in pure NumPy:
 * unpadded 1x1 kernels are a channel-mixing GEMM on the input itself;
 * grouped and depthwise kernels use :func:`im2col` and a per-group einsum.
 
-Pooling over non-overlapping windows is a reshape; only overlapping or
-ragged windows go through :func:`im2col` / :func:`col2im`.
+Pooling over non-overlapping windows works on strided views of the input
+(a reshape for max pooling, k² strided adds for average pooling); only
+overlapping or ragged windows go through :func:`im2col` / :func:`col2im`.
+The box filter behind SSIM is two GEMMs against 0/1 band matrices.
 
 All functions accept and return :class:`repro.nn.tensor.Tensor` instances and
 participate in the autograd graph.
@@ -20,6 +22,7 @@ participate in the autograd graph.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -451,26 +454,36 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
 
 
 def _avg_pool2d_tiled(x: Tensor, kernel_size: int) -> Tensor:
-    """Non-overlapping average pooling via a reshape, no im2col.
+    """Non-overlapping average pooling as k² strided-view adds, no im2col.
 
-    Applies when ``stride == kernel_size`` and the spatial dims divide evenly:
-    the window mean is a reshape + mean, and the backward is a broadcast of
-    ``grad / k²`` back over each window.
+    Applies when ``stride == kernel_size`` and the spatial dims divide
+    evenly.  Each output adds its window's taps ``x[:, :, i::k, j::k]`` one
+    by one in row-major ``(i, j)`` order and divides by ``k²``.  On NHWC
+    memory, which every dense conv hands over, that is the order NumPy's
+    ``mean`` over the ``(N, C, oh, k, ow, k)`` reshape adds in, so the two
+    are bit-identical; on other layouts ``mean`` groups the sum differently
+    (each window row first on C-contiguous NCHW), and a window of
+    non-negative values then differs from it by a few ulp.  The backward
+    writes ``grad / k²`` into the k² strided taps of a C-contiguous buffer.
     """
-    batch, channels, height, width = x.data.shape
-    out_h, out_w = height // kernel_size, width // kernel_size
-    tiles = x.data.reshape(batch, channels, out_h, kernel_size, out_w,
-                           kernel_size)
-    out = tiles.mean(axis=(3, 5))
-    inv_area = 1.0 / (kernel_size * kernel_size)
+    data = x.data
+    k = kernel_size
+    taps = [data[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+    out = taps[0] + taps[1] if k > 1 else taps[0].copy(order="K")
+    for tap in taps[2:]:
+        out += tap
+    out /= k * k
+    inv_area = 1.0 / (k * k)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        expanded = np.broadcast_to(
-            grad[:, :, :, None, :, None] * inv_area,
-            (batch, channels, out_h, kernel_size, out_w, kernel_size))
-        x._accumulate(expanded.reshape(x.data.shape))
+        scaled = grad * inv_area
+        grad_x = np.empty(data.shape, dtype=scaled.dtype)
+        for i in range(k):
+            for j in range(k):
+                grad_x[:, :, i::k, j::k] = scaled
+        x._accumulate(grad_x)
 
     return Tensor._make(out, (x,), backward)
 
@@ -666,35 +679,69 @@ def dropout(x: Tensor, p: float, training: bool,
 # ---------------------------------------------------------------------- #
 # Fixed-kernel filtering (used by the differentiable SSIM)
 # ---------------------------------------------------------------------- #
-def _box_sum_valid(x: np.ndarray, window: int,
-                   dtype: Optional[np.dtype] = None) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _box_band(size: int, window: int, dtype: np.dtype) -> np.ndarray:
+    """The 0/1 band ``B[i, j] = 1 if j <= i < j + window``, ``size`` rows.
+
+    ``v @ B`` sums every ``window``-long run of a length-``size`` vector
+    (``size − window + 1`` of them) and ``B @ u`` is its adjoint.  Cached
+    read-only per size, window and dtype.
+    """
+    offset = np.arange(size)[:, None] - np.arange(size - window + 1)
+    band = ((offset >= 0) & (offset < window)).astype(dtype)
+    band.setflags(write=False)
+    return band
+
+
+def _band_product(x: np.ndarray, left: np.ndarray,
+                  right: np.ndarray) -> np.ndarray:
+    """``left @ x[n, c] @ right`` for every image of an ``(N, C, H, W)`` array.
+
+    The right factor is one GEMM over all ``N·C·H`` rows, the left a
+    stacked matmul over the ``N·C`` images.
+    """
+    batch, channels, height, width = x.shape
+    rows = (x.reshape(-1, width) @ right).reshape(batch * channels, height, -1)
+    return np.matmul(left, rows).reshape(batch, channels, left.shape[0],
+                                         right.shape[1])
+
+
+def _box_sum_valid(x: np.ndarray, window: int) -> np.ndarray:
     """Sliding-window sum over the spatial dims ('valid' positions only).
 
-    Integral-image implementation: O(N·C·H·W) regardless of window size,
-    versus O(N·C·H·W·window²) for the im2col depthwise-conv formulation.
-    ``dtype`` selects the accumulator (default: the input's own dtype —
-    float32 cumsums over typical image extents stay within ~1e-6 relative
-    error, and halving the memory traffic matters on mega-batches).
+    Two GEMMs against 0/1 band matrices: ``x @ B_w`` sums every run of
+    ``window`` pixels along W, and ``B_hᵀ @`` that sums those along H.  Each
+    window is thus a direct sum of its ``window²`` pixels in the input's
+    dtype, within a few ulp of the exact value even in float32, where a
+    float32 integral image (differences of running sums over the whole
+    image) erred by ~1e-6 relative.  The GEMMs cost ``oh + ow``
+    multiply-adds per pixel, which grows with the image side where an
+    integral image's few operations do not; up to the 48 px images the
+    dataset catalog makes, the GEMMs remain the faster of the two.
     """
-    n, c, h, w = x.shape
-    dtype = dtype or x.dtype
-    padded = np.zeros((n, c, h + 1, w + 1), dtype=dtype)
-    np.cumsum(np.cumsum(x, axis=2, dtype=dtype), axis=3,
-              out=padded[:, :, 1:, 1:])
-    total = (padded[:, :, window:, window:]
-             - padded[:, :, :-window, window:]
-             - padded[:, :, window:, :-window]
-             + padded[:, :, :-window, :-window])
-    out_h, out_w = h - window + 1, w - window + 1
-    return total[:, :, :out_h, :out_w]
+    _, _, height, width = x.shape
+    return _band_product(x, _box_band(height, window, x.dtype).T,
+                         _box_band(width, window, x.dtype))
+
+
+def _box_sum_adjoint(z: np.ndarray, window: int) -> np.ndarray:
+    """Adjoint of :func:`_box_sum_valid`: ``B_h @ z @ B_wᵀ``.
+
+    Adds each window's value back onto the ``window²`` pixels it covers,
+    taking ``(N, C, oh, ow)`` to ``(N, C, oh + window − 1, ow + window − 1)``.
+    """
+    _, _, out_h, out_w = z.shape
+    return _band_product(z, _box_band(out_h + window - 1, window, z.dtype),
+                         _box_band(out_w + window - 1, window, z.dtype).T)
 
 
 def uniform_filter2d(x: Tensor, window: int) -> Tensor:
     """Apply a uniform (box) filter per channel, differentiable w.r.t. ``x``.
 
-    Forward and backward both run on integral images: the gradient of a box
-    filter is a box filter of the zero-padded upstream gradient, so neither
-    direction touches the conv/im2col machinery at all.
+    The forward is :func:`_box_sum_valid`'s two band GEMMs; the gradient of
+    a box filter is its adjoint, the transposed band GEMMs of
+    :func:`_box_sum_adjoint`, so neither direction touches the conv/im2col
+    machinery at all.
     """
     inv_area = 1.0 / (window * window)
     out_data = np.asarray(_box_sum_valid(x.data, window) * inv_area,
@@ -703,9 +750,7 @@ def uniform_filter2d(x: Tensor, window: int) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        pad = window - 1
-        padded = _pad2d_zeros(grad, pad, pad, pad, pad)
-        grad_x = (_box_sum_valid(padded, window) * inv_area).astype(grad.dtype)
+        grad_x = (_box_sum_adjoint(grad, window) * inv_area).astype(grad.dtype)
         x._accumulate(grad_x)
 
     return Tensor._make(out_data, (x,), backward)

@@ -30,7 +30,10 @@ exchange on a keep-alive connection).  The handler reads every request's
 declared ``Content-Length`` body before it answers, whatever the route or
 status, so the next request on the connection starts at a request line;
 a body it cannot delimit (a malformed ``Content-Length``, or any
-``Transfer-Encoding``) is answered ``400`` and the connection closed.
+``Transfer-Encoding``) is answered ``400`` and the connection closed, and
+one declared longer than ``MAX_BODY_BYTES`` (1 MiB) ``413`` the same way,
+before any of it is read (a client still sending such a body may see the
+connection reset instead of the ``413``).
 
 **Threading model.**  Handler threads only parse payloads, mutate the
 job table under its lock, and put ``(priority, sequence, job_id)`` on the
@@ -72,7 +75,7 @@ from .routing import STRATEGIES, RoutingPolicy, route_scan
 from .scheduler import ScanScheduler, _utc_now, load_inversion_stack
 from .store import SPANS_NAME, open_store, sidecar_path
 
-__all__ = ["ApiJob", "ApiServer", "DEFAULT_TENANT"]
+__all__ = ["ApiJob", "ApiServer", "DEFAULT_TENANT", "MAX_BODY_BYTES"]
 
 _LOG = get_logger("repro.service.api")
 
@@ -129,8 +132,17 @@ class ApiJob:
         }
 
 
+#: Largest request body the server reads.  A submit payload is a few
+#: hundred bytes; a larger declared length is refused before any is read.
+MAX_BODY_BYTES = 1 << 20
+
+
 class _BadRequest(ValueError):
-    """A submit payload the server must answer with 400."""
+    """A request the server must refuse: ``400`` unless ``code`` says else."""
+
+    def __init__(self, message: str, code: int = 400) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _priority(payload: Dict[str, Any]) -> int:
@@ -516,14 +528,16 @@ class _Handler(BaseHTTPRequestHandler):
 
         The declared body is read first, whatever the route, so no answer
         leaves body bytes on a keep-alive connection; a body that cannot be
-        delimited is refused with ``400`` and the connection closed.
+        delimited is refused with ``400``, one declared longer than
+        :data:`MAX_BODY_BYTES` with ``413``, and the connection closed.
         """
         path = urlparse(self.path).path.rstrip("/") or "/"
         started = time.perf_counter()
         try:
             self._body = self._read_body()
         except _BadRequest as error:
-            route, code = path, self._send_error(400, str(error), close=True)
+            route, code = path, self._send_error(error.code, str(error),
+                                                 close=True)
         else:
             route, code = self._route(method, path)
         self.api.observe_http(method, route, code,
@@ -629,7 +643,8 @@ class _Handler(BaseHTTPRequestHandler):
         Raises:
             _BadRequest: the body cannot be delimited (a ``Content-Length``
                 that is not a non-negative integer, or a
-                ``Transfer-Encoding`` body).
+                ``Transfer-Encoding`` body), or, with code ``413``, its
+                declared length exceeds :data:`MAX_BODY_BYTES`.
         """
         if "Transfer-Encoding" in self.headers:
             raise _BadRequest("Transfer-Encoding bodies are not supported; "
@@ -637,7 +652,13 @@ class _Handler(BaseHTTPRequestHandler):
         declared = self.headers.get("Content-Length", "0").strip()
         if not (declared.isascii() and declared.isdigit()):
             raise _BadRequest(f"invalid Content-Length: {declared!r}")
-        return self.rfile.read(int(declared))
+        # Compare digit counts first: int() refuses very long digit strings.
+        digits = declared.lstrip("0") or "0"
+        if (len(digits) > len(str(MAX_BODY_BYTES))
+                or int(digits) > MAX_BODY_BYTES):
+            raise _BadRequest(f"request body of {digits} bytes exceeds the "
+                              f"{MAX_BODY_BYTES}-byte limit", code=413)
+        return self.rfile.read(int(digits))
 
     def _read_json(self) -> Dict[str, Any]:
         """The request body parsed as a JSON object.

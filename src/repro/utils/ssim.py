@@ -9,7 +9,11 @@ Two flavours are provided:
 
 Both use a uniform (box) filter window, which is the common implementation
 choice when a Gaussian window is not required; the paper does not specify the
-window type and the detection behaviour is insensitive to it.
+window type and the detection behaviour is insensitive to it.  Both filter
+with :func:`repro.nn.functional._box_sum_valid`, two GEMMs against 0/1 band
+matrices that sum each window directly (:func:`ssim` in float64,
+:func:`ssim_tensor` in its inputs' float32), and the gradient applies the
+transposed bands.
 
 :mod:`repro.utils` re-exports both, and every service command imports
 that package, so this module imports ``repro.nn`` only inside the
@@ -31,20 +35,6 @@ _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
 
 
-def _box_filter(x: np.ndarray, window: int) -> np.ndarray:
-    """Apply a per-channel box filter to an ``(N, C, H, W)`` array."""
-    n, c, h, w = x.shape
-    out_h, out_w = h - window + 1, w - window + 1
-    # Integral-image approach keeps this O(N*C*H*W).
-    padded = np.zeros((n, c, h + 1, w + 1), dtype=np.float64)
-    padded[:, :, 1:, 1:] = np.cumsum(np.cumsum(x, axis=2), axis=3)
-    total = (padded[:, :, window:, window:]
-             - padded[:, :, :-window, window:]
-             - padded[:, :, window:, :-window]
-             + padded[:, :, :-window, :-window])
-    return (total / (window * window))[:, :, :out_h, :out_w]
-
-
 def ssim(x: np.ndarray, y: np.ndarray, window: int = 7,
          data_range: float = 1.0) -> float:
     """Mean SSIM between image batches ``x`` and ``y`` of shape ``(N, C, H, W)``.
@@ -62,11 +52,14 @@ def ssim(x: np.ndarray, y: np.ndarray, window: int = 7,
     c1 = _C1 * data_range ** 2
     c2 = _C2 * data_range ** 2
 
-    mu_x = _box_filter(x, window)
-    mu_y = _box_filter(y, window)
-    mu_xx = _box_filter(x * x, window)
-    mu_yy = _box_filter(y * y, window)
-    mu_xy = _box_filter(x * y, window)
+    from ..nn import functional as F
+
+    area = window * window
+    mu_x = F._box_sum_valid(x, window) / area
+    mu_y = F._box_sum_valid(y, window) / area
+    mu_xx = F._box_sum_valid(x * x, window) / area
+    mu_yy = F._box_sum_valid(y * y, window) / area
+    mu_xy = F._box_sum_valid(x * y, window) / area
 
     sigma_x = mu_xx - mu_x ** 2
     sigma_y = mu_yy - mu_y ** 2
@@ -81,9 +74,7 @@ def _box_transpose(z: np.ndarray, window: int) -> np.ndarray:
     """Adjoint of the mean box filter: scatter each window value back."""
     from ..nn import functional as F
 
-    pad = window - 1
-    padded = F._pad2d_zeros(z, pad, pad, pad, pad)
-    return F._box_sum_valid(padded, window) / (window * window)
+    return F._box_sum_adjoint(z, window) / (window * window)
 
 
 def ssim_x_stats(x: np.ndarray, window: int = 7
@@ -111,10 +102,12 @@ def ssim_tensor(x: Tensor, y: Tensor, window: int = 7,
     Gradients flow to both ``x`` and ``y``; in the USB loss only ``y`` (the
     perturbed image) carries gradients back to the trigger and mask.
 
-    Fused into a single graph node: the forward runs on integral images and
-    the backward applies the analytic SSIM gradient (three adjoint box filters
-    per differentiated input) instead of unrolling ~70 elementwise tape ops —
-    this keeps the USB loss cheap even on ``(K·B, C, H, W)`` mega-batches.
+    Fused into a single graph node: the forward runs five box filters (two
+    band GEMMs each; three when ``x_stats`` is given) and the backward
+    applies the analytic SSIM gradient (three adjoint box filters, the
+    transposed band GEMMs, per differentiated input) instead of unrolling
+    ~70 elementwise tape ops — this keeps the USB loss cheap even on
+    ``(K·B, C, H, W)`` mega-batches.
     """
     from ..nn import functional as F
     from ..nn.tensor import Tensor

@@ -31,7 +31,7 @@ from repro.nn.serialization import save_model
 from repro.obs.metrics import parse_prometheus_text
 from repro.service import (ScanRequest, ScanScheduler, execute_resolved,
                            open_store)
-from repro.service.api import ApiServer
+from repro.service.api import MAX_BODY_BYTES, ApiServer
 from repro.service.cli import main as cli_main
 
 #: Tiny scan budgets shared by every live scan in this module.
@@ -376,24 +376,45 @@ class TestKeepAlive:
                 == code
             assert _exchange(conn, "GET", "/healthz") == (200, {"status": "ok"})
 
+    @staticmethod
+    def _refused_post(server, framing):
+        """Status code of a raw ``POST /v1/scans`` the server answers and
+        then hangs up on; a kept-open connection times the read out."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(f"POST /v1/scans HTTP/1.1\r\nHost: test\r\n"
+                         f"{framing}\r\n\r\n2\r\n{{}}\r\n0\r\n\r\n".encode())
+            # No more bytes follow, so a server that reads the declared
+            # length sees the end of the body instead of waiting for it.
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close" in head
+        code = json.loads(body)["code"]
+        assert head.startswith(f"HTTP/1.1 {code} ".encode())
+        return code
+
     @pytest.mark.parametrize("framing", ["Content-Length: abc",
                                          "Content-Length: -2",
                                          "Transfer-Encoding: chunked"])
     def test_undelimited_body_is_refused_and_the_connection_closed(
             self, server, framing):
-        with socket.create_connection(("127.0.0.1", server.port),
-                                      timeout=10) as sock:
-            sock.sendall(f"POST /v1/scans HTTP/1.1\r\nHost: test\r\n"
-                         f"{framing}\r\n\r\n2\r\n{{}}\r\n0\r\n\r\n".encode())
-            reply = b""
-            # The server hangs up after its answer; a kept-open connection
-            # times this read out.
-            while chunk := sock.recv(4096):
-                reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 ")
-        assert b"\r\nConnection: close" in head
-        assert json.loads(body)["code"] == 400
+        assert self._refused_post(server, framing) == 400
+
+    @pytest.mark.parametrize("length", ["1000000000000000000",
+                                        str(MAX_BODY_BYTES + 1),
+                                        "0" * 30 + str(MAX_BODY_BYTES + 1),
+                                        "9" * 5000],
+                             ids=["1e18", "limit+1", "zero-padded",
+                                  "5000-digits"])
+    def test_oversized_body_is_refused_unread_and_the_connection_closed(
+            self, server, base, length):
+        # ``rfile.read`` allocates the declared length before reading: 10**18
+        # bytes would raise MemoryError and drop the connection unanswered.
+        assert self._refused_post(server, f"Content-Length: {length}") == 413
+        assert _request(base, "GET", "/healthz") == (200, {"status": "ok"})
 
     def test_exchange_does_not_wait_for_a_delayed_ack(self, conn):
         # With Nagle's algorithm on, each answer's body waits ~40 ms for

@@ -1,12 +1,15 @@
-"""Dense conv and tiled max-pool kernels against im2col/col2im references.
+"""Dense conv, tiled pooling and box-sum kernels against plain references.
 
-The reference below is the textbook formulation: patches gathered into
-``(N·oh·ow, C·kh·kw)`` rows, one ``cols @ Wᵀ`` GEMM for the output,
+The conv reference below is the textbook formulation: patches gathered
+into ``(N·oh·ow, C·kh·kw)`` rows, one ``cols @ Wᵀ`` GEMM for the output,
 ``gradᵀ @ cols`` for the weight gradient, and ``grad @ W`` columns
 scatter-added back tap by tap for the input gradient.  The kernels under
 test compute the same sums with differently laid-out GEMM operands, and a
 BLAS may pick a different summation order for those, so the comparison is
-to a tolerance rather than bit-exact.
+to a tolerance rather than bit-exact.  Tiled average pooling must match
+its reshape + ``mean`` reference bit for bit on the NHWC memory conv
+outputs arrive in, and to a few ulp elsewhere; SSIM's box sums must sit
+within a few float32 ulp of float64 sums.
 """
 
 import numpy as np
@@ -146,3 +149,104 @@ def test_max_pool_tiled_and_strided_paths_agree_on_ties():
     out_even.backward(grad)
     np.testing.assert_array_equal(odd.grad[:, :, :8, :8], even.grad)
     assert not odd.grad[:, :, 8].any() and not odd.grad[:, :, :, 8].any()
+
+
+def _avg_pool_reference(x, kernel, grad):
+    """The reshape + ``mean`` forward and broadcast backward that tiled
+    average pooling ran on before its strided adds, kept verbatim."""
+    batch, channels, height, width = x.shape
+    out_h, out_w = height // kernel, width // kernel
+    tiles = x.reshape(batch, channels, out_h, kernel, out_w, kernel)
+    out = tiles.mean(axis=(3, 5))
+    inv_area = 1.0 / (kernel * kernel)
+    expanded = np.broadcast_to(
+        grad[:, :, :, None, :, None] * inv_area,
+        (batch, channels, out_h, kernel, out_w, kernel))
+    return out, expanded.reshape(x.shape)
+
+
+def _pooled(x, kernel, grad):
+    """Tiled average pooling's output and input gradient for ``x``."""
+    t = Tensor(x, requires_grad=True)
+    out = F.avg_pool2d(t, kernel)
+    out.backward(grad)
+    return out.data, t.grad
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64])
+@pytest.mark.parametrize("kernel", [2, 3, 4])
+def test_avg_pool_is_bit_identical_to_reshape_mean_on_nhwc(kernel, batch):
+    # Conv outputs are NCHW views of NHWC memory, and on those NumPy's mean
+    # adds a window tap by tap in row-major order, as the kernel does.
+    rng = np.random.default_rng([kernel, batch])
+    x = rng.standard_normal((batch, 5, 4 * kernel, 3 * kernel)).astype(
+        np.float32)
+    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    grad = rng.standard_normal((batch, 5, 4, 3)).astype(np.float32)
+    out, grad_x = _pooled(x, kernel, grad)
+    ref_out, ref_grad = _avg_pool_reference(x, kernel, grad)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(grad_x, ref_grad)
+    # Same memory order too, so the reductions after the pool keep theirs.
+    assert out.strides == ref_out.strides
+    assert grad_x.strides == ref_grad.strides
+
+
+@pytest.mark.parametrize("kernel", [2, 3, 4, 8])
+@pytest.mark.parametrize("memory", ["nchw", "strided"])
+def test_avg_pool_in_other_layouts_is_within_a_few_ulp(memory, kernel):
+    # Elsewhere mean groups the window sum differently (row by row on
+    # C-contiguous NCHW) while the kernel keeps its tap-by-tap order.  For
+    # k² non-negative terms (post-ReLU activations) each order's relative
+    # error is at most (k² − 1)·eps/2, and eps/2 more for the division, so
+    # the two results differ by at most k²·eps relative.
+    rng = np.random.default_rng([kernel, len(memory)])
+    x = rng.random((3, 4, 4 * kernel, 6 * kernel), dtype=np.float32)
+    if memory == "strided":
+        x = np.repeat(x, 2, axis=3)[:, :, :, ::2]
+    grad = rng.standard_normal((3, 4, 4, 6)).astype(np.float32)
+    out, grad_x = _pooled(x, kernel, grad)
+    ref_out, ref_grad = _avg_pool_reference(x, kernel, grad)
+    eps = np.finfo(np.float32).eps
+    assert np.all(np.abs(out - ref_out) <= kernel * kernel * eps * ref_out)
+    assert out.strides == ref_out.strides
+    np.testing.assert_array_equal(grad_x, ref_grad)
+
+
+def _box_sum_float64(x, window):
+    """Every window's direct sum, in float64."""
+    windows = sliding_window_view(x.astype(np.float64), (window, window),
+                                  axis=(2, 3))
+    return windows.sum(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("shape", [(64, 1, 16, 16), (64, 1, 22, 22)])
+def test_box_sum_is_within_four_float32_ulp(shape):
+    # The shapes USB's SSIM filters at 16 px: the clean and blended images,
+    # and the adjoint's padded extent.  The inputs are what SSIM sums:
+    # images, their squares and their products.
+    rng = np.random.default_rng(shape[2])
+    x = rng.random(shape, dtype=np.float32)
+    y = np.clip(x + rng.normal(0, 0.1, shape), 0, 1).astype(np.float32)
+    for image in (x, x * x, x * y):
+        got = F._box_sum_valid(image, 7)
+        assert got.dtype == np.float32 and got.shape == (
+            shape[0], 1, shape[2] - 6, shape[3] - 6)
+        exact = _box_sum_float64(image, 7)
+        ulp = np.spacing(exact.astype(np.float32)).astype(np.float64)
+        assert np.max(np.abs(got - exact) / ulp) <= 4.0
+
+
+def test_box_sum_adjoint_is_the_transpose():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 2, 11, 9))
+    z = rng.standard_normal((3, 2, 7, 5))
+    forward = float(np.sum(F._box_sum_valid(x, 5) * z))
+    adjoint = float(np.sum(x * F._box_sum_adjoint(z, 5)))
+    assert forward == pytest.approx(adjoint, rel=1e-12)
+    # The adjoint scatters each window back over its pixels: a full
+    # ("same"-padded) box sum of the zero-padded map.
+    padded = np.pad(z, ((0, 0), (0, 0), (4, 4), (4, 4)))
+    np.testing.assert_allclose(F._box_sum_adjoint(z, 5),
+                               _box_sum_float64(padded, 5), rtol=1e-12,
+                               atol=1e-12)

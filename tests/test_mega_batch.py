@@ -279,13 +279,16 @@ class TestPoolMechanics:
 #: mode ran on before it moved onto the work-item pool: per scan, the anomaly
 #: index of every cell (classes in order, pairs in ``scan_pairs_for`` order)
 #: and every cell's success rate.  ``ten`` is a 10-class scan whose K·B rows
-#: exceed the pool's default row cap.
+#: exceed the pool's default row cap.  The USB ``pairs`` entries (here and in
+#: ``CLASS_SEQUENTIAL_PINS``) were re-recorded when SSIM's box filter moved
+#: from float32 integral images to band GEMMs, which moved the index of pair
+#: (1, 3) by 1.3e-5 (2.5e-5 sequential).
 CLASS_BATCHED_PINS = {
     ("usb", "classic"): (
         [0.0, 0.48942291, 0.85955861, 0.0],
         [0.9375, 0.75, 0.4375, 1.0]),
     ("usb", "pairs"): (
-        [0.0, 1.09192732, 0.2475779, 0.0, 4.91828992, 0.0],
+        [0.0, 1.09193014, 0.24758203, 0.0, 4.91830263, 0.0],
         [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
     ("nc", "classic"): (
         [0.0, 0.67939879, 0.0, 0.66958273],
@@ -389,9 +392,9 @@ CLASS_SEQUENTIAL_PINS = {
         [0.9375, 0.75, 0.4375, 1.0],
         [131.95676, 118.6085, 114.96877, 128.23398]),
     ("usb", "pairs"): (
-        [0.0, 1.09192275, 0.24757901, 0.0, 4.91827546, 0.0],
+        [0.0, 1.09192665, 0.24758203, 0.0, 4.91830088, 0.0],
         [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-        [139.69086, 132.58267, 136.27798, 138.44507, 115.83645, 140.93608]),
+        [139.69086, 132.58269, 136.27798, 138.44508, 115.83646, 140.93607]),
     ("usb", "one"): ([0.0], [0.4375], [114.96877]),
     ("nc", "classic"): (
         [0.0, 0.67939878, 0.0, 0.66958274],

@@ -9,7 +9,10 @@ backward pass of the frozen model at 64 rows (the mega chunk size), with
 each input in the memory order the model hands it over in.  Then it times
 each distinct call on its own and prints the median milliseconds of the
 forward, the input gradient and (convs only) the weight gradient.  The
-gradient timings exclude the forward.
+gradient timings exclude the forward.  Last, it times USB's SSIM loss term
+the same way: ``ssim_tensor`` over 64 grey 16 px rows at window 7, with the
+clean side's statistics passed as ``x_stats`` and the gradient taken
+towards the blended images, as each USB inversion step runs it.
 
 Run with ``make kernel-bench`` or::
 
@@ -37,10 +40,12 @@ import numpy as np  # noqa: E402
 from repro.models import build_model  # noqa: E402
 from repro.nn import Tensor  # noqa: E402
 from repro.nn import functional as F  # noqa: E402
+from repro.utils.ssim import ssim_tensor, ssim_x_stats  # noqa: E402
 
 IMAGE_SIZE = 16
 ROWS = 64
 CALLS = 20
+SSIM_WINDOW = 7
 ARCHITECTURES = (
     ("basic_cnn", "basic_cnn", {}),
     ("narrow basic_cnn", "basic_cnn", {"conv_channels": [4, 8],
@@ -105,6 +110,17 @@ def median_ms(fn: Callable[[], object], repeats: int) -> float:
     return statistics.median(samples)
 
 
+def backward_step(out: Tensor, leaf: Tensor) -> Callable[[], None]:
+    """One timed backward pass from ``out`` to ``leaf``, graph kept."""
+    grad = np.random.default_rng(3).standard_normal(out.shape).astype(
+        np.float32)
+
+    def step() -> None:
+        leaf.grad = out.grad = None
+        out.backward(grad)
+    return step
+
+
 def time_call(call: Call, repeats: int) -> Tuple[float, float, Optional[float]]:
     """Forward, input-gradient and weight-gradient milliseconds of a call."""
     op, x_shape, nhwc, param, stride, padding = call
@@ -127,23 +143,32 @@ def time_call(call: Call, repeats: int) -> Tuple[float, float, Optional[float]]:
         w = Tensor(w_data, requires_grad=w_grad)
         return F.conv2d(x, w, None, stride, padding), x, w
 
-    def backward(out: Tensor, leaf: Tensor) -> Callable[[], None]:
-        grad = np.random.default_rng(3).standard_normal(out.shape).astype(
-            np.float32)
-
-        def step() -> None:
-            leaf.grad = out.grad = None
-            out.backward(grad)
-        return step
-
     forward = median_ms(lambda: run(False, False), repeats)
     out, x, _ = run(True, False)
-    input_grad = median_ms(backward(out, x), repeats)
+    input_grad = median_ms(backward_step(out, x), repeats)
     weight_grad = None
     if op == "conv2d":
         out, _, w = run(False, True)
-        weight_grad = median_ms(backward(out, w), repeats)
+        weight_grad = median_ms(backward_step(out, w), repeats)
     return forward, input_grad, weight_grad
+
+
+def time_ssim(repeats: int) -> Tuple[float, float]:
+    """Forward and blended-side gradient milliseconds of USB's SSIM term."""
+    rng = np.random.default_rng(4)
+    shape = (ROWS, 1, IMAGE_SIZE, IMAGE_SIZE)
+    clean = rng.random(shape, dtype=np.float32)
+    blended = np.clip(clean + rng.normal(0, 0.1, shape), 0, 1).astype(
+        np.float32)
+    stats = ssim_x_stats(clean, SSIM_WINDOW)
+
+    def run(grad: bool) -> Tuple[Tensor, Tensor]:
+        y = Tensor(blended, requires_grad=grad)
+        return ssim_tensor(Tensor(clean), y, window=SSIM_WINDOW,
+                           x_stats=stats), y
+
+    forward = median_ms(lambda: run(False), repeats)
+    return forward, median_ms(backward_step(*run(True)), repeats)
 
 
 def describe(call: Call) -> str:
@@ -177,6 +202,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             total += forward + input_grad
         print(f"  {'scan step (forward + input grad, all calls)':<44} "
               f"{total:>8.3f}")
+
+    forward, input_grad = time_ssim(args.repeats)
+    label = (f"ssim_tensor {ROWS}x1x{IMAGE_SIZE}x{IMAGE_SIZE} "
+             f"w{SSIM_WINDOW} x_stats")
+    print("\nUSB loss (SSIM term)")
+    print(f"  {'call':<44} {'forward':>8} {'in-grad':>8}")
+    print(f"  {label:<44} {forward:>8.3f} {input_grad:>8.3f}")
     return 0
 
 
