@@ -45,7 +45,7 @@ TRANSPORT_DENY = frozenset({"trace_id", "parent_span_id", "spans",
 _REQUEST_SPECS = (
     ("src/repro/service/records.py", "ScanRequest",
      "src/repro/service/scheduler.py", "resolve_request"),
-    ("src/repro/service/repair.py", "RepairRequest",
+    ("src/repro/service/records.py", "RepairRequest",
      "src/repro/service/repair.py", "resolve_repair"),
 )
 

@@ -5,7 +5,7 @@ The service layer turns the in-process detectors into throughput:
 * :mod:`repro.service.fingerprint` — content-addressed SHA-256 fingerprints
   of state dicts plus detector-config digests;
 * :mod:`repro.service.records` — :class:`ScanRequest` / :class:`ScanRecord`,
-  the picklable/JSON-safe units of work and result;
+  the picklable/JSON-safe units of work and result, and their repair twins;
 * :mod:`repro.service.locks` — advisory per-shard file locks and atomic
   file replacement, the multi-writer primitives;
 * :mod:`repro.service.store` — result stores: the sharded,
@@ -29,7 +29,7 @@ The service layer turns the in-process detectors into throughput:
   (``pool`` when ``workers > 1``) with per-job timeouts and bounded
   retries, accumulating :class:`ServiceMetrics`;
 * :mod:`repro.service.repair` — cacheable detect -> repair -> verify jobs
-  (:class:`RepairRequest` / :func:`run_repairs`) wrapping
+  (:func:`resolve_repair` / :func:`run_repairs`) wrapping
   :mod:`repro.mitigation`, with atomically written repaired checkpoints and
   :class:`RepairRecord` persistence in the shared store;
 * :mod:`repro.service.daemon` — :class:`WatchDaemon`, the long-running
@@ -74,8 +74,8 @@ _EXPORTS: Dict[str, str] = {
     "fingerprint_state_dict": "fingerprint",
     "read_checkpoint_fingerprint": "fingerprint", "scan_key": "fingerprint",
     "ScanRecord": "records", "ScanRequest": "records",
-    "RepairRecord": "records",
-    "RepairRequest": "repair", "ResolvedRepair": "repair",
+    "RepairRecord": "records", "RepairRequest": "records",
+    "ResolvedRepair": "repair",
     "record_from_dict": "records",
     "resolve_repair": "repair", "execute_repair": "repair",
     "run_repairs": "repair", "atomic_save_model": "repair",

@@ -58,7 +58,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from queue import Empty, PriorityQueue
 from typing import Any, Dict, Optional, Tuple
@@ -69,8 +69,8 @@ from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, build_service_registry
 from ..obs.trace import TRACER, new_trace_id, read_spans, write_spans
 from .fleet import fleet_snapshot
-from .records import ScanRequest
-from .repair import RepairRequest, run_repairs
+from .records import RepairRequest, ScanRequest, coerce
+from .repair import run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
 from .scheduler import ScanScheduler, _utc_now, load_inversion_stack
 from .store import SPANS_NAME, open_store, sidecar_path
@@ -145,47 +145,43 @@ class _BadRequest(ValueError):
         self.code = code
 
 
-def _priority(payload: Dict[str, Any]) -> int:
-    """A submit body's queue ``priority`` (default 0) as an integer."""
+def _pop(body: Dict[str, Any], key: str, hint: Any, default: Any) -> Any:
+    """Take envelope ``key`` off a submit body, checked as request fields are."""
     try:
-        return int(payload.get("priority", 0))
-    except (TypeError, ValueError, OverflowError) as error:
-        raise _BadRequest(f"'priority' must be an integer: {error}") from error
+        return coerce(hint, body.pop(key, default))
+    except TypeError as error:
+        raise _BadRequest(f"'{key}': {error}") from None
 
 
-def _parse_scan_submit(payload: Dict[str, Any]
-                       ) -> Tuple[ScanRequest, Optional[str], int]:
-    """Parse a ``POST /v1/scans`` body into (request, strategy, priority)."""
-    priority = _priority(payload)
-    strategy = payload.get("strategy")
-    if strategy is not None:
-        strategy = str(strategy).lower()
-        if strategy not in STRATEGIES:
+def _parse_submit(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A submit body as the keyword arguments of :meth:`ApiServer.submit`.
+
+    The envelope (``tenant``, ``priority``, a scan's ``strategy``) comes
+    off first, and a flat repair body's scan fields go into its ``scan``.
+    """
+    body = dict(payload)
+    submit = {"tenant": _pop(body, "tenant", str, DEFAULT_TENANT),
+              "priority": _pop(body, "priority", int, 0)}
+    if kind == "scan":
+        strategy = _pop(body, "strategy", Optional[str], None)
+        submit["strategy"] = strategy and strategy.lower()
+        if strategy is not None and submit["strategy"] not in STRATEGIES:
             raise _BadRequest(f"unknown strategy '{strategy}' "
                               f"(available: {', '.join(STRATEGIES)})")
-    if not payload.get("checkpoint"):
-        raise _BadRequest("scan payload needs a 'checkpoint' path")
+    elif "scan" not in body:
+        own = {spec.name for spec in fields(RepairRequest)}
+        body = {"scan": {key: value for key, value in body.items()
+                         if key not in own},
+                **{key: value for key, value in body.items() if key in own}}
+    scan = body if kind == "scan" else body["scan"]
+    if isinstance(scan, dict) and not scan.get("checkpoint"):
+        raise _BadRequest(f"{kind} payload needs a 'checkpoint' path")
     try:
-        request = ScanRequest.from_dict(payload)
+        submit["request"] = (ScanRequest if kind == "scan"
+                             else RepairRequest).from_dict(body)
     except (TypeError, ValueError) as error:
         raise _BadRequest(str(error)) from error
-    return request, strategy, priority
-
-
-def _parse_repair_submit(payload: Dict[str, Any]
-                         ) -> Tuple[RepairRequest, int]:
-    """Parse a ``POST /v1/repairs`` body (nested ``scan`` or flat)."""
-    priority = _priority(payload)
-    body = dict(payload)
-    if "scan" not in body:
-        if not body.get("checkpoint"):
-            raise _BadRequest("repair payload needs a nested 'scan' request "
-                              "or a top-level 'checkpoint' path")
-        body["scan"] = {k: v for k, v in body.items()}
-    try:
-        return RepairRequest.from_dict(body), priority
-    except (TypeError, KeyError, ValueError) as error:
-        raise _BadRequest(str(error)) from error
+    return submit
 
 
 class ApiServer:
@@ -585,28 +581,18 @@ class _Handler(BaseHTTPRequestHandler):
     # Endpoints
     # -------------------------------------------------------------- #
     def _post_scan(self) -> int:
-        try:
-            payload = self._read_json()
-            request, strategy, priority = _parse_scan_submit(payload)
-        except _BadRequest as error:
-            return self._send_error(400, str(error))
-        job = self.api.submit(
-            "scan", request, tenant=str(payload.get("tenant",
-                                                    DEFAULT_TENANT)),
-            priority=priority, strategy=strategy)
-        return self._send_json(202, job.status_dict())
+        return self._post_submit("scan")
 
     def _post_repair(self) -> int:
+        return self._post_submit("repair")
+
+    def _post_submit(self, kind: str) -> int:
         try:
-            payload = self._read_json()
-            request, priority = _parse_repair_submit(payload)
+            submit = _parse_submit(kind, self._read_json())
         except _BadRequest as error:
             return self._send_error(400, str(error))
-        job = self.api.submit(
-            "repair", request, tenant=str(payload.get("tenant",
-                                                      DEFAULT_TENANT)),
-            priority=priority)
-        return self._send_json(202, job.status_dict())
+        return self._send_json(202, self.api.submit(kind, **submit)
+                               .status_dict())
 
     def _get_job(self, job_id: str) -> int:
         job = self.api.job(job_id)

@@ -37,7 +37,8 @@ store in place; ``trace`` renders the span trees recorded in
 ``spans.jsonl`` beside the store; ``metrics`` renders the same Prometheus
 exposition the daemon writes to ``metrics.prom`` each cycle; ``serve``
 runs the long-lived HTTP front end (:mod:`repro.service.api`) over the
-same store.
+same store.  The request flags are generated from the request fields'
+declarations (:mod:`repro.service.records`).
 
 Every scan-running command accepts ``--backend inline|pool|fleet``: where
 a planned batch executes (:mod:`repro.service.backends`).  ``fleet``
@@ -83,27 +84,19 @@ import dataclasses
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import (Any, Dict, List, Optional, Sequence, Union, get_args,
+                    get_origin)
 
 from ..attacks.scenarios import SCENARIO_ALL_TO_ONE, SCENARIOS
-from ..core.configs import INVERSION_MODES
-from ..data import DATASET_SPECS
 from ..obs.logging import set_log_level
 from ..obs.trace import read_spans
 from .backends import BACKEND_NAMES
 from .locks import atomic_write
-from .records import (KNOWN_DETECTORS, STRATEGIES, RepairRecord, ScanRecord,
-                      ScanRequest)
+from .records import (KNOWN_DETECTORS, REPAIR_STRATEGIES, STRATEGIES,
+                      RepairRecord, RepairRequest, ScanRecord, ScanRequest)
 from .scheduler import ScanScheduler
 from .store import (SPANS_NAME, STATS_NAME, open_store, sidecar_path,
                     stream_records)
-
-if TYPE_CHECKING:
-    from .repair import RepairRequest
-
-#: Repair strategies the CLI offers (mirrors repro.mitigation.STRATEGIES
-#: without importing the mitigation package at CLI-import time).
-REPAIR_STRATEGIES = ("unlearn", "prune", "both")
 
 __all__ = ["build_parser", "main"]
 
@@ -125,69 +118,70 @@ def _model_name(name: str) -> str:
     return name
 
 
-def _add_scan_options(parser: argparse.ArgumentParser) -> None:
-    """Attach the scan-budget/scenario flags shared by scan-like commands."""
-    parser.add_argument("--model", type=_model_name,
-                        help="Architecture to rebuild, a name in "
-                             "repro.models.MODEL_BUILDERS (default: "
-                             "checkpoint metadata).")
-    parser.add_argument("--dataset", choices=sorted(DATASET_SPECS),
-                        help="Dataset family for the clean set (default: metadata).")
-    parser.add_argument("--image-size", type=int, default=None,
-                        help="Input resolution (default: metadata, then dataset spec).")
-    parser.add_argument("--classes", type=str, default=None,
-                        help="Comma-separated candidate target classes (default: all).")
-    parser.add_argument("--scenario", default=SCENARIO_ALL_TO_ONE,
-                        choices=list(SCENARIOS),
-                        help="Scan scenario; non-all-to-one scans sweep the "
-                             "(source, target) pair grid.")
-    parser.add_argument("--source-classes", type=str, default=None,
-                        help="Comma-separated suspected source classes "
-                             "(source_conditional scans; default: all candidates).")
-    parser.add_argument("--clean-budget", type=int, default=60,
-                        help="Clean images handed to the detector (paper: 300).")
-    parser.add_argument("--samples-per-class", type=int, default=30,
-                        help="Per-class size of the synthesized clean pool.")
-    parser.add_argument("--iterations", type=int, default=40,
-                        help="Trigger-optimization iterations (Alg. 2).")
-    parser.add_argument("--uap-passes", type=int, default=1,
-                        help="UAP sweeps over the clean set (Alg. 1, USB only).")
-    parser.add_argument("--anomaly-threshold", type=float, default=2.0,
-                        help="MAD anomaly index above which a class is flagged.")
-    parser.add_argument("--inversion-mode", choices=INVERSION_MODES,
-                        default="batched",
-                        help="Trigger-inversion engine: 'sequential' "
-                             "(per-class loop), 'batched' (all classes of a "
-                             "scan in one work-item pool run, cascade off; "
-                             "default), or 'mega' (cross-model work-item "
-                             "pool with the budget cascade).")
-    parser.add_argument("--seed", type=int, default=0)
+def _class_list(text: str) -> Optional[tuple]:
+    """A comma-separated class list flag's type (blank -> ``None``)."""
+    if not text.strip():
+        return None
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _add_repair_options(parser: argparse.ArgumentParser) -> None:
-    """Attach the repair-strategy/budget flags of the ``repair`` command."""
-    parser.add_argument("--strategy", default="both",
-                        choices=list(REPAIR_STRATEGIES),
-                        help="Repair strategy: trigger-informed unlearning, "
-                             "activation-differential pruning, or both.")
-    parser.add_argument("--unlearn-epochs", type=int, default=3,
-                        help="Unlearning fine-tune epochs over the clean set.")
-    parser.add_argument("--learning-rate", type=float, default=1e-3,
-                        help="Unlearning fine-tune learning rate.")
-    parser.add_argument("--stamp-fraction", type=float, default=0.5,
-                        help="Fraction of each unlearning batch stamped with "
-                             "a reversed trigger.")
-    parser.add_argument("--prune-fraction", type=float, default=0.1,
-                        help="Max fraction of penultimate units pruned.")
-    parser.add_argument("--max-accuracy-drop", type=float, default=3.0,
-                        help="Clean-accuracy guardrail in percentage points; "
-                             "a worse repair is rolled back.")
-    parser.add_argument("--no-rescan", action="store_true",
-                        help="Skip the post-repair detector re-scan.")
-    parser.add_argument("--output-dir", default=None,
-                        help="Directory for repaired checkpoints, created "
-                             "if missing (default: next to the originals); "
-                             "names stay digest-suffixed.")
+def _directory(path: str) -> str:
+    """``--output-dir``'s type: the directory, created if missing."""
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
+def _percent(text: str) -> float:
+    """``--max-accuracy-drop``'s type: percentage points, as a fraction."""
+    return float(text) / 100.0
+
+
+#: The flag types of the request fields' ``cli`` spellings.
+_SPELLINGS = {"classes": _class_list, "percent": _percent,
+              "directory": _directory, "model": _model_name}
+
+
+def _add_request_flags(parser: argparse.ArgumentParser, cls: type,
+                       skip: Sequence[str] = (),
+                       only: Optional[Sequence[str]] = None,
+                       prefix: str = "") -> None:
+    """Attach a flag for each field of request class ``cls`` that has one.
+
+    Type, choices and help come from the field's declaration; every flag
+    defaults to ``None``, so a field whose flag is not given keeps its own
+    default (:func:`_request_fields`).  ``skip`` or ``only`` narrow the
+    fields (``grid`` and ``watch`` name detectors with ``--detectors``),
+    and ``prefix`` renames flag and destination (``--repair-strategy``).
+    """
+    for spec in dataclasses.fields(cls):
+        meta = spec.metadata
+        if meta["flag"] is None or spec.name in skip or \
+                (only is not None and spec.name not in only):
+            continue
+        name = prefix + spec.name
+        options: Dict[str, Any] = {"dest": name, "default": None,
+                                   "help": meta["help"]}
+        if meta["cli"] == "negate":
+            options["action"] = "store_false"
+        else:
+            options["type"] = _SPELLINGS.get(meta["cli"]) or (
+                get_args(spec.type)[0] if get_origin(spec.type) is Union
+                else spec.type)
+            options["choices"] = meta["choices"] and list(meta["choices"])
+        parser.add_argument(meta["flag"] or "--" + name.replace("_", "-"),
+                            **options)
+
+
+def _request_fields(args: argparse.Namespace, cls: type,
+                    prefix: str = "") -> Dict[str, Any]:
+    """The fields of ``cls`` that the flags of :func:`_add_request_flags` set.
+
+    Flags not given are left out, so the request keeps its defaults.
+    """
+    given = {spec.name: getattr(args, prefix + spec.name, None)
+             for spec in dataclasses.fields(cls)
+             if spec.metadata["flag"] is not None}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -233,15 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     scan = commands.add_parser(
         "scan", help="Scan one saved checkpoint with one detector.")
     scan.add_argument("checkpoint", help="Path to a .npz checkpoint.")
-    scan.add_argument("--detector", default="usb",
-                      choices=list(KNOWN_DETECTORS))
     scan.add_argument("--strategy", default=None, choices=list(STRATEGIES),
                       help="Run the strategy-routed triage plan instead of "
                            "a single detector: USB probes first, NC/TABOR "
                            "escalate only on suspicion (fastest: one "
                            "parallel escalation batch; cheapest: serial, "
                            "stop at first confirmation; thorough: all).")
-    _add_scan_options(scan)
+    _add_request_flags(scan, ScanRequest)
     _add_common(scan)
 
     grid = commands.add_parser(
@@ -250,17 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="One or more .npz checkpoints.")
     grid.add_argument("--detectors", default="usb",
                       help="Comma-separated detector list (e.g. usb,nc,tabor).")
-    _add_scan_options(grid)
+    _add_request_flags(grid, ScanRequest, skip=("detector",))
     _add_common(grid)
 
     repair = commands.add_parser(
         "repair", help="Detect, repair, and verify one or more checkpoints.")
     repair.add_argument("checkpoints", nargs="+",
                         help="One or more .npz checkpoints.")
-    repair.add_argument("--detector", default="usb",
-                        choices=list(KNOWN_DETECTORS))
-    _add_scan_options(repair)
-    _add_repair_options(repair)
+    _add_request_flags(repair, ScanRequest)
+    _add_request_flags(repair, RepairRequest)
     _add_common(repair)
 
     report = commands.add_parser(
@@ -296,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--auto-repair", action="store_true",
                        help="Automatically repair every checkpoint flagged "
                             "as backdoored (after the poll's scans).")
-    watch.add_argument("--repair-strategy", default="both",
-                       choices=list(REPAIR_STRATEGIES),
-                       help="Strategy used by --auto-repair.")
     watch.add_argument("--no-telemetry", action="store_true",
                        help="Disable trace spans, per-phase profiling, and "
                             "the metrics.prom export.")
@@ -308,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "forked child per attempt, the default), fleet "
                             "(hand jobs to 'python -m repro worker' "
                             "processes), or inline.")
-    _add_scan_options(watch)
+    _add_request_flags(watch, ScanRequest, skip=("detector",))
+    _add_request_flags(watch, RepairRequest, only=("strategy",),
+                       prefix="repair_")
     watch.add_argument("--store", default=DEFAULT_STORE,
                        help="Result store; use a directory for the sharded "
                             "multi-writer layout.")
@@ -406,13 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--detectors", type=str, default=None,
                             help="Comma-separated detector subset "
                                  "(default: the table's own list).")
-    experiment.add_argument("--source-classes", type=str, default=None,
+    experiment.add_argument("--source-classes", type=_class_list,
                             help="Source classes for source_conditional cases "
                                  "(default: the two classes after the target).")
-    experiment.add_argument("--inversion-mode", choices=INVERSION_MODES,
-                            default="batched",
-                            help="Trigger-inversion engine for every scan in "
-                                 "the experiment (see 'scan --help').")
+    _add_request_flags(experiment, ScanRequest, only=("inversion_mode",))
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--workers", type=int, default=0,
                             help="Run the training jobs and scans on N "
@@ -425,32 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "case x detector x strategy.")
     experiment.add_argument("--json", action="store_true", dest="as_json")
     return parser
-
-
-def _parse_classes(text: Optional[str]) -> Optional[tuple]:
-    """Parse a comma-separated class list CLI value (``None``/blank -> None)."""
-    if text is None or not text.strip():
-        return None
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _scan_options(args: argparse.Namespace) -> Dict[str, Any]:
-    """The :class:`ScanRequest` fields the scan-option flags set."""
-    return dict(
-        model=args.model, dataset=args.dataset, image_size=args.image_size,
-        classes=_parse_classes(args.classes), clean_budget=args.clean_budget,
-        samples_per_class=args.samples_per_class, iterations=args.iterations,
-        uap_passes=args.uap_passes, anomaly_threshold=args.anomaly_threshold,
-        seed=args.seed, scenario=args.scenario,
-        source_classes=_parse_classes(args.source_classes),
-        inversion_mode=args.inversion_mode)
-
-
-def _request_from_args(args: argparse.Namespace, checkpoint: str,
-                       detector: str) -> ScanRequest:
-    """Build one :class:`ScanRequest` from parsed scan-option flags."""
-    return ScanRequest(checkpoint=checkpoint, detector=detector,
-                       **_scan_options(args))
 
 
 def _make_scheduler(args: argparse.Namespace) -> ScanScheduler:
@@ -506,15 +466,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     plan (see :mod:`repro.service.routing`).
     """
     scheduler = _make_scheduler(args)
+    request = ScanRequest(checkpoint=args.checkpoint,
+                          **_request_fields(args, ScanRequest))
     if args.strategy:
         from .routing import RoutingPolicy, route_scan
-        request = _request_from_args(args, args.checkpoint, "usb")
-        result = route_scan(scheduler, request,
+        result = route_scan(scheduler,
+                            dataclasses.replace(request, detector="usb"),
                             RoutingPolicy(strategy=args.strategy))
         _print_triage(result, as_json=args.as_json)
         return 0
-    record = scheduler.scan_one(_request_from_args(args, args.checkpoint,
-                                                   args.detector))
+    record = scheduler.scan_one(request)
     if args.as_json:
         _print_records([record], as_json=True)
         return 0
@@ -528,7 +489,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     detection = record.detection or {}
     indices = detection.get("pair_anomaly_indices") or {}
     if indices:
-        print(f"  scenario={args.scenario}: "
+        print(f"  scenario={request.scenario}: "
               f"{len(indices)} (source->target) cell(s)")
         flagged = set(detection.get("flagged_pairs") or ())
         l1 = {(entry.get("source"), entry["target"]): float(entry["l1"])
@@ -564,7 +525,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     if not detectors:
         print("grid: no detectors given.", file=sys.stderr)
         return 2
-    requests = [_request_from_args(args, checkpoint, detector)
+    fields = _request_fields(args, ScanRequest)
+    requests = [ScanRequest(checkpoint=checkpoint, detector=detector, **fields)
                 for checkpoint in args.checkpoints
                 for detector in detectors]
     scheduler = _make_scheduler(args)
@@ -576,28 +538,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _repair_request_from_args(args: argparse.Namespace,
-                              checkpoint: str) -> RepairRequest:
-    """Build one :class:`RepairRequest` from parsed repair-option flags."""
-    from .repair import RepairRequest
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-    return RepairRequest(
-        scan=_request_from_args(args, checkpoint, args.detector),
-        strategy=args.strategy,
-        unlearn_epochs=args.unlearn_epochs,
-        learning_rate=args.learning_rate,
-        stamp_fraction=args.stamp_fraction,
-        prune_fraction=args.prune_fraction,
-        max_accuracy_drop=args.max_accuracy_drop / 100.0,
-        rescan=not args.no_rescan,
-        output=args.output_dir)
-
-
 def _cmd_repair(args: argparse.Namespace) -> int:
     """``repair``: detect -> repair -> verify one or more checkpoints."""
     from .repair import run_repairs
-    requests = [_repair_request_from_args(args, checkpoint)
+    scan_fields = _request_fields(args, ScanRequest)
+    repair_fields = _request_fields(args, RepairRequest)
+    requests = [RepairRequest(scan=ScanRequest(checkpoint=checkpoint,
+                                               **scan_fields),
+                              **repair_fields)
                 for checkpoint in args.checkpoints]
     scheduler = _make_scheduler(args)
     records = run_repairs(scheduler, requests)
@@ -752,9 +700,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         watch_dir=args.directory, store_path=args.store, detectors=detectors,
         poll_interval=args.poll_interval, job_timeout=args.job_timeout,
         max_retries=args.retries, settle_polls=args.settle_polls,
-        stats_path=args.stats, request_options=_scan_options(args),
+        stats_path=args.stats,
+        request_options=_request_fields(args, ScanRequest),
         auto_repair=args.auto_repair,
-        repair_options={"strategy": args.repair_strategy},
+        repair_options=_request_fields(args, RepairRequest,
+                                       prefix="repair_"),
         telemetry=False if args.no_telemetry else None,
         backend=args.backend)
     daemon = WatchDaemon(config)
@@ -924,8 +874,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
              if args.cases else None)
     config = scenario_grid_config(
         config, scenarios, cases=cases,
-        source_classes=_parse_classes(args.source_classes))
-    if args.inversion_mode != config.inversion_mode:
+        source_classes=args.source_classes)
+    if args.inversion_mode not in (None, config.inversion_mode):
         config = dataclasses.replace(config,
                                      inversion_mode=args.inversion_mode)
     if args.repair_strategies:

@@ -156,7 +156,7 @@ class DaemonConfig:
             done, with the repaired checkpoint written next to
             the original and a :class:`~repro.service.records.RepairRecord`
             persisted to the store.
-        repair_options: Extra :class:`~repro.service.repair.RepairRequest`
+        repair_options: Extra :class:`~repro.service.records.RepairRequest`
             fields for auto-repair jobs (strategy, budgets, guardrail...).
         telemetry: Record trace spans (``spans.jsonl`` beside the store) and
             export ``metrics.prom`` each cycle.  ``None`` follows the

@@ -3,7 +3,11 @@
 A :class:`ScanRequest` fully describes one scan job — which checkpoint,
 which detector, and every budget knob that affects the outcome — so it can
 be shipped to a worker process, digested into a cache key, and replayed
-byte-for-byte later.  A :class:`ScanRecord` is the persisted outcome: the
+byte-for-byte later; a :class:`RepairRequest` adds the repair strategy and
+budgets.  Each request field is declared once — type, default, help — and
+``python -m repro`` generates its flags from it, ``docs/api.md`` its body
+reference; construction checks every value (:func:`coerce`), whoever
+builds the request.  A :class:`ScanRecord` is the persisted outcome: the
 verdict plus the compact detection summary
 (:meth:`repro.core.results.DetectionResult.to_compact_dict`), JSON-safe by
 construction so the result store can keep it as one JSONL line.
@@ -14,100 +18,213 @@ into the same store: its lines carry a ``"record": "repair"`` marker so
 apart (scan lines predate the marker and decode as scans by default).
 """
 
-from __future__ import annotations
-
 import dataclasses
+from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Optional, Tuple, Union,
+                    get_args, get_origin)
 
 from ..attacks.scenarios import SCENARIO_ALL_TO_ONE, SCENARIOS
 from ..core.configs import INVERSION_MODES
+from ..data import DATASET_SPECS
 
 if TYPE_CHECKING:
     from ..core.results import DetectionResult
 
-__all__ = ["ScanRequest", "ScanRecord", "RepairRecord", "record_from_dict"]
+__all__ = ["ScanRequest", "RepairRequest", "ScanRecord", "RepairRecord",
+           "record_from_dict", "coerce"]
 
 #: Detectors the service knows how to build (see ``scheduler.build_detector``).
 KNOWN_DETECTORS = ("usb", "nc", "tabor")
 #: Triage strategies the router understands (see
 #: :mod:`repro.service.routing`).
 STRATEGIES = ("fastest", "cheapest", "thorough")
+#: ``repro.mitigation.STRATEGIES``, without importing the mitigation code.
+REPAIR_STRATEGIES = ("unlearn", "prune", "both")
+
+
+def _field(default: Any = dataclasses.MISSING, help: str = "",  # noqa: A002
+           choices: Any = None, flag: Optional[str] = "",
+           cli: Optional[str] = None) -> Any:
+    """A request field: its default, help, allowed values and CLI flag.
+
+    ``flag`` is the option name (``""``: ``--<field-name>``, ``None``: no
+    flag); ``cli`` names how the flag spells the value, a key of
+    ``repro.service.cli._SPELLINGS`` or ``"negate"`` (the flag sets False).
+    """
+    return field(default=default, metadata={
+        "help": help, "choices": choices, "flag": flag, "cli": cli})
+
+
+def coerce(hint: Any, value: Any) -> Any:
+    """``value`` as the type ``hint``, converted only where nothing is lost.
+
+    ``4.0`` passes as the int ``4``, ``2`` as the float ``2.0``, a NumPy
+    number likewise; a list becomes a tuple without repeats (first kept)
+    and a dict a nested request.  A bool is no number.
+
+    Raises:
+        TypeError: ``value`` is no ``hint`` and cannot become one exactly.
+    """
+    if get_origin(hint) is Union:  # Optional[X]: None or an X
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            item = get_args(hint)[0]
+            return tuple(dict.fromkeys(coerce(item, v) for v in value))
+    elif isinstance(value, dict) and issubclass(hint, _Request):
+        return hint.from_dict(value)
+    elif hint in (int, float):
+        # int(inf), int(nan) and float(10**400) raise; a lossy conversion
+        # or a string (int("3") != "3") compares unequal.
+        with suppress(TypeError, ValueError, OverflowError):
+            number = hint(value)
+            if number == value and not isinstance(value, bool):
+                return number
+    elif isinstance(value, hint):
+        return value
+    expected = "a list" if get_origin(hint) is tuple else hint.__name__
+    raise TypeError(f"expected {expected}, got {value!r}")
+
+
+class _Request:
+    """Construction-time checks and the JSON round trip of a request."""
+
+    def __post_init__(self) -> None:
+        for spec in dataclasses.fields(self):
+            try:
+                value = coerce(spec.type, getattr(self, spec.name))
+            except TypeError as error:
+                raise TypeError(f"{type(self).__name__}.{spec.name}: "
+                                f"{error}") from None
+            choices = spec.metadata["choices"]
+            if choices and value is not None and value not in choices:
+                raise ValueError(
+                    f"Unknown {spec.name.replace('_', ' ')} '{value}'. "
+                    f"Available: {', '.join(map(str, choices))}")
+            object.__setattr__(self, spec.name, value)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe payload: class tuples become lists, a nested request a dict."""
+        return dataclasses.asdict(self, dict_factory=lambda pairs: {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in pairs})
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> Any:
+        """Rebuild a request from :meth:`to_dict` or a JSON body.
+
+        Raises:
+            ValueError / TypeError: an unknown key, or a value it refuses.
+        """
+        unknown = set(payload) - {spec.name for spec in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} field(s): "
+                             f"{', '.join(sorted(unknown))}")
+        return cls(**payload)
 
 
 @dataclass(frozen=True)
-class ScanRequest:
+class ScanRequest(_Request):
     """One scan job: a checkpoint, a detector, and the budgets that shape it.
 
     ``model`` / ``dataset`` / ``image_size`` may be omitted when the
     checkpoint carries metadata (written by ``repro.nn.save_model(...,
-    metadata=...)``); explicit values always win over metadata.
+    metadata=...)``); explicit values always win over metadata.  Detector
+    names are case-insensitive and stored lower-case.
     """
 
-    checkpoint: str
-    detector: str = "usb"
-    model: Optional[str] = None
-    dataset: Optional[str] = None
-    image_size: Optional[int] = None
-    #: Candidate target classes to scan; ``None`` scans every class.
-    classes: Optional[Tuple[int, ...]] = None
-    #: Size of the clean set X handed to the detector (paper: 300 images).
-    clean_budget: int = 60
-    #: Per-class sample count when synthesizing the clean pool.
-    samples_per_class: int = 30
-    #: Alg. 2 trigger-optimization iterations.
-    iterations: int = 40
-    #: Alg. 1 UAP sweeps (USB only).
-    uap_passes: int = 1
-    anomaly_threshold: float = 2.0
-    seed: int = 0
-    #: Scenario axis: non-all-to-one scans sweep the (source, target) pair
-    #: grid (clean data restricted per source class).  Part of the cache key.
-    scenario: str = SCENARIO_ALL_TO_ONE
-    #: Suspected source classes for ``source_conditional`` scans; ``None``
-    #: sweeps every candidate class as a source.
-    source_classes: Optional[Tuple[int, ...]] = None
-    #: Trigger-inversion engine: ``"sequential"`` (per-class loop),
-    #: ``"batched"`` (stacked per-model optimization, the default), or
-    #: ``"mega"`` (cross-model work-item pool with the budget cascade).
-    #: Part of the cache key whenever it deviates from ``"batched"``.
-    inversion_mode: str = "batched"
+    checkpoint: str = _field(help="Path to a .npz checkpoint.", flag=None)
+    detector: str = _field("usb", "Detector to run.", KNOWN_DETECTORS)
+    model: Optional[str] = _field(None, "Architecture, a name in repro.models."
+                                  "MODEL_BUILDERS (default: metadata).",
+                                  cli="model")
+    dataset: Optional[str] = _field(None, "Dataset family for the clean set "
+                                    "(default: metadata).",
+                                    sorted(DATASET_SPECS))
+    image_size: Optional[int] = _field(
+        None, "Input resolution (default: metadata, then dataset spec).")
+    classes: Optional[Tuple[int, ...]] = _field(
+        None, "Candidate target classes, comma-separated on the command line "
+        "(default: all).", cli="classes")
+    clean_budget: int = _field(60, "Clean images handed to the detector "
+                               "(paper: 300).")
+    samples_per_class: int = _field(30, "Per-class size of the synthesized "
+                                    "clean pool.")
+    iterations: int = _field(40, "Trigger-optimization iterations (Alg. 2).")
+    uap_passes: int = _field(1, "UAP sweeps over the clean set (Alg. 1, USB "
+                             "only).")
+    anomaly_threshold: float = _field(2.0, "MAD anomaly index above which a "
+                                      "class is flagged.")
+    seed: int = _field(0, "Seed of the clean sample and the detector.")
+    scenario: str = _field(SCENARIO_ALL_TO_ONE, "Scan scenario; others than "
+                           "all_to_one sweep the (source, target) pairs.",
+                           SCENARIOS)
+    source_classes: Optional[Tuple[int, ...]] = _field(
+        None, "Suspected source classes of source_conditional scans, "
+        "comma-separated on the command line (default: all candidates).",
+        cli="classes")
+    inversion_mode: str = _field(
+        "batched", "Trigger-inversion engine: a work-item pool run per class "
+        "(sequential) or per scan (batched), or cross-model with the budget "
+        "cascade (mega).", INVERSION_MODES)
 
     def __post_init__(self) -> None:
-        if self.detector.lower() not in KNOWN_DETECTORS:
-            raise ValueError(f"Unknown detector '{self.detector}'. "
-                             f"Available: {', '.join(KNOWN_DETECTORS)}")
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"Unknown scenario '{self.scenario}'. "
-                             f"Available: {', '.join(SCENARIOS)}")
-        if self.inversion_mode not in INVERSION_MODES:
-            raise ValueError(
-                f"Unknown inversion mode '{self.inversion_mode}'. "
-                f"Available: {', '.join(INVERSION_MODES)}")
-        if self.classes is not None:
-            object.__setattr__(self, "classes",
-                               tuple(int(c) for c in self.classes))
-        if self.source_classes is not None:
-            object.__setattr__(self, "source_classes",
-                               tuple(int(c) for c in self.source_classes))
+        if isinstance(self.detector, str):
+            object.__setattr__(self, "detector", self.detector.lower())
+        super().__post_init__()
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload (class tuples become lists) for shipping/logging."""
-        payload = dataclasses.asdict(self)
-        for key in ("classes", "source_classes"):
-            if payload[key] is not None:
-                payload[key] = list(payload[key])
-        return payload
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ScanRequest":
-        """Rebuild a request from :meth:`to_dict` (unknown keys ignored)."""
-        data = dict(payload)
-        for key in ("classes", "source_classes"):
-            if data.get(key) is not None:
-                data[key] = tuple(int(c) for c in data[key])
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+@dataclass(frozen=True)
+class RepairRequest(_Request):
+    """One repair job: a scan request plus the repair strategy and budgets.
+
+    Every field participates in the repair cache key, so two repairs of the
+    same weights with different strategies (or guardrails) never collide in
+    the store.  Construction runs the checks of :meth:`plan`.
+    """
+
+    scan: ScanRequest = _field(help="The scan of the detect stage.", flag=None)
+    strategy: str = _field("both", "Repair strategy: trigger-informed "
+                           "unlearning, activation-differential pruning, or "
+                           "both.", REPAIR_STRATEGIES)
+    unlearn_epochs: int = _field(3, "Unlearning fine-tune epochs.")
+    learning_rate: float = _field(1e-3, "Unlearning fine-tune learning rate.")
+    stamp_fraction: float = _field(0.5, "Fraction of each unlearning batch "
+                                   "stamped with a reversed trigger.")
+    prune_fraction: float = _field(0.1, "Max fraction of penultimate units "
+                                   "pruned.")
+    max_accuracy_drop: float = _field(
+        0.03, "Clean-accuracy guardrail, a fraction (the flag takes "
+        "percentage points); a worse repair is rolled back.", cli="percent")
+    success_flip_rate: float = _field(0.2, "Post-repair flip rate below "
+                                      "which a cell is neutralized.",
+                                      flag=None)
+    rescan: bool = _field(True, "Re-scan the repaired model.",
+                          flag="--no-rescan", cli="negate")
+    output: Optional[str] = _field(
+        None, "Repaired checkpoint path, or a directory for it (the flag "
+        "creates it; default: next to the input).", flag="--output-dir",
+        cli="directory")
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.plan()
+
+    def plan(self):
+        """The :class:`repro.mitigation.RepairPlan` this request describes."""
+        from ..mitigation import PruningConfig, RepairPlan, UnlearningConfig
+        return RepairPlan(
+            strategy=self.strategy,
+            unlearning=UnlearningConfig(epochs=self.unlearn_epochs,
+                                        learning_rate=self.learning_rate,
+                                        stamp_fraction=self.stamp_fraction),
+            pruning=PruningConfig(max_prune_fraction=self.prune_fraction),
+            max_accuracy_drop=self.max_accuracy_drop,
+            success_flip_rate=self.success_flip_rate,
+            rescan=self.rescan)
 
 
 @dataclass
@@ -147,7 +264,7 @@ class ScanRecord:
     @classmethod
     def from_detection(cls, *, key: str, fingerprint: str, config_digest: str,
                        checkpoint: str, model: str, dataset: str,
-                       detection: DetectionResult, created_at: str = "",
+                       detection: "DetectionResult", created_at: str = "",
                        worker_pid: int = 0,
                        extra: Optional[Dict[str, float]] = None,
                        telemetry: Optional[Dict[str, Any]] = None
@@ -177,7 +294,7 @@ class ScanRecord:
         spans, self.spans = self.spans, []
         return spans
 
-    def to_detection_result(self) -> DetectionResult:
+    def to_detection_result(self) -> "DetectionResult":
         """Rehydrate the (compact) :class:`DetectionResult` for this record."""
         from ..core.results import DetectionResult
 

@@ -27,7 +27,6 @@ request budgets.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import os
 import time
@@ -44,7 +43,7 @@ from ..obs.logging import get_logger
 from ..obs.trace import PROFILER, TRACER, span as _span
 from .fingerprint import digest_config, fingerprint_model, scan_key
 from .locks import atomic_write
-from .records import RepairRecord, ScanRequest
+from .records import RepairRecord, RepairRequest
 from .scheduler import (
     ResolvedScan,
     ScanScheduler,
@@ -58,66 +57,6 @@ __all__ = ["RepairRequest", "ResolvedRepair", "resolve_repair",
            "execute_repair", "run_repairs", "atomic_save_model"]
 
 _LOG = get_logger("repro.service.repair")
-
-
-@dataclass(frozen=True)
-class RepairRequest:
-    """One repair job: a scan request plus the repair strategy and budgets.
-
-    Every field participates in the repair cache key, so two repairs of the
-    same weights with different strategies (or guardrails) never collide in
-    the store.
-    """
-
-    #: The detect stage: which checkpoint, detector, and scan budgets.
-    scan: ScanRequest
-    #: Repair strategy (see :data:`repro.mitigation.STRATEGIES`).
-    strategy: str = "both"
-    #: Unlearning fine-tune epochs.
-    unlearn_epochs: int = 3
-    #: Unlearning learning rate.
-    learning_rate: float = 1e-3
-    #: Fraction of each unlearning batch stamped with a reversed trigger.
-    stamp_fraction: float = 0.5
-    #: Upper bound on the fraction of penultimate units pruned.
-    prune_fraction: float = 0.1
-    #: Clean-accuracy guardrail, in fraction points (0.03 = 3 points).
-    max_accuracy_drop: float = 0.03
-    #: Post-repair flip rate below which a cell counts as neutralized.
-    success_flip_rate: float = 0.2
-    #: Re-scan the repaired model with the same detector.
-    rescan: bool = True
-    #: Repaired checkpoint path, or an existing directory to hold the
-    #: default name (default: derived from the input path and the repair
-    #: digest, next to the input).
-    output: Optional[str] = None
-
-    def plan(self):
-        """The :class:`repro.mitigation.RepairPlan` this request describes."""
-        from ..mitigation import PruningConfig, RepairPlan, UnlearningConfig
-        return RepairPlan(
-            strategy=self.strategy,
-            unlearning=UnlearningConfig(epochs=self.unlearn_epochs,
-                                        learning_rate=self.learning_rate,
-                                        stamp_fraction=self.stamp_fraction),
-            pruning=PruningConfig(max_prune_fraction=self.prune_fraction),
-            max_accuracy_drop=self.max_accuracy_drop,
-            success_flip_rate=self.success_flip_rate,
-            rescan=self.rescan)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload (nested scan request included)."""
-        payload = dataclasses.asdict(self)
-        payload["scan"] = self.scan.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "RepairRequest":
-        """Rebuild a request from :meth:`to_dict` (unknown keys ignored)."""
-        data = dict(payload)
-        data["scan"] = ScanRequest.from_dict(dict(data["scan"]))
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass(frozen=True)
@@ -177,7 +116,7 @@ def resolve_repair(request: RepairRequest,
         "rescan": request.rescan,
     })
     key = scan_key(resolved_scan.fingerprint,
-                   f"repair+{request.scan.detector.lower()}", digest)
+                   f"repair+{request.scan.detector}", digest)
     output = default_repair_output(request.scan.checkpoint, digest)
     if request.output:
         output = (os.path.join(request.output, os.path.basename(output))
@@ -269,7 +208,7 @@ def execute_repair(resolved: ResolvedRepair) -> RepairRecord:
                     "repaired_from": scan_request.checkpoint,
                     "repair_strategy": request.strategy,
                     "repair_key": resolved.key,
-                    "repair_detector": scan_request.detector.lower(),
+                    "repair_detector": scan_request.detector,
                 })
                 with _span("repair.save", output=resolved.output):
                     atomic_save_model(setup.model, resolved.output,
@@ -305,7 +244,7 @@ def _repair_record(resolved: ResolvedRepair, detection, report,
         checkpoint=scan_request.checkpoint,
         model=resolved.scan.model,
         dataset=resolved.scan.dataset,
-        detector=scan_request.detector.lower(),
+        detector=scan_request.detector,
         strategy=request.strategy,
         scan_key=resolved.scan.key,
         was_backdoored=bool(detection.is_backdoored),

@@ -127,7 +127,7 @@ class ResolvedScan:
 
 def _detector_config(request: ScanRequest):
     """The concrete detector config a request resolves to (digest input)."""
-    kind = request.detector.lower()
+    kind = request.detector
     if kind == "usb":
         return USBConfig(
             uap=TargetedUAPConfig(max_passes=request.uap_passes),
@@ -225,17 +225,16 @@ def resolve_request(request: ScanRequest,
     # scenarios (an all-to-one scan and a source-conditional pair sweep of
     # the same weights are different results).
     digest_payload = {
-        "detector": request.detector.lower(),
+        "detector": request.detector,
         "config": _detector_config(request),
         "dataset": dataset,
         "image_size": image_size,
         "clean_budget": request.clean_budget,
         "samples_per_class": request.samples_per_class,
-        "classes": list(request.classes) if request.classes is not None else None,
+        "classes": request.classes,
         "seed": request.seed,
         "scenario": request.scenario,
-        "source_classes": (list(request.source_classes)
-                           if request.source_classes is not None else None),
+        "source_classes": request.source_classes,
     }
     # The default engine predates the knob; only deviations enter the digest
     # so verdicts cached before ``inversion_mode`` existed stay addressable.

@@ -19,8 +19,10 @@ import pytest
 
 from repro.models import build_model
 from repro.nn.serialization import save_model
-from repro.service.cli import _request_from_args, build_parser
+from repro.service.cli import _request_fields, build_parser
 from repro.service.fingerprint import digest_config
+from repro.service.records import RepairRequest, ScanRequest
+from repro.service.repair import resolve_repair
 from repro.service.scheduler import _detector_config, resolve_request
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -34,6 +36,9 @@ CLI_DEFAULT_DIGESTS = {"usb": "63172bfad996700e", "nc": "041d72694c3a3640",
 #: ``resolve_request`` key of a default USB scan of the fixture below.
 FIXTURE_USB_KEY = ("e4ef0396aa052ffd60456eeb091d257aadd9f4a2fc63fcac643bba60"
                    "2606e5a7:usb:bf4825401358c808")
+#: ``resolve_repair`` key of a default repair of the fixture below.
+FIXTURE_REPAIR_KEY = ("e4ef0396aa052ffd60456eeb091d257aadd9f4a2fc63fcac643b"
+                      "ba602606e5a7:repair+usb:e51d4ab6fd5d5deb")
 
 #: Import the packages, then resolve every exported name: each must be the
 #: object its defining module holds (a module export: that submodule).
@@ -93,21 +98,41 @@ def test_ssim_reexport_survives_the_submodule_import():
     assert _run_fresh(SSIM_AFTER_OPTIMIZER) == [True, True]
 
 
+def _cli_scan_request(argv):
+    """The request ``python -m repro scan <argv>`` builds."""
+    args = build_parser().parse_args(["scan"] + argv)
+    return ScanRequest(checkpoint=args.checkpoint,
+                       **_request_fields(args, ScanRequest))
+
+
 @pytest.mark.parametrize("detector", sorted(CLI_DEFAULT_DIGESTS))
 def test_cli_default_config_digests_are_pinned(detector):
-    args = build_parser().parse_args(["scan", "m.npz", "--detector",
-                                      detector])
-    request = _request_from_args(args, "m.npz", detector)
+    request = _cli_scan_request(["m.npz", "--detector", detector])
     assert digest_config(_detector_config(request)) == \
         CLI_DEFAULT_DIGESTS[detector]
 
 
-def test_scan_key_is_pinned(tmp_path):
+def _fixture(tmp_path):
     path = str(tmp_path / "fixture.npz")
     save_model(build_model("basic_cnn", num_classes=10, in_channels=3,
                            image_size=12, rng=np.random.default_rng(5)),
                path, metadata={"model": "basic_cnn", "dataset": "cifar10",
                                "image_size": 12})
-    args = build_parser().parse_args(["scan", path])
-    assert resolve_request(_request_from_args(args, path, "usb")).key == \
-        FIXTURE_USB_KEY
+    return path
+
+
+def test_scan_key_is_pinned(tmp_path):
+    path = _fixture(tmp_path)
+    assert resolve_request(_cli_scan_request([path])).key == FIXTURE_USB_KEY
+
+
+def test_repair_key_is_pinned(tmp_path):
+    path = _fixture(tmp_path)
+    args = build_parser().parse_args(["repair", path])
+    from_cli = RepairRequest(
+        scan=ScanRequest(checkpoint=path,
+                         **_request_fields(args, ScanRequest)),
+        **_request_fields(args, RepairRequest))
+    default = RepairRequest(scan=ScanRequest(checkpoint=path))
+    assert from_cli == default
+    assert resolve_repair(default).key == FIXTURE_REPAIR_KEY

@@ -45,7 +45,7 @@ from repro.service import (
     resolve_repair,
     run_repairs,
 )
-from repro.service.cli import _repair_request_from_args, build_parser
+from repro.service.cli import _request_fields, build_parser
 from repro.service.cli import main as cli_main
 
 
@@ -366,7 +366,10 @@ class TestRepairService:
             args = build_parser().parse_args(
                 ["repair", str(path), "--detector", "nc", "--classes", "0,1,2",
                  "--strategy", strategy, "--output-dir", str(out)])
-            request = _repair_request_from_args(args, str(path))
+            request = RepairRequest(
+                scan=ScanRequest(checkpoint=str(path),
+                                 **_request_fields(args, ScanRequest)),
+                **_request_fields(args, RepairRequest))
             outputs.append(resolve_repair(request).output)
         assert out.is_dir()  # the CLI creates --output-dir
         assert outputs[0] != outputs[1]

@@ -20,8 +20,12 @@ typical clients talk, and asserts:
    the ``repro_http_*`` and ``repro_triage_*`` families next to the
    store-derived ``repro_*`` ones,
 5. a ``405`` answer to a request with a body leaves the connection ready
-   for the next request, and
-6. the median exchange takes under 40 ms (a server that lets Nagle's
+   for the next request,
+6. a body with a misspelt field is answered ``400`` naming the field, and
+   the ``fastest`` submit repeated with its budgets sent as floats
+   (``"iterations": 2.0``) is the same request: its USB probe is served
+   from the stored record, and
+7. the median exchange takes under 40 ms (a server that lets Nagle's
    algorithm hold each body for the client's delayed ACK takes ~44 ms).
 
 Run by ``make api-smoke`` (and CI).  Exits non-zero on any failure.
@@ -203,7 +207,32 @@ def main() -> int:
             if code != 200:
                 return _fail(f"/healthz after a 405 answered {code}: {text}")
 
-            # 6. No exchange waits for the client's delayed ACK.
+            # 6. Bodies are checked at the door: a misspelt field is refused,
+            # and integral floats are the ints they spell (same cache key).
+            code, refused = conn.json("POST", "/v1/scans",
+                                      {"checkpoint": checkpoint,
+                                       "iteratons": 5})
+            if code != 400 or "iteratons" not in refused.get("error", ""):
+                return _fail(f"misspelt field answered {code}: {refused}")
+            floats = {key: ([float(c) for c in value]
+                            if isinstance(value, list) else float(value))
+                      for key, value in TINY.items()}
+            code, submitted = conn.json(
+                "POST", "/v1/scans",
+                {"checkpoint": checkpoint, "strategy": "fastest", **floats})
+            if code != 202:
+                return _fail(f"float-budget submit answered {code}: "
+                             f"{submitted}")
+            job = _poll_done(conn, submitted["job_id"])
+            _, full = conn.json("GET", f"/v1/jobs/{job['job_id']}/result")
+            stages = (full.get("result") or {}).get("cost_breakdown",
+                                                    {}).get("stages", [])
+            if job["status"] != "done" or not stages or \
+                    not stages[0]["cache_hit"]:
+                return _fail(f"float budgets missed the stored USB record: "
+                             f"{job['status']} {job.get('error')} {stages}")
+
+            # 7. No exchange waits for the client's delayed ACK.
             median = statistics.median(conn.seconds)
             if median >= MAX_MEDIAN_EXCHANGE_S:
                 return _fail(f"median exchange took {median * 1e3:.1f} ms "
@@ -214,7 +243,8 @@ def main() -> int:
             server.close()
 
     print(f"api smoke OK: 3 strategies served over one keep-alive "
-          f"connection, trace stitched ({len(trace['spans'])} spans), "
+          f"connection, a misspelt field refused, float budgets served "
+          f"from cache, trace stitched ({len(trace['spans'])} spans), "
           f"/metrics valid ({len(samples)} families), median exchange "
           f"{median * 1e3:.2f} ms over {len(conn.seconds)}.")
     return 0

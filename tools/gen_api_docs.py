@@ -21,8 +21,10 @@ reprs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import inspect
+import json
 import os
 import re
 import sys
@@ -64,10 +66,47 @@ def _first_line(obj) -> str:
     return _docstring(obj).splitlines()[0]
 
 
+def _field_table(obj) -> list:
+    """The field reference of a request class whose fields carry help text.
+
+    Each row is one field as its declaration states it (type annotation,
+    default, help), the same text ``python -m repro <command> --help``
+    shows for its flag; defaults are spelled as JSON, as a submit body
+    sends them.
+    """
+    if not dataclasses.is_dataclass(obj):
+        return []
+    specs = [spec for spec in dataclasses.fields(obj)
+             if "help" in spec.metadata]
+    if not specs:
+        return []
+    lines = ["**Fields:**", "", "| Field | Type | Default | Description |",
+             "| --- | --- | --- | --- |"]
+    for spec in specs:
+        default = ("required" if spec.default is dataclasses.MISSING
+                   else f"`{json.dumps(spec.default)}`")
+        text = spec.metadata["help"]
+        if spec.metadata.get("choices"):
+            text += " One of " + ", ".join(
+                f"`{choice}`" for choice in spec.metadata["choices"]) + "."
+        kind = (spec.type.__name__ if isinstance(spec.type, type)
+                else str(spec.type).replace("typing.", ""))
+        lines.append(f"| `{spec.name}` | `{kind}` | {default} | "
+                     f"{text.replace('|', '/')} |")
+    return lines + [""]
+
+
 def _class_section(name: str, obj) -> list:
     lines = [f"### `{name}{_signature(obj)}`", "", _docstring(obj), ""]
+    lines += _field_table(obj)
     methods = []
-    for attr_name, attr in sorted(vars(obj).items()):
+    # Methods a class inherits from a private base are part of its surface.
+    attrs = {}
+    for klass in reversed(obj.__mro__):
+        if klass is obj or (klass is not object
+                            and klass.__name__.startswith("_")):
+            attrs.update(vars(klass))
+    for attr_name, attr in sorted(attrs.items()):
         if attr_name.startswith("_"):
             continue
         if isinstance(attr, property):
