@@ -3,7 +3,8 @@
 The service layer turns the in-process detectors into throughput:
 
 * :mod:`repro.service.fingerprint` — content-addressed SHA-256 fingerprints
-  of state dicts plus detector-config digests;
+  of state dicts plus detector-config digests, and the memo that parses
+  each checkpoint's bytes once (:class:`FingerprintMemo`);
 * :mod:`repro.service.records` — :class:`ScanRequest` / :class:`ScanRecord`,
   the picklable/JSON-safe units of work and result, and their repair twins;
 * :mod:`repro.service.locks` — advisory per-shard file locks and atomic
@@ -73,6 +74,7 @@ _EXPORTS: Dict[str, str] = {
     "fingerprint_model": "fingerprint",
     "fingerprint_state_dict": "fingerprint",
     "read_checkpoint_fingerprint": "fingerprint", "scan_key": "fingerprint",
+    "FingerprintMemo": "fingerprint",
     "ScanRecord": "records", "ScanRequest": "records",
     "RepairRecord": "records", "RepairRequest": "records",
     "ResolvedRepair": "repair",

@@ -148,7 +148,9 @@ class ScanRequest(_Request):
         None, "Input resolution (default: metadata, then dataset spec).")
     classes: Optional[Tuple[int, ...]] = _field(
         None, "Candidate target classes, comma-separated on the command line "
-        "(default: all).", cli="classes")
+        "(default: all); at least one, none negative.  A class beyond the "
+        "dataset's is refused when the checkpoint is resolved.",
+        cli="classes")
     clean_budget: int = _field(60, "Clean images handed to the detector "
                                "(paper: 300).")
     samples_per_class: int = _field(30, "Per-class size of the synthesized "
@@ -164,8 +166,9 @@ class ScanRequest(_Request):
                            SCENARIOS)
     source_classes: Optional[Tuple[int, ...]] = _field(
         None, "Suspected source classes of source_conditional scans, "
-        "comma-separated on the command line (default: all candidates).",
-        cli="classes")
+        "comma-separated on the command line (default: all candidates); at "
+        "least one, none negative, and checked against the dataset like "
+        "classes.", cli="classes")
     inversion_mode: str = _field(
         "batched", "Trigger-inversion engine: a work-item pool run per class "
         "(sequential) or per scan (batched), or cross-model with the budget "
@@ -175,6 +178,11 @@ class ScanRequest(_Request):
         if isinstance(self.detector, str):
             object.__setattr__(self, "detector", self.detector.lower())
         super().__post_init__()
+        for name in ("classes", "source_classes"):
+            value = getattr(self, name)
+            if value is not None and (not value or min(value) < 0):
+                raise ValueError(f"ScanRequest.{name}: expected class ids "
+                                 f">= 0, at least one, got {list(value)}")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ from ..nn.layers import Module
 from ..nn.serialization import METADATA_KEY
 from ..obs.logging import get_logger
 from ..obs.trace import PROFILER, TRACER, span as _span
-from .fingerprint import digest_config, fingerprint_model, scan_key
+from .fingerprint import (FingerprintMemo, digest_config,
+                          fingerprint_model, scan_key)
 from .locks import atomic_write
 from .records import RepairRecord, RepairRequest
 from .scheduler import (
@@ -89,21 +90,19 @@ def default_repair_output(checkpoint: str, digest: str) -> str:
 
 
 def resolve_repair(request: RepairRequest,
-                   checkpoint_cache: Optional[Dict[str, tuple]] = None
-                   ) -> ResolvedRepair:
+                   memo: Optional[FingerprintMemo] = None) -> ResolvedRepair:
     """Compute a repair request's cache key (parent-side, no detector work).
 
     Args:
         request: The repair job.
-        checkpoint_cache: Optional shared cache (see
-            :func:`repro.service.scheduler.resolve_request`) so fleets
-            fingerprint each checkpoint once.
+        memo: The scheduler's fingerprint memo (see
+            :func:`repro.service.scheduler.resolve_request`), so a
+            checkpoint it has seen is not parsed again.
 
     Returns:
         The :class:`ResolvedRepair` with key and output path filled in.
     """
-    resolved_scan = resolve_request(request.scan,
-                                    checkpoint_cache=checkpoint_cache)
+    resolved_scan = resolve_request(request.scan, memo)
     digest = digest_config({
         "scan_digest": resolved_scan.config_digest,
         "strategy": request.strategy,

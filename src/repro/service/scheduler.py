@@ -7,10 +7,11 @@ batches and repair batches (:func:`repro.service.repair.run_repairs`) share
 one batch driver:
 
 1. every request is *resolved* in the parent under its own root span — the
-   checkpoint's metadata is read and its weights fingerprinted in one
-   streamed pass (:func:`~repro.service.fingerprint.read_checkpoint_fingerprint`),
-   and the detector config digested into the cache key — so cache hits
-   never reach a worker;
+   checkpoint's metadata and weight fingerprint come from the scheduler's
+   :class:`~repro.service.fingerprint.FingerprintMemo`, which digests the
+   file's bytes and parses only bytes it has not seen, and the detector
+   config is digested into the cache key — so cache hits never reach a
+   worker;
 2. store hits are served and duplicate keys inside one batch collapse to a
    single computation (:class:`~repro.service.planning.CachePlanner`);
 3. the remaining misses run through the scheduler's execution backend, one
@@ -72,11 +73,12 @@ from ..obs.logging import get_logger
 from ..obs.trace import (PROFILER, TRACER, new_trace_id, span as _span,
                          telemetry_enabled, write_spans)
 from .backends import ExecutionBackend, create_backend
-from .fingerprint import digest_config, read_checkpoint_fingerprint, scan_key
+from .fingerprint import (FINGERPRINTS_NAME, FingerprintMemo,
+                          digest_config, scan_key)
 from .planning import (CachePlanner, JobTimeoutError, LATENCY_WINDOW,
                        ServiceMetrics)
 from .records import ScanRecord, ScanRequest
-from .store import ResultStore
+from .store import ResultStore, sidecar_path
 
 if TYPE_CHECKING:
     import numpy as np
@@ -175,30 +177,22 @@ def build_request_detector(request: ScanRequest, clean_data: Dataset,
 
 
 def resolve_request(request: ScanRequest,
-                    checkpoint_cache: Optional[Dict[str, tuple]] = None
-                    ) -> ResolvedScan:
+                    memo: Optional[FingerprintMemo] = None) -> ResolvedScan:
     """Fill in metadata defaults and compute the request's cache key.
 
-    ``checkpoint_cache`` (path -> (metadata, fingerprint)) lets batch
-    callers resolve many requests against the same file with one read and
-    one SHA-256 — a grid scans each checkpoint once per detector, and the
-    weights do not change between those requests.
+    ``memo`` supplies the checkpoint's metadata and weight fingerprint,
+    parsing the file only when its bytes are new to it; a scheduler passes
+    the one it keeps for its whole life.  Without one the checkpoint is
+    parsed.
 
     Raises:
         ValueError: the checkpoint is not a readable ``.npz``, names no
-            model/dataset, ``classes`` is empty, or it or
-            ``source_classes`` names a class outside the dataset — the scan
-            fails here, once, before any dispatch.
+            model/dataset, or ``classes`` / ``source_classes`` name a class
+            outside the dataset — the scan fails here, once, before any
+            dispatch.
     """
-    cached = checkpoint_cache.get(request.checkpoint) if checkpoint_cache else None
-    if cached is not None:
-        metadata, fingerprint = cached
-    else:
-        with _span("scan.fingerprint", checkpoint=request.checkpoint):
-            metadata, fingerprint = read_checkpoint_fingerprint(
-                request.checkpoint)
-        if checkpoint_cache is not None:
-            checkpoint_cache[request.checkpoint] = (metadata, fingerprint)
+    metadata, fingerprint = (memo or FingerprintMemo()).read(
+        request.checkpoint)
     model = request.model or metadata.get("model")
     dataset = request.dataset or metadata.get("dataset")
     if model is None or dataset is None:
@@ -211,8 +205,7 @@ def resolve_request(request: ScanRequest,
                        f"Available: {sorted(DATASET_SPECS)}")
     spec = DATASET_SPECS[dataset]
     named = (request.classes or ()) + (request.source_classes or ())
-    if request.classes == () or not all(0 <= c < spec.num_classes
-                                        for c in named):
+    if any(c >= spec.num_classes for c in named):
         raise ValueError(
             f"{request.checkpoint}: classes {request.classes} / "
             f"source_classes {request.source_classes} must name classes of "
@@ -517,6 +510,12 @@ class ScanScheduler:
         self.backend = self._resolve_backend(backend)
         #: Cumulative counters over the scheduler's life (never reset).
         self.metrics = ServiceMetrics()
+        store_path = getattr(store, "path", None)
+        #: Checkpoint fingerprints by file digest, kept beside the store
+        #: (in memory only without one) and reused by every batch.
+        self.fingerprints = FingerprintMemo(
+            sidecar_path(store_path, FINGERPRINTS_NAME)
+            if store_path is not None else None)
 
     def _resolve_backend(self, backend: Union[ExecutionBackend, str, None]
                          ) -> ExecutionBackend:
@@ -672,7 +671,6 @@ class ScanScheduler:
                                          else ("", ""))
         roots: List[Any] = []
         try:
-            checkpoint_cache: Dict[str, tuple] = {}
             resolved = []
             for request in requests:
                 root = (TRACER.begin(root_name,
@@ -683,8 +681,7 @@ class ScanScheduler:
                 roots.append(root)
                 try:
                     with TRACER.context_of(root):
-                        item = resolve(request,
-                                       checkpoint_cache=checkpoint_cache)
+                        item = resolve(request, self.fingerprints)
                 except Exception:
                     self.metrics.failures += 1
                     raise

@@ -1,13 +1,16 @@
-"""Reads cost what they read: a cache hit replays one shard, a command
-imports only its own modules, and a cold hit compiles none of the
-inversion stack, never imports NumPy, and loads none of the stdlib or
-``repro`` modules that only a miss or another command runs.
+"""Reads cost what they read: a cache hit replays one shard and parses no
+checkpoint, a command imports only its own modules, and a cold hit
+compiles none of the inversion stack, never imports NumPy, and loads none
+of the stdlib or ``repro`` modules that only a miss or another command
+runs.
 
 Decoded store lines are counted by wrapping
 ``repro.service.store._iter_jsonl_records``, the one function every replay
-reads through, so each test states exactly which shards a call read.
-Import tests run in a fresh interpreter, because this process has long
-imported everything.
+reads through, so each test states exactly which shards a call read;
+checkpoint parses likewise by wrapping
+``repro.service.fingerprint.read_checkpoint_fingerprint``.  Import tests
+run in a fresh interpreter, because this process has long imported
+everything.
 """
 
 import collections
@@ -24,6 +27,7 @@ import pytest
 from repro.models import MODEL_BUILDERS, build_model
 from repro.nn.serialization import save_model
 from repro.service import ScanRecord, ShardedResultStore, open_store
+from repro.service import fingerprint as fingerprint_module
 from repro.service import store as store_module
 from repro.service.api import ApiServer
 from repro.service.cli import main as cli_main
@@ -113,6 +117,21 @@ def decoded(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """Checkpoint paths parsed since the fixture was set up."""
+    calls = []
+    original = fingerprint_module.read_checkpoint_fingerprint
+
+    def counting(path, content=None):
+        calls.append(path)
+        return original(path, content)
+
+    monkeypatch.setattr(fingerprint_module, "read_checkpoint_fingerprint",
+                        counting)
+    return calls
+
+
 class TestOneShardRead:
     def test_open_decodes_nothing(self, tmp_path, decoded):
         path = str(tmp_path / "store")
@@ -154,7 +173,7 @@ class TestOneShardRead:
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_cli_cache_hit_decodes_one_shard(self, tmp_path, capsys, decoded,
-                                             as_json):
+                                             parsed, as_json):
         store_path = str(tmp_path / "store")
         _pad(store_path)
         checkpoint = str(tmp_path / "m.npz")
@@ -168,8 +187,12 @@ class TestOneShardRead:
         assert cli_main(args + ["--json"]) == 0
         [computed] = json.loads(capsys.readouterr().out)
         assert not computed["cache_hit"]
+        assert parsed == [checkpoint]
         decoded.clear()
+        parsed.clear()
 
+        # A new command, and so a new scheduler: the file's digest finds
+        # the fingerprint the first one memoized beside the store.
         assert cli_main(args + (["--json"] if as_json else [])) == 0
         out = capsys.readouterr().out
         if as_json:
@@ -179,6 +202,7 @@ class TestOneShardRead:
         store = ShardedResultStore(store_path)
         assert decoded == {store.shard_name(computed["key"]):
                            _shard_lines(store, computed["key"])}
+        assert parsed == []
 
     def test_server_lookup_decodes_nothing(self, tmp_path, decoded):
         # A long-lived server replays the store at start, so no request

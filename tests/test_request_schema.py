@@ -13,8 +13,9 @@ every value.  This module pins:
   tests/test_request_schema.py``, which dumps the table of the checkout on
   ``PYTHONPATH``, only when a flag is meant to change);
 * submit bodies over HTTP: a lossless spelling shares its well-typed twin's
-  request and cache key, any other type mismatch, unknown key or bad
-  repair budget is answered ``400`` before a job exists, and the envelope
+  request and cache key, any other type mismatch, unknown key, empty or
+  negative class list or bad repair budget is answered ``400`` before a
+  job exists, and the envelope
   (``tenant``, ``priority``, a scan's ``strategy``) is checked the same way
   and kept out of the request.
 """
@@ -46,7 +47,7 @@ PARITY_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 # JSON round trip
 # --------------------------------------------------------------------- #
 _OPTIONAL_TEXT = st.none() | st.text(max_size=8)
-_CLASSES = st.none() | st.lists(st.integers(-3, 12), max_size=6)
+_CLASSES = st.none() | st.lists(st.integers(0, 12), min_size=1, max_size=6)
 _FLOATS = st.floats(allow_nan=False)
 _FRACTIONS = st.floats(0.0, 1.0, exclude_min=True)
 
@@ -87,9 +88,11 @@ def test_json_round_trip_rebuilds_the_request(requests):
     (np.int64(7), 7), (np.int32(-2), -2), (7.0, 7), (np.float64(3.0), 3),
     (np.float32(3.0), 3)])
 def test_integers_arrive_exactly_as_int(value, expected):
-    request = ScanRequest(checkpoint="m.npz", seed=value, classes=[value])
+    # Class ids are never negative.
+    request = ScanRequest(checkpoint="m.npz", seed=value,
+                          classes=[abs(value)])
     assert request.seed == expected and type(request.seed) is int
-    assert request.classes == (expected,)
+    assert request.classes == (abs(expected),)
     assert type(request.classes[0]) is int
 
 
@@ -302,6 +305,11 @@ BODIES = [
     ("/v1/scans", {"clean_budget": "20"}, None),
     ("/v1/scans", {"iterations": 4.5}, None),
     ("/v1/scans", {"classes": [1.5]}, None),
+    ("/v1/scans", {"classes": []}, None),
+    ("/v1/scans", {"classes": [-1]}, None),
+    ("/v1/scans", {"scenario": "source_conditional", "source_classes": []},
+     None),
+    ("/v1/scans", {"source_classes": [0, -1]}, None),
     ("/v1/scans", {"iteratons": 5}, None),
     ("/v1/scans", {"priority": 5.7}, None),
     ("/v1/scans", {"priority": True}, None),

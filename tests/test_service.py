@@ -387,13 +387,25 @@ class TestScheduler:
 
     @pytest.mark.parametrize("overrides", [
         {"classes": ()},
-        {"classes": (0, 10)},
         {"classes": (-1, 0, 1)},
+        {"scenario": SCENARIO_SOURCE_CONDITIONAL, "source_classes": ()},
+        {"scenario": SCENARIO_SOURCE_CONDITIONAL, "source_classes": (0, -2)},
+    ], ids=["empty", "negative", "empty_sources", "negative_sources"])
+    def test_bad_class_list_is_refused_at_construction(self, overrides):
+        # No model has a class -1, and an empty list would scan nothing (an
+        # empty source list would scan every pair under another cache key):
+        # the request itself is refused, before any checkpoint is read.
+        with pytest.raises(ValueError, match="classes"):
+            _tiny_request("never-read.npz", **overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"classes": (0, 10)},
         {"scenario": SCENARIO_SOURCE_CONDITIONAL, "source_classes": (12,)},
-    ], ids=["empty", "past_the_end", "negative", "source"])
+    ], ids=["past_the_end", "source"])
     def test_bad_class_list_fails_at_resolution(self, tmp_path, overrides):
-        # cifar10 has 10 classes; a list the detector cannot scan must fail
-        # once while resolving, before any job is dispatched or retried.
+        # cifar10 has 10 classes, which only the checkpoint's metadata
+        # tells; a list the detector cannot scan must fail once while
+        # resolving, before any job is dispatched or retried.
         ckpt = tmp_path / "m.npz"
         _save_tiny(ckpt, seed=17)
         scheduler = ScanScheduler(workers=0, telemetry=False)

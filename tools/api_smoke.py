@@ -24,7 +24,8 @@ typical clients talk, and asserts:
 6. a body with a misspelt field is answered ``400`` naming the field, and
    the ``fastest`` submit repeated with its budgets sent as floats
    (``"iterations": 2.0``) is the same request: its USB probe is served
-   from the stored record, and
+   from the stored record, and its trace's ``scan.fingerprint`` spans say
+   ``memo=hit`` (the checkpoint was not parsed again), and
 7. the median exchange takes under 40 ms (a server that lets Nagle's
    algorithm hold each body for the client's delayed ACK takes ~44 ms).
 
@@ -231,6 +232,13 @@ def main() -> int:
                     not stages[0]["cache_hit"]:
                 return _fail(f"float budgets missed the stored USB record: "
                              f"{job['status']} {job.get('error')} {stages}")
+            code, repeat = conn.json("GET", f"/v1/traces/{full['trace_id']}")
+            memo = [span["attrs"].get("memo")
+                    for span in (repeat or {}).get("spans", [])
+                    if span["name"] == "scan.fingerprint"]
+            if code != 200 or not memo or set(memo) != {"hit"}:
+                return _fail(f"the repeated fastest submit parsed its "
+                             f"checkpoint again: scan.fingerprint memo={memo}")
 
             # 7. No exchange waits for the client's delayed ACK.
             median = statistics.median(conn.seconds)
@@ -244,7 +252,8 @@ def main() -> int:
 
     print(f"api smoke OK: 3 strategies served over one keep-alive "
           f"connection, a misspelt field refused, float budgets served "
-          f"from cache, trace stitched ({len(trace['spans'])} spans), "
+          f"from cache without a parse, trace stitched "
+          f"({len(trace['spans'])} spans), "
           f"/metrics valid ({len(samples)} families), median exchange "
           f"{median * 1e3:.2f} ms over {len(conn.seconds)}.")
     return 0
